@@ -6,16 +6,19 @@ probe port and inject cell bound to real channels) on one thread and the
 classical consumer on another, joins both under a deadline, and assembles a
 report. If the deadline fires, the error says which channel operation each
 agent was blocked in, which is the one thing worth knowing when a
-rendezvous protocol hangs.
+rendezvous protocol hangs. However the run ends, both channels are then
+closed and both threads joined, so a stalled agent does not outlive its run.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import random
 import threading
 import time
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 
 from .chan import EventLog, InjectChannel, ProbeChannel
 from .consumer import ConsumerConfig, run_consumer
@@ -39,6 +42,8 @@ from .revir import (
 from .scheme import NegativeInputError, RecursionScheme, eval_recursive, expected_emissions, make_scheme
 
 DEFAULT_TIMEOUT = 5.0
+# how long a finished or failed run waits for its closed-out threads to exit
+JOIN_TIMEOUT = 1.0
 
 
 class HarnessError(Exception):
@@ -71,68 +76,17 @@ class _Agent:
         return "running"
 
 
-class _ChannelCell:
-    """Inject binding for the producer: swaps alternate swap_in / swap_out,
-    so the program's first swap reads the injected input and its second
-    exports the leftover and reopens the channel."""
+def _tracked(agent: _Agent, label: str, call):
+    """call, with agent.blocked_in naming the channel operation while it runs."""
 
-    def __init__(self, channel: InjectChannel, agent: _Agent):
-        self._channel = channel
-        self._agent = agent
-        self._swaps = 0
-
-    def swap(self, value: int) -> int:
-        self._swaps += 1
-        if self._swaps % 2 == 1:
-            self._agent.blocked_in = "inject.swap_in"
-            try:
-                return self._channel.swap_in(value)
-            finally:
-                self._agent.blocked_in = None
-        self._agent.blocked_in = "inject.swap_out"
+    def tracked(*args):
+        agent.blocked_in = label
         try:
-            return self._channel.swap_out(value)
+            return call(*args)
         finally:
-            self._agent.blocked_in = None
+            agent.blocked_in = None
 
-
-class _TrackedProbePut:
-    def __init__(self, channel: ProbeChannel, agent: _Agent):
-        self._channel = channel
-        self._agent = agent
-
-    def __call__(self, value: int):
-        self._agent.blocked_in = "probe.put"
-        try:
-            self._channel.put(value)
-        finally:
-            self._agent.blocked_in = None
-
-
-class _TrackedProbeGet:
-    def __init__(self, channel: ProbeChannel, agent: _Agent):
-        self._channel = channel
-        self._agent = agent
-
-    def get(self) -> int:
-        self._agent.blocked_in = "probe.get"
-        try:
-            return self._channel.get()
-        finally:
-            self._agent.blocked_in = None
-
-
-class _TrackedInjectPut:
-    def __init__(self, channel: InjectChannel, agent: _Agent):
-        self._channel = channel
-        self._agent = agent
-
-    def put(self, value: int):
-        self._agent.blocked_in = "inject.put"
-        try:
-            self._channel.put(value)
-        finally:
-            self._agent.blocked_in = None
+    return tracked
 
 
 @dataclass
@@ -173,20 +127,28 @@ def run_split(
     consumer_agent = _Agent("consumer")
     turn_done = threading.Event()
 
+    # swaps alternate swap_in / swap_out, so the program's first swap reads
+    # the injected input and its second exports the leftover and reopens
+    # the channel
+    swaps = itertools.cycle((
+        _tracked(producer_agent, "inject.swap_in", inject.swap_in),
+        _tracked(producer_agent, "inject.swap_out", inject.swap_out),
+    ))
+
     def producer_main():
         return run(
             program,
             Store(),
-            sinks={"probe": _TrackedProbePut(probe, producer_agent)},
-            cells={"inject": _ChannelCell(inject, producer_agent)},
+            sinks={"probe": _tracked(producer_agent, "probe.put", probe.put)},
+            cells={"inject": SimpleNamespace(swap=lambda value: next(swaps)(value))},
         )
 
     def consumer_main():
         config = ConsumerConfig.from_scheme(scheme, x0)
         return run_consumer(
             config,
-            _TrackedInjectPut(inject, consumer_agent),
-            _TrackedProbeGet(probe, consumer_agent),
+            SimpleNamespace(put=_tracked(consumer_agent, "inject.put", inject.put)),
+            SimpleNamespace(get=_tracked(consumer_agent, "probe.get", probe.get)),
         )
 
     def worker(agent, main):
@@ -207,30 +169,37 @@ def run_split(
     for thread in threads:
         thread.start()
 
-    while True:
-        if producer_agent.done and consumer_agent.done:
-            break
-        # a dead agent can never unblock its peer; stop waiting for the deadline
-        if producer_agent.error and (consumer_agent.done or consumer_agent.blocked_in):
-            break
-        if consumer_agent.error and (producer_agent.done or producer_agent.blocked_in):
-            break
-        remaining = deadline - time.perf_counter()
-        if remaining <= 0:
-            break
-        turn_done.wait(min(remaining, 0.05))
-        turn_done.clear()
-    wall_time = time.perf_counter() - started
+    try:
+        while True:
+            if producer_agent.done and consumer_agent.done:
+                break
+            # a dead agent can never unblock its peer; stop waiting for the deadline
+            if producer_agent.error and (consumer_agent.done or consumer_agent.blocked_in):
+                break
+            if consumer_agent.error and (producer_agent.done or producer_agent.blocked_in):
+                break
+            remaining = deadline - time.perf_counter()
+            if remaining <= 0:
+                break
+            turn_done.wait(min(remaining, 0.05))
+            turn_done.clear()
+        wall_time = time.perf_counter() - started
 
-    if producer_agent.error is not None:
-        raise producer_agent.error
-    if consumer_agent.error is not None:
-        raise consumer_agent.error
-    if not (producer_agent.done and consumer_agent.done):
-        raise DeadlockTimeout(
-            f"run exceeded {timeout}s: producer {producer_agent.describe()}; "
-            f"consumer {consumer_agent.describe()}"
-        )
+        # settle the outcome before closing: closing fails the blocked agent
+        # with ChannelClosed and clears the blocked_in the message names
+        failure = producer_agent.error or consumer_agent.error
+        if failure is None and not (producer_agent.done and consumer_agent.done):
+            failure = DeadlockTimeout(
+                f"run exceeded {timeout}s: producer {producer_agent.describe()}; "
+                f"consumer {consumer_agent.describe()}"
+            )
+    finally:
+        probe.close()
+        inject.close()
+        for thread in threads:
+            thread.join(JOIN_TIMEOUT)
+    if failure is not None:
+        raise failure
 
     y = consumer_agent.result
     final_store = producer_agent.result
@@ -375,7 +344,6 @@ _AGENT_BY_OP = {
     ("inject", "put"): "consumer",
     ("inject", "swap_in"): "producer",
     ("inject", "swap_out"): "producer",
-    ("inject", "get"): "consumer",
 }
 
 

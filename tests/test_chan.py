@@ -1,7 +1,10 @@
+import sys
 import threading
 import time
 
-from recsplit.chan import EventLog, InjectChannel, ProbeChannel
+import pytest
+
+from recsplit.chan import ChannelClosed, EventLog, InjectChannel, ProbeChannel
 from recsplit.scheme import expected_emissions, make_scheme
 
 JOIN_TIMEOUT = 5.0
@@ -11,7 +14,10 @@ def spawn(fn, *args):
     result = {}
 
     def target():
-        result["value"] = fn(*args)
+        try:
+            result["value"] = fn(*args)
+        except ChannelClosed as exc:
+            result["error"] = exc
 
     thread = threading.Thread(target=target, daemon=True)
     thread.start()
@@ -78,6 +84,40 @@ def test_probe_delivers_in_order():
     assert received == values
 
 
+def test_probe_close_wakes_blocked_get():
+    probe = ProbeChannel()
+    thread, result = spawn(probe.get)
+    settle()
+    assert thread.is_alive()
+    probe.close()
+    thread.join(JOIN_TIMEOUT)
+    assert not thread.is_alive()
+    assert isinstance(result["error"], ChannelClosed)
+
+
+def test_probe_close_wakes_blocked_put():
+    probe = ProbeChannel()
+    probe.put(1)
+    thread, result = spawn(probe.put, 2)
+    settle()
+    assert thread.is_alive()      # parked on the full slot
+    probe.close()
+    thread.join(JOIN_TIMEOUT)
+    assert not thread.is_alive()
+    assert isinstance(result["error"], ChannelClosed)
+
+
+def test_probe_calls_after_close_raise():
+    probe = ProbeChannel()
+    probe.put(1)
+    probe.close()
+    for _ in range(2):            # a failed call leaves the channel closed
+        with pytest.raises(ChannelClosed):
+            probe.get()
+        with pytest.raises(ChannelClosed):
+            probe.put(2)
+
+
 # --- inject --------------------------------------------------------------------
 
 def test_inject_put_then_swap_in():
@@ -123,22 +163,30 @@ def test_inject_second_put_blocks_until_swap_out():
     assert inject.slot == 2
 
 
-def test_inject_get_rereads_without_consuming():
-    inject = InjectChannel()
-    inject.put(4)
-    assert inject.get() == 4
-    assert inject.get() == 4      # the flag never flips on get
-    assert inject.slot == 4
-
-
-def test_inject_get_blocks_before_put():
-    inject = InjectChannel()
-    thread, result = spawn(inject.get)
+def test_inject_close_wakes_blocked_calls():
+    starved = InjectChannel()     # nothing put: swap_in waits
+    full = InjectChannel()
+    full.put(1)                   # slot closed: a second put waits
+    waiters = [spawn(starved.swap_in, 0), spawn(full.put, 2)]
     settle()
-    assert thread.is_alive()
-    inject.put(6)
-    thread.join(JOIN_TIMEOUT)
-    assert result["value"] == 6
+    assert all(thread.is_alive() for thread, _ in waiters)
+    starved.close()
+    full.close()
+    for thread, result in waiters:
+        thread.join(JOIN_TIMEOUT)
+        assert not thread.is_alive()
+        assert isinstance(result["error"], ChannelClosed)
+
+
+def test_inject_calls_after_close_raise():
+    inject = InjectChannel()
+    inject.close()
+    with pytest.raises(ChannelClosed):
+        inject.put(1)
+    with pytest.raises(ChannelClosed):
+        inject.swap_in(0)
+    with pytest.raises(ChannelClosed):
+        inject.swap_out(0)
 
 
 # --- event log -------------------------------------------------------------------
@@ -179,3 +227,44 @@ def test_event_log_is_optional():
     probe = ProbeChannel()
     probe.put(1)
     assert probe.get() == 1
+
+
+def test_event_log_orders_concurrent_channels():
+    # more producer/consumer pairs than cores, one shared log, and a switch
+    # interval short enough to preempt between any two bytecodes
+    pairs, handshakes = 6, 200
+    trace = EventLog()
+    received = [[] for _ in range(pairs)]
+
+    def producer(probe, index):
+        for step in range(handshakes):
+            probe.put(index * handshakes + step)
+
+    def consumer(probe, index):
+        for _ in range(handshakes):
+            received[index].append(probe.get())
+
+    threads = []
+    for index in range(pairs):
+        probe = ProbeChannel(trace)
+        for target in (producer, consumer):
+            threads.append(threading.Thread(target=target, args=(probe, index), daemon=True))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(30.0)
+            assert not thread.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+
+    events = trace.events()
+    assert [e.seq for e in events] == list(range(2 * pairs * handshakes))
+    for index in range(pairs):
+        sent = list(range(index * handshakes, (index + 1) * handshakes))
+        assert received[index] == sent
+        own = [e for e in events if e.value // handshakes == index]
+        assert [e.op for e in own] == ["put", "get"] * handshakes
+        assert [e.value for e in own] == [value for value in sent for _ in range(2)]

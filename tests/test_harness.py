@@ -1,4 +1,5 @@
 import json
+import threading
 import time
 
 import pytest
@@ -132,9 +133,9 @@ def test_result_mismatch_is_raised():
         run_split(make_scheme(-1, "x", "x+y"), 3, timeout=1.0, program=program)
 
 
-def test_producer_fault_propagates():
-    # a branch that flips its discriminator's sign aborts the split run
-    program = RevProgram.from_body(
+def _sign_flipping_producer():
+    # a branch that flips its discriminator's sign aborts the producer
+    return RevProgram.from_body(
         (
             SwapCell("inject", "x"),
             IfSign("x", pos=(AddConst("x", -100),)),
@@ -142,8 +143,26 @@ def test_producer_fault_propagates():
             SwapCell("inject", "x"),
         )
     )
+
+
+def test_producer_fault_propagates():
     with pytest.raises(BranchSignViolation):
-        run_split(make_scheme(-1, "x", "x+y"), 3, timeout=1.0, program=program)
+        run_split(make_scheme(-1, "x", "x+y"), 3, timeout=1.0, program=_sign_flipping_producer())
+
+
+@pytest.mark.parametrize(
+    "program, error",
+    [
+        (_silent_producer, DeadlockTimeout),
+        (_chatty_producer, DeadlockTimeout),
+        (_sign_flipping_producer, BranchSignViolation),
+    ],
+)
+def test_failed_run_leaves_no_thread(program, error):
+    before = threading.active_count()
+    with pytest.raises(error):
+        run_split(make_scheme(-1, "x", "x+y"), 3, timeout=0.2, program=program())
+    assert threading.active_count() == before
 
 
 # --- reversibility checks --------------------------------------------------------------
