@@ -3,20 +3,20 @@
 Each channel holds at most one value and is shared by exactly two agents.
 Blocking here is indefinite; deadline handling belongs to the harness.
 
-The probe channel hands its slot over with two locks used as binary
-semaphores: ``empty`` is free while the slot may be written, ``full`` while
-it holds an unread value. A put takes ``empty`` and gives ``full``; a get
-takes ``full`` and gives ``empty``. Exactly one of them is free between
-operations, so puts and gets strictly alternate without a condition variable.
-The inject channel carries three operations per run and keeps a condition.
+One slot mechanism serves both channels: the slot is handed over with two
+locks used as binary semaphores. ``empty`` is free while the slot may be
+written, ``full`` while it holds a value for the peer. A put takes ``empty``
+and gives ``full``, on either channel. A probe get takes ``full`` and gives
+``empty``, so puts and gets strictly alternate without a condition variable.
+An inject swap_in takes ``full`` and gives nothing back, so the slot stays
+closed; swap_out then frees ``empty`` and the slot is open again.
 
 An optional shared EventLog receives one record per *completed* operation.
 Each record is appended while the operation still holds the slot: after a
-put stores its value and before it frees ``full``, after a get reads the
-value and before it frees ``empty``, and inside the inject channel's
-condition. The peer cannot complete its next operation before that, so the
-log order is the true completion order. An event's ``seq`` is its index in
-the log.
+put stores its value and before it frees ``full``, after a get or a swap
+reads the value and before it frees ``empty`` (a swap_in frees nothing).
+The peer cannot complete its next operation before that, so the log order
+is the true completion order. An event's ``seq`` is its index in the log.
 
 close() wakes every waiter on a channel; the woken call and every later call
 raise ChannelClosed. The harness closes both channels when a run ends, so
@@ -63,7 +63,7 @@ class EventLog:
 def _wake(lock: threading.Lock):
     """Free a lock used as a binary semaphore unless it is already free.
 
-    A put or get finds it free when close() freed it while the call held
+    An operation finds it free when close() freed it while the call held
     the slot; close() finds one of the pair free in any case.
     """
     try:
@@ -72,14 +72,10 @@ def _wake(lock: threading.Lock):
         pass
 
 
-class ProbeChannel:
-    """Carries produced values to the consumer, one at a time.
+class _Slot:
+    """The lock-handoff slot both channels share, with its put and close."""
 
-    put blocks while the previous value is still unconsumed; get blocks until
-    a value is available. In any completed run the puts and gets strictly
-    alternate, starting with a put, and every value is delivered exactly once
-    in order.
-    """
+    _name = ""
 
     def __init__(self, trace: EventLog | None = None):
         self._empty = threading.Lock()
@@ -89,26 +85,19 @@ class ProbeChannel:
         self._closed = False
         self._trace = trace
 
-    def put(self, value: int):
-        self._empty.acquire()
+    def _take(self, lock: threading.Lock, op: str):
+        """Acquire lock for op, or raise ChannelClosed once the channel is closed."""
+        lock.acquire()
         if self._closed:
-            _wake(self._empty)
-            raise ChannelClosed("probe.put on a closed channel")
+            _wake(lock)           # so the next waiter wakes too
+            raise ChannelClosed(f"{self._name}.{op} on a closed channel")
+
+    def put(self, value: int):
+        self._take(self._empty, "put")
         self._slot = value
         if self._trace is not None:
-            self._trace.record("probe", "put", value)
+            self._trace.record(self._name, "put", value)
         _wake(self._full)
-
-    def get(self) -> int:
-        self._full.acquire()
-        if self._closed:
-            _wake(self._full)
-            raise ChannelClosed("probe.get on a closed channel")
-        value = self._slot
-        if self._trace is not None:
-            self._trace.record("probe", "get", value)
-        _wake(self._empty)
-        return value
 
     def close(self):
         self._closed = True
@@ -116,7 +105,27 @@ class ProbeChannel:
         _wake(self._full)
 
 
-class InjectChannel:
+class ProbeChannel(_Slot):
+    """Carries produced values to the consumer, one at a time.
+
+    put blocks while the previous value is still unconsumed; get blocks until
+    a value is available. In any completed run the puts and gets strictly
+    alternate, starting with a put, and every value is delivered exactly once
+    in order.
+    """
+
+    _name = "probe"
+
+    def get(self) -> int:
+        self._take(self._full, "get")
+        value = self._slot
+        if self._trace is not None:
+            self._trace.record("probe", "get", value)
+        _wake(self._empty)
+        return value
+
+
+class InjectChannel(_Slot):
     """Carries the input to the producer and the producer's leftover back out.
 
     put stores a value once the slot is open and closes it. swap_in waits for
@@ -124,57 +133,26 @@ class InjectChannel:
     swap_out trades unconditionally and reopens the slot.
     """
 
-    def __init__(self, trace: EventLog | None = None):
-        self._cond = threading.Condition()
-        self._slot = 0
-        self._not_set = True
-        self._closed = False
-        self._trace = trace
-
-    def _wait_open(self, op: str, ready):
-        """With the condition held, wait for ready() unless the channel closes."""
-        self._cond.wait_for(lambda: self._closed or ready())
-        if self._closed:
-            raise ChannelClosed(f"inject.{op} on a closed channel")
-
-    def put(self, value: int):
-        with self._cond:
-            self._wait_open("put", lambda: self._not_set)
-            self._slot = value
-            self._not_set = False
-            if self._trace is not None:
-                self._trace.record("inject", "put", value)
-            self._cond.notify()
+    _name = "inject"
 
     def swap_in(self, value: int) -> int:
-        with self._cond:
-            self._wait_open("swap_in", lambda: not self._not_set)
-            out = self._slot
-            self._slot = value
-            if self._trace is not None:
-                self._trace.record("inject", "swap_in", out)
-            self._cond.notify()
-            return out
+        self._take(self._full, "swap_in")
+        out, self._slot = self._slot, value
+        if self._trace is not None:
+            self._trace.record("inject", "swap_in", out)
+        # frees nothing: empty stays taken by put, full by this call
+        return out
 
     def swap_out(self, value: int) -> int:
-        with self._cond:
-            if self._closed:
-                raise ChannelClosed("inject.swap_out on a closed channel")
-            out = self._slot
-            self._slot = value
-            self._not_set = not self._not_set
-            if self._trace is not None:
-                self._trace.record("inject", "swap_out", value)
-            self._cond.notify()
-            return out
-
-    def close(self):
-        with self._cond:
-            self._closed = True
-            self._cond.notify_all()
+        if self._closed:
+            raise ChannelClosed("inject.swap_out on a closed channel")
+        out, self._slot = self._slot, value
+        if self._trace is not None:
+            self._trace.record("inject", "swap_out", value)
+        _wake(self._empty)
+        return out
 
     @property
     def slot(self) -> int:
         """Current slot content; for post-run inspection, not coordination."""
-        with self._cond:
-            return self._slot
+        return self._slot

@@ -9,6 +9,7 @@ error, 3 deadlock/timeout.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import re
 import sys
 
@@ -18,9 +19,10 @@ from .revir import RevirError, dump
 from .scheme import (
     RecursionScheme,
     SchemeError,
+    check_input,
     eval_recursive,
-    make_scheme,
     parse_scheme_text,
+    scheme_from_fields,
 )
 
 EXIT_OK = 0
@@ -95,6 +97,15 @@ def _build_parser():
     return parser
 
 
+@contextlib.contextmanager
+def _usage_errors():
+    """Report a scheme-layer rejection of what the user typed as a usage error."""
+    try:
+        yield
+    except SchemeError as exc:
+        raise UsageError(str(exc)) from None
+
+
 def _scheme_fields(args) -> dict:
     fields = {}
     if args.scheme:
@@ -103,10 +114,8 @@ def _scheme_fields(args) -> dict:
                 text = handle.read()
         except OSError as exc:
             raise UsageError(f"cannot read scheme file: {exc}") from None
-        try:
+        with _usage_errors():
             fields = parse_scheme_text(text)
-        except SchemeError as exc:
-            raise UsageError(str(exc)) from None
     if args.delta is not None:
         fields["delta"] = str(args.delta)
     if args.base is not None:
@@ -117,42 +126,30 @@ def _scheme_fields(args) -> dict:
 
 
 def _resolve_scheme(args) -> RecursionScheme:
-    fields = _scheme_fields(args)
-    missing = [key for key in ("delta", "base", "step") if key not in fields]
-    if missing:
-        raise UsageError(
-            f"missing scheme field(s): {', '.join(missing)} "
-            "(give --scheme FILE or --delta/--base/--step)"
-        )
-    try:
-        delta = int(fields["delta"])
-    except ValueError:
-        raise UsageError(f"delta must be an integer, got {fields['delta']!r}") from None
-    try:
-        return make_scheme(delta, fields["base"], fields["step"])
-    except (SchemeError, ValueError) as exc:
-        raise UsageError(str(exc)) from None
+    with _usage_errors():
+        return scheme_from_fields(_scheme_fields(args))
 
 
-def _resolve_pairs_and_deltas(args, default_deltas):
-    """For check/sweep: an explicit base/step pair narrows the default set."""
+def _resolve_schemes(args, default_deltas):
+    """For check/sweep: (pairs, deltas, [(base, step, scheme)]) in sweep order.
+
+    An explicit base/step pair or delta narrows the defaults; default_deltas()
+    is only called without a delta. Building every scheme up front makes a
+    bad field a usage error.
+    """
     fields = _scheme_fields(args)
     if "base" in fields and "step" in fields:
         pairs = [(fields["base"], fields["step"])]
     else:
         pairs = list(DEFAULT_PAIRS)
-    if "delta" in fields:
-        try:
-            deltas = [int(fields["delta"])]
-        except ValueError:
-            raise UsageError(f"delta must be an integer, got {fields['delta']!r}") from None
-    elif default_deltas is not None:
-        deltas = list(default_deltas)
-    else:
-        deltas = None
-    if deltas is not None and any(delta > -1 for delta in deltas):
-        raise UsageError("delta must be <= -1")
-    return pairs, deltas
+    deltas = [fields["delta"]] if "delta" in fields else default_deltas()
+    with _usage_errors():
+        cases = [
+            (base, step, scheme_from_fields({"delta": delta, "base": base, "step": step}))
+            for base, step in pairs
+            for delta in deltas
+        ]
+    return pairs, list(dict.fromkeys(scheme.pred.delta for _, _, scheme in cases)), cases
 
 
 def _parse_span(text, name) -> range:
@@ -168,8 +165,8 @@ def _parse_span(text, name) -> range:
 
 def _cmd_run(args) -> int:
     scheme = _resolve_scheme(args)
-    if args.input < 0:
-        raise UsageError(f"--input must be non-negative, got {args.input}")
+    with _usage_errors():
+        check_input(args.input)
     residuals = None
     if args.mode == "recursive":
         y = eval_recursive(scheme, args.input)
@@ -194,21 +191,21 @@ def _cmd_emit_ir(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    pairs, deltas = _resolve_pairs_and_deltas(args, default_deltas=range(-5, 0))
+    pairs, deltas, cases = _resolve_schemes(args, lambda: range(-5, 0))
     if args.x_max < 0:
         raise UsageError(f"--x-max must be non-negative, got {args.x_max}")
     failed = False
-    for base_text, step_text in pairs:
-        for delta in deltas:
-            program = compile_producer(make_scheme(delta, base_text, step_text))
-            preloads = harness.random_preloads(program, args.preloads, seed=args.seed + delta)
-            report = harness.check_reversibility(program, preloads)
-            status = "ok" if report.all_ok else "FAILED"
-            print(f"reversibility delta={delta} base={base_text} step={step_text}: "
-                  f"{report.summary()} [{status}]")
-            for case in report.failures:
-                print(f"  {case.label}: {case.problem}")
-            failed = failed or not report.all_ok
+    for base_text, step_text, scheme in cases:
+        delta = scheme.pred.delta
+        program = compile_producer(scheme)
+        preloads = harness.random_preloads(program, args.preloads, seed=args.seed + delta)
+        report = harness.check_reversibility(program, preloads)
+        status = "ok" if report.all_ok else "FAILED"
+        print(f"reversibility delta={delta} base={base_text} step={step_text}: "
+              f"{report.summary()} [{status}]")
+        for case in report.failures:
+            print(f"  {case.label}: {case.problem}")
+        failed = failed or not report.all_ok
     sweep_report = harness.sweep(range(0, args.x_max + 1), deltas, pairs, timeout=args.timeout)
     print(f"sweep: {len(sweep_report.cases)} cases, {len(sweep_report.failures)} failures")
     for case in sweep_report.failures:
@@ -219,13 +216,10 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    pairs, deltas = _resolve_pairs_and_deltas(args, default_deltas=None)
+    pairs, deltas, _ = _resolve_schemes(
+        args, lambda: _parse_span(args.delta_range, "--delta-range")
+    )
     x_span = _parse_span(args.x_range, "--x-range")
-    if deltas is None:
-        delta_span = _parse_span(args.delta_range, "--delta-range")
-        if len(delta_span) and max(delta_span) > -1:
-            raise UsageError("--delta-range must stay at or below -1")
-        deltas = list(delta_span)
     if len(x_span) and min(x_span) < 0:
         raise UsageError("--x-range must be non-negative")
     report = harness.sweep(x_span, deltas, pairs, timeout=args.timeout)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .scheme import Expression, NegativeInputError, RecursionScheme, eval_expr, variables
+from .scheme import Expression, RecursionScheme, check_input, check_variables, eval_expr
 
 
 @dataclass(frozen=True)
@@ -20,14 +20,8 @@ class ConsumerConfig:
     x0: int
 
     def __post_init__(self):
-        extra = variables(self.base) - {"x"}
-        if extra:
-            raise ValueError(f"base may only use x, found {sorted(extra)}")
-        extra = variables(self.step) - {"x", "y"}
-        if extra:
-            raise ValueError(f"step may only use x and y, found {sorted(extra)}")
-        if self.x0 < 0:
-            raise NegativeInputError(f"input must be non-negative, got {self.x0}")
+        check_variables(self.base, self.step)
+        check_input(self.x0)
 
     @classmethod
     def from_scheme(cls, scheme: RecursionScheme, x0: int) -> "ConsumerConfig":

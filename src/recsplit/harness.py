@@ -3,11 +3,14 @@ equivalence / reversibility / protocol check suites.
 
 A split run puts the compiled producer (under the IR interpreter, with its
 probe port and inject cell bound to real channels) on one thread and the
-classical consumer on another, joins both under a deadline, and assembles a
-report. If the deadline fires, the error says which channel operation each
-agent was blocked in, which is the one thing worth knowing when a
-rendezvous protocol hangs. However the run ends, both channels are then
-closed and both threads joined, so a stalled agent does not outlive its run.
+classical consumer on another, and assembles a report. An agent that fails
+records its error and closes both channels, which wakes a blocked peer with
+ChannelClosed, so a failed run ends at once with the first error. Otherwise
+the main thread joins both threads against one deadline; if one is still
+alive then, the error says which channel operation each agent was blocked
+in, which is the one thing worth knowing when a rendezvous protocol hangs.
+However the run ends, both channels are then closed and both threads joined
+with a bounded wait, so a stalled agent does not outlive its run.
 """
 
 from __future__ import annotations
@@ -39,7 +42,7 @@ from .revir import (
     invert,
     run,
 )
-from .scheme import NegativeInputError, RecursionScheme, eval_recursive, expected_emissions, make_scheme
+from .scheme import NegativeInputError, RecursionScheme, check_input, eval_recursive, expected_emissions, make_scheme
 
 DEFAULT_TIMEOUT = 5.0
 # how long a finished or failed run waits for its closed-out threads to exit
@@ -60,16 +63,11 @@ class ResultMismatch(HarnessError):
 
 @dataclass
 class _Agent:
-    name: str
     blocked_in: str | None = None
-    done: bool = False
-    error: BaseException | None = None
     result: object = None
 
-    def describe(self) -> str:
-        if self.error is not None:
-            return f"failed ({type(self.error).__name__}: {self.error})"
-        if self.done:
+    def describe(self, thread: threading.Thread) -> str:
+        if not thread.is_alive():
             return "finished"
         if self.blocked_in:
             return f"blocked in {self.blocked_in}"
@@ -113,8 +111,7 @@ def run_split(
     argument substitutes the producer program (fault-injection hooks for
     tests); by default the scheme is compiled.
     """
-    if x0 < 0:
-        raise NegativeInputError(f"input must be non-negative, got {x0}")
+    check_input(x0)
     if timeout <= 0:
         raise ValueError(f"timeout must be positive, got {timeout}")
     if program is None:
@@ -123,9 +120,14 @@ def run_split(
     trace = EventLog()
     probe = ProbeChannel(trace)
     inject = InjectChannel(trace)
-    producer_agent = _Agent("producer")
-    consumer_agent = _Agent("consumer")
-    turn_done = threading.Event()
+    producer_agent = _Agent()
+    consumer_agent = _Agent()
+    # shared by both workers and the watchdog; the first one is the run's error
+    errors = []
+
+    def close_channels():
+        probe.close()
+        inject.close()
 
     # swaps alternate swap_in / swap_out, so the program's first swap reads
     # the injected input and its second exports the leftover and reopens
@@ -155,10 +157,10 @@ def run_split(
         try:
             agent.result = main()
         except BaseException as exc:
-            agent.error = exc
-        finally:
-            agent.done = True
-            turn_done.set()
+            # a failed agent can never unblock its peer: closing wakes it,
+            # and its ChannelClosed lands after this error
+            errors.append(exc)
+            close_channels()
 
     started = time.perf_counter()
     deadline = started + timeout
@@ -170,36 +172,22 @@ def run_split(
         thread.start()
 
     try:
-        while True:
-            if producer_agent.done and consumer_agent.done:
-                break
-            # a dead agent can never unblock its peer; stop waiting for the deadline
-            if producer_agent.error and (consumer_agent.done or consumer_agent.blocked_in):
-                break
-            if consumer_agent.error and (producer_agent.done or producer_agent.blocked_in):
-                break
-            remaining = deadline - time.perf_counter()
-            if remaining <= 0:
-                break
-            turn_done.wait(min(remaining, 0.05))
-            turn_done.clear()
+        for thread in threads:
+            thread.join(max(deadline - time.perf_counter(), 0.0))
         wall_time = time.perf_counter() - started
-
         # settle the outcome before closing: closing fails the blocked agent
         # with ChannelClosed and clears the blocked_in the message names
-        failure = producer_agent.error or consumer_agent.error
-        if failure is None and not (producer_agent.done and consumer_agent.done):
-            failure = DeadlockTimeout(
-                f"run exceeded {timeout}s: producer {producer_agent.describe()}; "
-                f"consumer {consumer_agent.describe()}"
-            )
+        if not errors and any(thread.is_alive() for thread in threads):
+            errors.append(DeadlockTimeout(
+                f"run exceeded {timeout}s: producer {producer_agent.describe(threads[0])}; "
+                f"consumer {consumer_agent.describe(threads[1])}"
+            ))
     finally:
-        probe.close()
-        inject.close()
+        close_channels()
         for thread in threads:
             thread.join(JOIN_TIMEOUT)
-    if failure is not None:
-        raise failure
+    if errors:
+        raise errors[0]
 
     y = consumer_agent.result
     final_store = producer_agent.result

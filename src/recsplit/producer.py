@@ -25,7 +25,7 @@ from .revir import (
     SubFrom,
     SwapCell,
 )
-from .scheme import NegativeInputError, RecursionScheme
+from .scheme import PredecessorSpec, RecursionScheme, check_input
 
 PROBE_PORT = "probe"
 INJECT_CELL = "inject"
@@ -49,10 +49,8 @@ def phase_a_counters(x0: int, delta: int) -> PhaseACounters:
     positive, e equal to zero (1 exactly when delta divides x0, else 0), and
     s negative; x lands on x0 + (x0+1)*delta.
     """
-    if x0 < 0:
-        raise NegativeInputError(f"input must be non-negative, got {x0}")
-    if delta > -1:
-        raise ValueError(f"displacement must be <= -1, got {delta}")
+    check_input(x0)
+    PredecessorSpec(delta)  # rejects delta > -1
     g = -(x0 // delta)
     e = 1 if x0 % delta == 0 else 0
     s = (x0 + 1) - g - e
@@ -111,8 +109,7 @@ def run_sequential(scheme: RecursionScheme, x0: int):
     increments z inside its own zero branch, which the IR's sign discipline
     forbids.
     """
-    if x0 < 0:
-        raise NegativeInputError(f"input must be non-negative, got {x0}")
+    check_input(x0)
     delta = scheme.pred.delta
     s = e = g = w = 0
     z = 0

@@ -45,7 +45,7 @@ class NegativeInputError(SchemeError):
 
 
 class SchemeFileError(SchemeError):
-    """Malformed scheme file."""
+    """Malformed scheme fields, from a scheme file or the command line."""
 
 
 # --- expression AST ---------------------------------------------------------
@@ -104,8 +104,26 @@ def _scan(text):
     return tokens
 
 
+# deepest expression accepted: at most this many operators on any path from
+# the root, and at most this many parentheses and minuses open at once while
+# parsing; parsing, evaluating and rendering all recurse once per level
+MAX_EXPR_DEPTH = 100
+
+
+def _level(depth, pos):
+    """depth + 1, unless that crosses MAX_EXPR_DEPTH at column pos."""
+    if depth >= MAX_EXPR_DEPTH:
+        raise ExpressionSyntaxError(f"expression nested deeper than {MAX_EXPR_DEPTH} levels", pos)
+    return depth + 1
+
+
 class _Parser:
-    """Recursive descent; precedence: unary minus > * > binary +/-; +,-,* left-associative."""
+    """Recursive descent; precedence: unary minus > * > binary +/-; +,-,* left-associative.
+
+    Each rule returns (node, depth in operators); open_levels counts the
+    parentheses and minuses around it, so a deep nest is refused before it
+    recurses.
+    """
 
     def __init__(self, tokens, allowed):
         self._tokens = tokens
@@ -120,51 +138,57 @@ class _Parser:
         self._pos += 1
         return token
 
-    def expression(self):
-        node = self.term()
+    def expression(self, open_levels=0):
+        node, depth = self.term(open_levels)
         while self._peek()[0] == "op" and self._peek()[1] in "+-":
-            op = self._advance()[1]
-            right = self.term()
+            _, op, pos = self._advance()
+            right, right_depth = self.term(open_levels)
             node = Add(node, right) if op == "+" else Sub(node, right)
-        return node
+            depth = _level(max(depth, right_depth), pos)
+        return node, depth
 
-    def term(self):
-        node = self.factor()
+    def term(self, open_levels):
+        node, depth = self.factor(open_levels)
         while self._peek()[0] == "op" and self._peek()[1] == "*":
-            self._advance()
-            node = Mul(node, self.factor())
-        return node
+            pos = self._advance()[2]
+            right, right_depth = self.factor(open_levels)
+            node = Mul(node, right)
+            depth = _level(max(depth, right_depth), pos)
+        return node, depth
 
-    def factor(self):
+    def factor(self, open_levels):
         kind, text, pos = self._peek()
         if kind == "op" and text == "-":
             self._advance()
-            return Neg(self.factor())
-        return self.atom()
+            operand, depth = self.factor(_level(open_levels, pos))
+            return Neg(operand), _level(depth, pos)
+        return self.atom(open_levels)
 
-    def atom(self):
+    def atom(self, open_levels):
         kind, text, pos = self._advance()
         if kind == "int":
-            return Const(int(text))
+            return Const(int(text)), 0
         if kind == "name":
             if text not in self._allowed:
                 raise UndeclaredVariableError(text, pos, self._allowed)
-            return Var(text)
+            return Var(text), 0
         if kind == "op" and text == "(":
-            node = self.expression()
-            kind, text, pos = self._advance()
+            node, depth = self.expression(_level(open_levels, pos))
+            kind, text, close_pos = self._advance()
             if not (kind == "op" and text == ")"):
-                raise ExpressionSyntaxError("expected ')'", pos)
-            return node
+                raise ExpressionSyntaxError("expected ')'", close_pos)
+            return node, depth
         if kind == "end":
             raise ExpressionSyntaxError("unexpected end of expression", pos)
         raise ExpressionSyntaxError(f"unexpected {text!r}", pos)
 
 
 def parse_expr(text: str, allowed_vars) -> Expression:
-    """Parse an integer expression using only the variables in allowed_vars."""
+    """Parse an integer expression using only the variables in allowed_vars.
+
+    Deeper than MAX_EXPR_DEPTH is an error at the column that crosses it."""
     parser = _Parser(_scan(text), frozenset(allowed_vars))
-    node = parser.expression()
+    node, _ = parser.expression()
     kind, tok, pos = parser._peek()
     if kind != "end":
         raise ExpressionSyntaxError(f"unexpected {tok!r}", pos)
@@ -188,7 +212,7 @@ def _render(expr, context):
     elif isinstance(expr, Mul):
         mine, text = 2, f"{_render(expr.left, 2)} * {_render(expr.right, 3)}"
     else:
-        mine, text = 3, f"-{_render(expr.operand, 4)}"
+        mine, text = 3, f"-{_render(expr.operand, 3)}"
     return f"({text})" if mine < context else text
 
 
@@ -218,6 +242,22 @@ def variables(expr: Expression) -> frozenset:
 
 
 # --- schemes ----------------------------------------------------------------
+
+def check_variables(base: Expression, step: Expression):
+    """Reject a base that uses more than x or a step that uses more than x and y."""
+    extra = variables(base) - {"x"}
+    if extra:
+        raise ValueError(f"base may only use x, found {sorted(extra)}")
+    extra = variables(step) - {"x", "y"}
+    if extra:
+        raise ValueError(f"step may only use x and y, found {sorted(extra)}")
+
+
+def check_input(x0: int):
+    """Reject a negative input: the iterative machinery only takes x0 >= 0."""
+    if x0 < 0:
+        raise NegativeInputError(f"input must be non-negative, got {x0}")
+
 
 @dataclass(frozen=True)
 class PredecessorSpec:
@@ -250,12 +290,7 @@ class RecursionScheme:
     step: Expression
 
     def __post_init__(self):
-        extra = variables(self.base) - {"x"}
-        if extra:
-            raise ValueError(f"base may only use x, found {sorted(extra)}")
-        extra = variables(self.step) - {"x", "y"}
-        if extra:
-            raise ValueError(f"step may only use x and y, found {sorted(extra)}")
+        check_variables(self.base, self.step)
 
     def base_value(self, x: int) -> int:
         return eval_expr(self.base, {"x": x})
@@ -305,8 +340,7 @@ def expected_emissions(scheme: RecursionScheme, x: int) -> EmissionPlan:
     ascending order they are consumed. Folding step left-to-right over h_args
     starting from base(base_arg) reproduces eval_recursive(scheme, x).
     """
-    if x < 0:
-        raise NegativeInputError(f"input must be non-negative, got {x}")
+    check_input(x)
     d = scheme.pred.step_size
     iterations = -(-x // d)
     base_arg = x - iterations * d
@@ -338,12 +372,12 @@ def parse_scheme_text(text: str) -> dict:
     return fields
 
 
-def load_scheme_file(path) -> RecursionScheme:
-    with open(path, encoding="utf-8") as handle:
-        fields = parse_scheme_text(handle.read())
+def scheme_from_fields(fields) -> RecursionScheme:
+    """Build a scheme from raw delta/base/step text, as a scheme file and
+    the command line give it; every rejection is a SchemeError."""
     missing = [key for key in _SCHEME_KEYS if key not in fields]
     if missing:
-        raise SchemeFileError(f"missing keys: {', '.join(missing)}")
+        raise SchemeFileError(f"missing scheme field(s): {', '.join(missing)}")
     try:
         delta = int(fields["delta"])
     except ValueError:
@@ -352,3 +386,8 @@ def load_scheme_file(path) -> RecursionScheme:
         return make_scheme(delta, fields["base"], fields["step"])
     except ValueError as exc:
         raise SchemeFileError(str(exc)) from None
+
+
+def load_scheme_file(path) -> RecursionScheme:
+    with open(path, encoding="utf-8") as handle:
+        return scheme_from_fields(parse_scheme_text(handle.read()))

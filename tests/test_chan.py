@@ -231,24 +231,33 @@ def test_event_log_is_optional():
 
 def test_event_log_orders_concurrent_channels():
     # more producer/consumer pairs than cores, one shared log, and a switch
-    # interval short enough to preempt between any two bytecodes
+    # interval short enough to preempt between any two bytecodes; each pair
+    # also runs the inject protocol on its own channel
     pairs, handshakes = 6, 200
     trace = EventLog()
     received = [[] for _ in range(pairs)]
+    swapped = [[] for _ in range(pairs)]
 
-    def producer(probe, index):
+    def producer(probe, inject, index):
+        swapped[index].append(inject.swap_in(-1))
         for step in range(handshakes):
             probe.put(index * handshakes + step)
+        swapped[index].append(inject.swap_out(index * handshakes + 1))
 
-    def consumer(probe, index):
+    def consumer(probe, inject, index):
+        inject.put(index * handshakes)
         for _ in range(handshakes):
             received[index].append(probe.get())
 
     threads = []
+    channels = []
     for index in range(pairs):
-        probe = ProbeChannel(trace)
+        probe, inject = ProbeChannel(trace), InjectChannel(trace)
+        channels.append((probe, inject))
         for target in (producer, consumer):
-            threads.append(threading.Thread(target=target, args=(probe, index), daemon=True))
+            threads.append(
+                threading.Thread(target=target, args=(probe, inject, index), daemon=True)
+            )
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -261,10 +270,21 @@ def test_event_log_orders_concurrent_channels():
         sys.setswitchinterval(interval)
 
     events = trace.events()
-    assert [e.seq for e in events] == list(range(2 * pairs * handshakes))
-    for index in range(pairs):
+    assert [e.seq for e in events] == list(range(2 * pairs * handshakes + 3 * pairs))
+    probe_events = [e for e in events if e.channel == "probe"]
+    inject_events = [e for e in events if e.channel == "inject"]
+    for index, (_, inject) in enumerate(channels):
         sent = list(range(index * handshakes, (index + 1) * handshakes))
         assert received[index] == sent
-        own = [e for e in events if e.value // handshakes == index]
+        own = [e for e in probe_events if e.value // handshakes == index]
         assert [e.op for e in own] == ["put", "get"] * handshakes
         assert [e.value for e in own] == [value for value in sent for _ in range(2)]
+        # put, swap_in, swap_out, each carrying its value through the slot
+        own = [(e.op, e.value) for e in inject_events if e.value // handshakes == index]
+        assert own == [
+            ("put", index * handshakes),
+            ("swap_in", index * handshakes),
+            ("swap_out", index * handshakes + 1),
+        ]
+        assert swapped[index] == [index * handshakes, -1]
+        assert inject.slot == index * handshakes + 1

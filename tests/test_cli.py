@@ -2,6 +2,7 @@ import json
 
 from recsplit import harness
 from recsplit.cli import main
+from recsplit.scheme import MAX_EXPR_DEPTH
 
 SCHEME_FLAGS = ["--delta", "-1", "--base", "x", "--step", "x+y"]
 
@@ -46,8 +47,16 @@ def test_missing_scheme_fields_is_usage_error(capsys):
 
 
 def test_bad_expression_is_usage_error(capsys):
-    assert main(["run", "--delta", "-1", "--base", "x+", "--step", "x+y",
+    for command in (["run", "--delta", "-1", "--input", "3"], ["check"], ["sweep"]):
+        assert main([*command, "--base", "x+", "--step", "x+y"]) == 2, command
+        assert "unexpected end of expression" in capsys.readouterr().err
+
+
+def test_deep_expression_is_usage_error(capsys):
+    base = "(" * 2000 + "x" + ")" * 2000
+    assert main(["run", "--delta", "-1", "--base", base, "--step", "x+y",
                  "--input", "3"]) == 2
+    assert f"column {MAX_EXPR_DEPTH}" in capsys.readouterr().err
 
 
 def test_bad_delta_is_usage_error(capsys):

@@ -4,6 +4,7 @@ from hypothesis import given, strategies as st
 from recsplit.scheme import (
     Add,
     Const,
+    MAX_EXPR_DEPTH,
     ExpressionSyntaxError,
     Mul,
     Neg,
@@ -67,6 +68,42 @@ def test_syntax_error_reports_position():
     assert excinfo.value.position == 4
 
 
+# each shape of deep expression: text with n levels, and the column of the
+# level that crosses MAX_EXPR_DEPTH
+_DEEP_SHAPES = {
+    "parentheses": (lambda n: "(" * n + "x" + ")" * n, MAX_EXPR_DEPTH),
+    "unary minus": (lambda n: "-" * n + "x", MAX_EXPR_DEPTH),
+    "left-deep sum": (lambda n: "x+" * n + "y", 2 * MAX_EXPR_DEPTH + 1),
+}
+
+
+@given(shape=st.sampled_from(sorted(_DEEP_SHAPES)), levels=st.integers(0, 3 * MAX_EXPR_DEPTH))
+def test_parse_bounds_depth(shape, levels):
+    build, column = _DEEP_SHAPES[shape]
+    if levels <= MAX_EXPR_DEPTH:
+        expr = parse_expr(build(levels), {"x", "y"})
+        # everything that walks the tree stays clear of the recursion limit
+        eval_expr(expr, {"x": 1, "y": 2})
+        variables(expr)
+        assert parse_expr(pretty(expr), {"x", "y"}) == expr
+    else:
+        with pytest.raises(ExpressionSyntaxError) as excinfo:
+            parse_expr(build(levels), {"x", "y"})
+        assert excinfo.value.position == column
+
+
+@pytest.mark.parametrize(
+    "base, step",
+    [
+        ("(" * 2000 + "x" + ")" * 2000, "x+y"),
+        ("x", "+".join(["x"] * 999 + ["y"])),
+    ],
+)
+def test_make_scheme_rejects_deep_expressions(base, step):
+    with pytest.raises(ExpressionSyntaxError):
+        make_scheme(-1, base, step)
+
+
 # --- evaluation ---------------------------------------------------------------
 
 def test_eval_add():
@@ -114,6 +151,7 @@ def test_pretty_examples():
     assert pretty(parse_expr("x*2-1", {"x"})) == "x * 2 - 1"
     assert pretty(Mul(Add(Var("x"), Const(1)), Var("y"))) == "(x + 1) * y"
     assert pretty(Neg(Mul(Var("x"), Var("y")))) == "-(x * y)"
+    assert pretty(Neg(Neg(Var("x")))) == "--x"
 
 
 # --- predecessor --------------------------------------------------------------
