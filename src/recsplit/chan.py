@@ -17,6 +17,9 @@ put stores its value and before it frees ``full``, after a get or a swap
 reads the value and before it frees ``empty`` (a swap_in frees nothing).
 The peer cannot complete its next operation before that, so the log order
 is the true completion order. An event's ``seq`` is its index in the log.
+The watchdog reads the log's ``latest_ns`` (the perf_counter_ns() of its
+latest record, at first of its creation) and each channel's waiting() ops,
+recorded per lock, as each lock has one possible waiter.
 
 close() wakes every waiter on a channel; the woken call and every later call
 raise ChannelClosed. The harness closes both channels when a run ends, so
@@ -26,6 +29,7 @@ no agent stays blocked after it.
 from __future__ import annotations
 
 import threading
+from time import perf_counter_ns
 from typing import NamedTuple
 
 
@@ -49,9 +53,11 @@ class EventLog:
 
     def __init__(self):
         self._records = []
+        self.latest_ns = perf_counter_ns()
 
     def record(self, channel: str, op: str, value: int):
         self._records.append((channel, op, value))
+        self.latest_ns = perf_counter_ns()
 
     def events(self) -> list:
         return [
@@ -84,10 +90,13 @@ class _Slot:
         self._slot = 0
         self._closed = False
         self._trace = trace
+        self._waiting = {self._empty: None, self._full: None}
 
     def _take(self, lock: threading.Lock, op: str):
         """Acquire lock for op, or raise ChannelClosed once the channel is closed."""
+        self._waiting[lock] = op
         lock.acquire()
+        self._waiting[lock] = None
         if self._closed:
             _wake(lock)           # so the next waiter wakes too
             raise ChannelClosed(f"{self._name}.{op} on a closed channel")
@@ -98,6 +107,10 @@ class _Slot:
         if self._trace is not None:
             self._trace.record(self._name, "put", value)
         _wake(self._full)
+
+    def waiting(self) -> list:
+        """(channel, op) of each operation waiting on this slot now."""
+        return [(self._name, op) for op in self._waiting.values() if op]
 
     def close(self):
         self._closed = True

@@ -54,6 +54,13 @@ def _add_scheme_arguments(parser):
     parser.add_argument("--step", help="step expression over x and y")
 
 
+def _timeout(text: str) -> float:
+    try:
+        return harness.check_timeout(float(text))
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 def _build_parser():
     parser = _ArgumentParser(
         prog="recsplit",
@@ -71,7 +78,6 @@ def _build_parser():
         default="split",
         help="evaluation route (default: split)",
     )
-    run_parser.add_argument("--timeout", type=float, default=harness.DEFAULT_TIMEOUT)
     run_parser.add_argument("--trace", metavar="PATH", help="write the channel trace as JSONL")
     run_parser.add_argument("--verbose", action="store_true", help="also print residuals")
     run_parser.set_defaults(func=_cmd_run)
@@ -85,15 +91,19 @@ def _build_parser():
     check_parser.add_argument("--x-max", type=int, default=50, help="sweep inputs 0..x-max")
     check_parser.add_argument("--preloads", type=int, default=100, help="random preloads per program")
     check_parser.add_argument("--seed", type=int, default=0)
-    check_parser.add_argument("--timeout", type=float, default=harness.DEFAULT_TIMEOUT)
     check_parser.set_defaults(func=_cmd_check)
 
     sweep_parser = sub.add_parser("sweep", help="sweep ranges of inputs and displacements")
     _add_scheme_arguments(sweep_parser)
     sweep_parser.add_argument("--x-range", default="0:50", metavar="LO:HI", help="inclusive input range")
     sweep_parser.add_argument("--delta-range", default="-5:-1", metavar="LO:HI", help="inclusive displacement range")
-    sweep_parser.add_argument("--timeout", type=float, default=harness.DEFAULT_TIMEOUT)
     sweep_parser.set_defaults(func=_cmd_sweep)
+    for command_parser in (run_parser, check_parser, sweep_parser):
+        command_parser.add_argument(
+            "--timeout", type=_timeout, default=harness.DEFAULT_TIMEOUT, metavar="SECONDS",
+            help="seconds without a completed channel operation before a split run "
+            "counts as stalled (default: %(default)s)",
+        )
     return parser
 
 
@@ -194,6 +204,8 @@ def _cmd_check(args) -> int:
     pairs, deltas, cases = _resolve_schemes(args, lambda: range(-5, 0))
     if args.x_max < 0:
         raise UsageError(f"--x-max must be non-negative, got {args.x_max}")
+    if args.preloads < 1:
+        raise UsageError(f"--preloads must be at least 1, got {args.preloads}")
     failed = False
     for base_text, step_text, scheme in cases:
         delta = scheme.pred.delta

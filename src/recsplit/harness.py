@@ -6,11 +6,12 @@ probe port and inject cell bound to real channels) on one thread and the
 classical consumer on another, and assembles a report. An agent that fails
 records its error and closes both channels, which wakes a blocked peer with
 ChannelClosed, so a failed run ends at once with the first error. Otherwise
-the main thread joins both threads against one deadline; if one is still
-alive then, the error says which channel operation each agent was blocked
-in, which is the one thing worth knowing when a rendezvous protocol hangs.
+the main thread joins both threads until timeout seconds pass with no
+completed channel operation; the error then says, from the channels, which
+operation each agent waits in, the one thing worth knowing in a hang.
 However the run ends, both channels are then closed and both threads joined
-with a bounded wait, so a stalled agent does not outlive its run.
+with a bounded wait, so an agent blocked on a channel does not outlive
+its run (one computing without channel operations can).
 """
 
 from __future__ import annotations
@@ -54,37 +55,18 @@ class HarnessError(Exception):
 
 
 class DeadlockTimeout(HarnessError):
-    """Neither agent finished before the deadline."""
+    """No channel operation completed within the timeout, and an agent is alive."""
 
 
 class ResultMismatch(HarnessError):
     """The consumer's result disagrees with the recursive value."""
 
 
-@dataclass
-class _Agent:
-    blocked_in: str | None = None
-    result: object = None
-
-    def describe(self, thread: threading.Thread) -> str:
-        if not thread.is_alive():
-            return "finished"
-        if self.blocked_in:
-            return f"blocked in {self.blocked_in}"
-        return "running"
-
-
-def _tracked(agent: _Agent, label: str, call):
-    """call, with agent.blocked_in naming the channel operation while it runs."""
-
-    def tracked(*args):
-        agent.blocked_in = label
-        try:
-            return call(*args)
-        finally:
-            agent.blocked_in = None
-
-    return tracked
+def check_timeout(timeout: float) -> float:
+    """timeout, if it is a finite number of seconds in (0, threading.TIMEOUT_MAX]."""
+    if not 0 < timeout <= threading.TIMEOUT_MAX:   # nan fails this too
+        raise ValueError(f"timeout must be in (0, {threading.TIMEOUT_MAX}] seconds, got {timeout}")
+    return timeout
 
 
 @dataclass
@@ -106,22 +88,21 @@ def run_split(
 ) -> RunReport:
     """Run producer and consumer as two threads over a fresh channel pair.
 
-    Joins both under the deadline, asserts the consumer's result against the
-    recursive value, and returns the full report. The optional program
-    argument substitutes the producer program (fault-injection hooks for
-    tests); by default the scheme is compiled.
+    Joins both until timeout seconds pass with no completed channel
+    operation, asserts the consumer's result against the recursive value,
+    and returns the full report. The optional program argument substitutes
+    the producer program (fault-injection hooks for tests); by default the
+    scheme is compiled.
     """
     check_input(x0)
-    if timeout <= 0:
-        raise ValueError(f"timeout must be positive, got {timeout}")
+    check_timeout(timeout)
     if program is None:
         program = compile_producer(scheme)
 
     trace = EventLog()
     probe = ProbeChannel(trace)
     inject = InjectChannel(trace)
-    producer_agent = _Agent()
-    consumer_agent = _Agent()
+    results = {}
     # shared by both workers and the watchdog; the first one is the run's error
     errors = []
 
@@ -132,30 +113,16 @@ def run_split(
     # swaps alternate swap_in / swap_out, so the program's first swap reads
     # the injected input and its second exports the leftover and reopens
     # the channel
-    swaps = itertools.cycle((
-        _tracked(producer_agent, "inject.swap_in", inject.swap_in),
-        _tracked(producer_agent, "inject.swap_out", inject.swap_out),
-    ))
+    swaps = itertools.cycle((inject.swap_in, inject.swap_out))
+    cell = SimpleNamespace(swap=lambda value: next(swaps)(value))
+    mains = {
+        "producer": lambda: run(program, Store(), sinks={"probe": probe.put}, cells={"inject": cell}),
+        "consumer": lambda: run_consumer(ConsumerConfig.from_scheme(scheme, x0), inject, probe),
+    }
 
-    def producer_main():
-        return run(
-            program,
-            Store(),
-            sinks={"probe": _tracked(producer_agent, "probe.put", probe.put)},
-            cells={"inject": SimpleNamespace(swap=lambda value: next(swaps)(value))},
-        )
-
-    def consumer_main():
-        config = ConsumerConfig.from_scheme(scheme, x0)
-        return run_consumer(
-            config,
-            SimpleNamespace(put=_tracked(consumer_agent, "inject.put", inject.put)),
-            SimpleNamespace(get=_tracked(consumer_agent, "probe.get", probe.get)),
-        )
-
-    def worker(agent, main):
+    def worker(agent):
         try:
-            agent.result = main()
+            results[agent] = mains[agent]()
         except BaseException as exc:
             # a failed agent can never unblock its peer: closing wakes it,
             # and its ChannelClosed lands after this error
@@ -163,34 +130,41 @@ def run_split(
             close_channels()
 
     started = time.perf_counter()
-    deadline = started + timeout
-    threads = [
-        threading.Thread(target=worker, args=(producer_agent, producer_main), daemon=True),
-        threading.Thread(target=worker, args=(consumer_agent, consumer_main), daemon=True),
-    ]
-    for thread in threads:
+    threads = {agent: threading.Thread(target=worker, args=(agent,), daemon=True) for agent in mains}
+    for thread in threads.values():
         thread.start()
 
     try:
-        for thread in threads:
-            thread.join(max(deadline - time.perf_counter(), 0.0))
+        for thread in threads.values():
+            # re-arm after every completed channel operation
+            while thread.is_alive():
+                idle = (time.perf_counter_ns() - trace.latest_ns) / 1e9
+                if idle >= timeout:
+                    break
+                thread.join(timeout - idle)
         wall_time = time.perf_counter() - started
         # settle the outcome before closing: closing fails the blocked agent
-        # with ChannelClosed and clears the blocked_in the message names
-        if not errors and any(thread.is_alive() for thread in threads):
+        # with ChannelClosed and clears the waiting ops the message names
+        if not errors and any(thread.is_alive() for thread in threads.values()):
+            blocked = {
+                _AGENT_BY_OP[key]: "blocked in " + ".".join(key)
+                for key in probe.waiting() + inject.waiting()
+            }
             errors.append(DeadlockTimeout(
-                f"run exceeded {timeout}s: producer {producer_agent.describe(threads[0])}; "
-                f"consumer {consumer_agent.describe(threads[1])}"
+                f"no channel operation completed for {timeout}s: " + "; ".join(
+                    f"{agent} {blocked.get(agent, 'running') if thread.is_alive() else 'finished'}"
+                    for agent, thread in threads.items()
+                )
             ))
     finally:
         close_channels()
-        for thread in threads:
+        for thread in threads.values():
             thread.join(JOIN_TIMEOUT)
     if errors:
         raise errors[0]
 
-    y = consumer_agent.result
-    final_store = producer_agent.result
+    y = results["consumer"]
+    final_store = results["producer"]
     oracle_y = eval_recursive(scheme, x0)
     if y != oracle_y:
         raise ResultMismatch(f"consumer produced {y}, recursion says {oracle_y}")

@@ -28,6 +28,14 @@ def settle():
     time.sleep(0.05)
 
 
+def waiting_soon(channel):
+    # a spawned call shows as waiting once it reaches the lock
+    deadline = time.monotonic() + JOIN_TIMEOUT
+    while not channel.waiting() and time.monotonic() < deadline:
+        time.sleep(0.001)
+    return channel.waiting()
+
+
 # --- probe ---------------------------------------------------------------------
 
 def test_probe_single_handshake():
@@ -47,6 +55,7 @@ def test_probe_second_put_blocks_until_get():
         order.append("put 2")
 
     thread, _ = spawn(producer)
+    assert waiting_soon(probe) == [("probe", "put")]
     settle()
     assert order == ["put 1"]     # second put is parked on the full slot
     assert thread.is_alive()
@@ -54,6 +63,7 @@ def test_probe_second_put_blocks_until_get():
     thread.join(JOIN_TIMEOUT)
     assert not thread.is_alive()
     assert order == ["put 1", "put 2"]
+    assert probe.waiting() == []
     assert probe.get() == 2
 
 
@@ -87,12 +97,14 @@ def test_probe_delivers_in_order():
 def test_probe_close_wakes_blocked_get():
     probe = ProbeChannel()
     thread, result = spawn(probe.get)
+    assert waiting_soon(probe) == [("probe", "get")]
     settle()
     assert thread.is_alive()
     probe.close()
     thread.join(JOIN_TIMEOUT)
     assert not thread.is_alive()
     assert isinstance(result["error"], ChannelClosed)
+    assert probe.waiting() == []
 
 
 def test_probe_close_wakes_blocked_put():
@@ -141,11 +153,13 @@ def test_inject_swap_out_reopens_slot():
 def test_inject_swap_in_blocks_before_put():
     inject = InjectChannel()
     thread, result = spawn(inject.swap_in, 0)
+    assert waiting_soon(inject) == [("inject", "swap_in")]
     settle()
     assert thread.is_alive()
     inject.put(11)
     thread.join(JOIN_TIMEOUT)
     assert result["value"] == 11
+    assert inject.waiting() == []
 
 
 def test_inject_second_put_blocks_until_swap_out():
@@ -223,6 +237,20 @@ def test_event_log_records_completed_protocol():
     assert inject_ops == ["put", "swap_in", "swap_out"]
 
 
+def test_event_log_keeps_latest_record_time():
+    before = time.perf_counter_ns()
+    trace = EventLog()
+    created = trace.latest_ns
+    assert before <= created <= time.perf_counter_ns()
+    probe = ProbeChannel(trace)
+    probe.put(1)
+    put_at = trace.latest_ns
+    assert put_at >= created
+    probe.get()
+    assert trace.latest_ns >= put_at
+    assert trace.latest_ns <= time.perf_counter_ns()
+
+
 def test_event_log_is_optional():
     probe = ProbeChannel()
     probe.put(1)
@@ -288,3 +316,5 @@ def test_event_log_orders_concurrent_channels():
         ]
         assert swapped[index] == [index * handshakes, -1]
         assert inject.slot == index * handshakes + 1
+    # every waiter cleared its own lock's record
+    assert all(probe.waiting() == inject.waiting() == [] for probe, inject in channels)

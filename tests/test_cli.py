@@ -118,6 +118,28 @@ def test_check_subcommand(capsys):
     assert "0 failures" in out
 
 
+def test_bad_timeout_is_usage_error(capsys):
+    commands = (
+        ["run", *SCHEME_FLAGS, "--input", "3"],
+        ["check", "--delta", "-1", "--x-max", "0", "--preloads", "1"],
+        ["sweep", "--x-range", "0:0", "--delta-range", "-1:-1"],
+    )
+    for command in commands:
+        for value in ("0", "-1", "nan", "inf"):
+            assert main([*command, "--timeout", value]) == 2
+            captured = capsys.readouterr()
+            assert "timeout must be in (0, " in captured.err
+            assert captured.out == ""     # refused before any run
+
+
+def test_check_rejects_too_few_preloads(capsys):
+    for value in ("0", "-3"):
+        assert main(["check", "--delta", "-1", "--x-max", "0", "--preloads", value]) == 2
+        captured = capsys.readouterr()
+        assert "--preloads must be at least 1" in captured.err
+        assert captured.out == ""
+
+
 def test_deadlock_maps_to_exit_3(monkeypatch, capsys):
     def boom(*args, **kwargs):
         raise harness.DeadlockTimeout("stalled")

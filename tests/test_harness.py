@@ -60,8 +60,17 @@ def test_split_rejects_bad_arguments():
     scheme = make_scheme(-1, "x", "x+y")
     with pytest.raises(NegativeInputError):
         run_split(scheme, -1)
-    with pytest.raises(ValueError):
-        run_split(scheme, 1, timeout=0)
+    for timeout in (0, -1, float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            run_split(scheme, 1, timeout=timeout)
+
+
+def test_slow_run_is_not_a_stall():
+    # the timeout bounds the time between completed channel operations, not
+    # the whole run, which outlives it here
+    report = run_split(make_scheme(-1, "x", "x+y"), 20000, timeout=0.25)
+    assert report.y == 200010000
+    assert report.wall_time > 0.25
 
 
 def test_split_channel_protocol():
