@@ -1,105 +1,5 @@
 """recsplit: compile simple recursion schemes into a reversible producer and
-a classical consumer that cooperate over blocking rendezvous channels."""
+a classical consumer that cooperate over blocking rendezvous channels.
 
-from .chan import ChannelClosed, ChannelEvent, EventLog, InjectChannel, ProbeChannel
-from .consumer import ConsumerConfig, run_consumer
-from .harness import (
-    DeadlockTimeout,
-    ResultMismatch,
-    RunReport,
-    check_reversibility,
-    run_split,
-    sweep,
-)
-from .producer import (
-    PhaseACounters,
-    ResidualReport,
-    compile_phase_a,
-    compile_producer,
-    expected_residuals,
-    phase_a_counters,
-    run_sequential,
-)
-from .revir import (
-    AddConst,
-    AddReg,
-    BranchSignViolation,
-    Emit,
-    For,
-    IfSign,
-    LoopCountMutation,
-    PlainCell,
-    RecordingSink,
-    RevProgram,
-    Store,
-    SubFrom,
-    SwapCell,
-    discard,
-    dump,
-    invert,
-    run,
-)
-from .scheme import (
-    EmissionPlan,
-    NegativeInputError,
-    PredecessorSpec,
-    RecursionScheme,
-    eval_expr,
-    eval_recursive,
-    expected_emissions,
-    load_scheme_file,
-    make_scheme,
-    parse_expr,
-    pretty,
-)
-
-__all__ = [
-    "AddConst",
-    "AddReg",
-    "BranchSignViolation",
-    "ChannelClosed",
-    "ChannelEvent",
-    "ConsumerConfig",
-    "DeadlockTimeout",
-    "Emit",
-    "EmissionPlan",
-    "EventLog",
-    "For",
-    "IfSign",
-    "InjectChannel",
-    "LoopCountMutation",
-    "NegativeInputError",
-    "PhaseACounters",
-    "PlainCell",
-    "PredecessorSpec",
-    "ProbeChannel",
-    "RecordingSink",
-    "RecursionScheme",
-    "ResidualReport",
-    "ResultMismatch",
-    "RevProgram",
-    "RunReport",
-    "Store",
-    "SubFrom",
-    "SwapCell",
-    "check_reversibility",
-    "compile_phase_a",
-    "compile_producer",
-    "discard",
-    "dump",
-    "eval_expr",
-    "eval_recursive",
-    "expected_emissions",
-    "expected_residuals",
-    "invert",
-    "load_scheme_file",
-    "make_scheme",
-    "parse_expr",
-    "phase_a_counters",
-    "pretty",
-    "run",
-    "run_consumer",
-    "run_sequential",
-    "run_split",
-    "sweep",
-]
+The package root exports nothing: import from the submodules, listed with
+their contents in the README's module table (Layout)."""

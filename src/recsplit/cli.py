@@ -78,7 +78,7 @@ def _build_parser():
         default="split",
         help="evaluation route (default: split)",
     )
-    run_parser.add_argument("--trace", metavar="PATH", help="write the channel trace as JSONL")
+    run_parser.add_argument("--trace", metavar="PATH", help="write the channel trace of a split run as JSONL")
     run_parser.add_argument("--verbose", action="store_true", help="also print residuals")
     run_parser.set_defaults(func=_cmd_run)
 
@@ -101,8 +101,8 @@ def _build_parser():
     for command_parser in (run_parser, check_parser, sweep_parser):
         command_parser.add_argument(
             "--timeout", type=_timeout, default=harness.DEFAULT_TIMEOUT, metavar="SECONDS",
-            help="seconds without a completed channel operation before a split run "
-            "counts as stalled (default: %(default)s)",
+            help="a split run counts as stalled once every live agent waits on a channel "
+            "and no channel operation has completed for this many seconds (default: %(default)s)",
         )
     return parser
 
@@ -122,7 +122,7 @@ def _scheme_fields(args) -> dict:
         try:
             with open(args.scheme, encoding="utf-8") as handle:
                 text = handle.read()
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise UsageError(f"cannot read scheme file: {exc}") from None
         with _usage_errors():
             fields = parse_scheme_text(text)
@@ -177,6 +177,13 @@ def _cmd_run(args) -> int:
     scheme = _resolve_scheme(args)
     with _usage_errors():
         check_input(args.input)
+    if args.trace:
+        if args.mode != "split":
+            raise UsageError(f"--trace needs --mode split, the only mode with channels, not {args.mode}")
+        try:
+            open(args.trace, "w", encoding="utf-8").close()   # refuse a bad path before the run
+        except OSError as exc:
+            raise UsageError(f"cannot write trace file: {exc}") from None
     residuals = None
     if args.mode == "recursive":
         y = eval_recursive(scheme, args.input)

@@ -6,12 +6,12 @@ probe port and inject cell bound to real channels) on one thread and the
 classical consumer on another, and assembles a report. An agent that fails
 records its error and closes both channels, which wakes a blocked peer with
 ChannelClosed, so a failed run ends at once with the first error. Otherwise
-the main thread joins both threads until timeout seconds pass with no
-completed channel operation; the error then says, from the channels, which
-operation each agent waits in, the one thing worth knowing in a hang.
+the main thread joins both threads until the run stalls: timeout seconds
+pass with no completed channel operation while every live agent waits on
+one. A computing agent never stalls, as every IR program and the fold end;
+the error says, from the channels, which operation each agent waits in.
 However the run ends, both channels are then closed and both threads joined
-with a bounded wait, so an agent blocked on a channel does not outlive
-its run (one computing without channel operations can).
+with a bounded wait; only an interrupt while an agent computes leaves it behind.
 """
 
 from __future__ import annotations
@@ -46,6 +46,7 @@ from .revir import (
 from .scheme import NegativeInputError, RecursionScheme, check_input, eval_recursive, expected_emissions, make_scheme
 
 DEFAULT_TIMEOUT = 5.0
+PRELOAD_RANGE = (-8, 8)   # inclusive bounds of random_preloads' values
 # how long a finished or failed run waits for its closed-out threads to exit
 JOIN_TIMEOUT = 1.0
 
@@ -55,7 +56,7 @@ class HarnessError(Exception):
 
 
 class DeadlockTimeout(HarnessError):
-    """No channel operation completed within the timeout, and an agent is alive."""
+    """No channel operation completed within the timeout, and every live agent waits on one."""
 
 
 class ResultMismatch(HarnessError):
@@ -88,11 +89,11 @@ def run_split(
 ) -> RunReport:
     """Run producer and consumer as two threads over a fresh channel pair.
 
-    Joins both until timeout seconds pass with no completed channel
-    operation, asserts the consumer's result against the recursive value,
-    and returns the full report. The optional program argument substitutes
-    the producer program (fault-injection hooks for tests); by default the
-    scheme is compiled.
+    Joins both until they end or stall (timeout seconds with no completed
+    channel operation and every live agent waiting on one), asserts the
+    consumer's result against the recursive value, and returns the full
+    report. The optional program argument substitutes the producer program
+    (fault-injection hooks for tests); by default the scheme is compiled.
     """
     check_input(x0)
     check_timeout(timeout)
@@ -134,28 +135,27 @@ def run_split(
     for thread in threads.values():
         thread.start()
 
+    stall = None
     try:
         for thread in threads.values():
-            # re-arm after every completed channel operation
-            while thread.is_alive():
-                idle = (time.perf_counter_ns() - trace.latest_ns) / 1e9
+            # re-arm after every completed channel operation, and while an agent computes
+            while stall is None and thread.is_alive():
+                latest = trace.latest_ns
+                idle = (time.perf_counter_ns() - latest) / 1e9
                 if idle >= timeout:
-                    break
+                    live = {agent for agent, peer in threads.items() if peer.is_alive()}
+                    blocked = {_AGENT_BY_OP[key]: ".".join(key) for key in probe.waiting() + inject.waiting()}
+                    # a record since latest may have woken an agent still marked waiting
+                    if live and blocked.keys() >= live and trace.latest_ns == latest:
+                        stall = "; ".join(f"{agent} blocked in {blocked[agent]}" if agent in live
+                                          else f"{agent} finished" for agent in threads)
+                        break
+                    idle = 0
                 thread.join(timeout - idle)
         wall_time = time.perf_counter() - started
-        # settle the outcome before closing: closing fails the blocked agent
-        # with ChannelClosed and clears the waiting ops the message names
-        if not errors and any(thread.is_alive() for thread in threads.values()):
-            blocked = {
-                _AGENT_BY_OP[key]: "blocked in " + ".".join(key)
-                for key in probe.waiting() + inject.waiting()
-            }
-            errors.append(DeadlockTimeout(
-                f"no channel operation completed for {timeout}s: " + "; ".join(
-                    f"{agent} {blocked.get(agent, 'running') if thread.is_alive() else 'finished'}"
-                    for agent, thread in threads.items()
-                )
-            ))
+        # settle the outcome before closing, which fails blocked agents with ChannelClosed
+        if stall and not errors:
+            errors.append(DeadlockTimeout(f"no channel operation completed for {timeout}s: {stall}"))
     finally:
         close_channels()
         for thread in threads.values():
@@ -252,7 +252,7 @@ def check_reversibility(program: RevProgram, preloads) -> ReversibilityReport:
     return ReversibilityReport(cases)
 
 
-def random_preloads(program: RevProgram, count: int, seed: int = 0, low: int = -8, high: int = 8):
+def random_preloads(program: RevProgram, count: int, seed: int):
     """Deterministic random (registers, cells) preloads for a program.
 
     Values are kept small because register values drive loop counts.
@@ -262,8 +262,8 @@ def random_preloads(program: RevProgram, count: int, seed: int = 0, low: int = -
     cells = sorted(program.cells)
     return [
         (
-            {reg: rng.randint(low, high) for reg in registers},
-            {cell: rng.randint(low, high) for cell in cells},
+            {reg: rng.randint(*PRELOAD_RANGE) for reg in registers},
+            {cell: rng.randint(*PRELOAD_RANGE) for cell in cells},
         )
         for _ in range(count)
     ]

@@ -79,6 +79,13 @@ def test_missing_scheme_file_is_usage_error(capsys):
     assert main(["run", "--scheme", "/no/such/file", "--input", "1"]) == 2
 
 
+def test_non_utf8_scheme_file_is_usage_error(tmp_path, capsys):
+    path = tmp_path / "scheme.txt"
+    path.write_bytes(b"delta = -1\nbase = x\xff\nstep = x + y\n")
+    assert main(["run", "--scheme", str(path), "--input", "1"]) == 2
+    assert "cannot read scheme file" in capsys.readouterr().err
+
+
 def test_emit_ir_dumps_program(capsys):
     assert main(["emit-ir", *SCHEME_FLAGS]) == 0
     out = capsys.readouterr().out
@@ -94,6 +101,24 @@ def test_trace_file_is_jsonl(tmp_path, capsys):
     records = [json.loads(line) for line in path.read_text().splitlines()]
     assert {"seq", "agent", "op", "value"} <= set(records[0])
     assert records[0]["op"] == "inject.put"
+
+
+def test_trace_to_missing_directory_is_usage_error(tmp_path, capsys):
+    path = tmp_path / "missing" / "trace.jsonl"
+    assert main(["run", *SCHEME_FLAGS, "--input", "2", "--trace", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert "cannot write trace file" in captured.err
+    assert "No such file or directory" in captured.err
+    assert captured.out == ""     # refused before the run
+
+
+def test_trace_needs_split_mode(tmp_path, capsys):
+    path = tmp_path / "trace.jsonl"
+    for mode in ("recursive", "sequential"):
+        assert main(["run", *SCHEME_FLAGS, "--input", "2", "--mode", mode,
+                     "--trace", str(path)]) == 2
+        assert "--trace needs --mode split" in capsys.readouterr().err
+    assert not path.exists()
 
 
 def test_sweep_subcommand(capsys):

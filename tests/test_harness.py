@@ -22,6 +22,7 @@ from recsplit.revir import (
     AddConst,
     BranchSignViolation,
     Emit,
+    For,
     IfSign,
     RevProgram,
     SwapCell,
@@ -71,6 +72,22 @@ def test_slow_run_is_not_a_stall():
     report = run_split(make_scheme(-1, "x", "x+y"), 20000, timeout=0.25)
     assert report.y == 200010000
     assert report.wall_time > 0.25
+
+
+# a channel-free loop of about 0.2 s under the interpreter
+_SPIN = (AddConst("n", 400_000), For("n", (AddConst("a", 1),)))
+
+
+def test_computing_agent_is_not_a_stall():
+    # after its final swap the producer computes far past the timeout while
+    # the consumer has finished: no agent waits, so the run is not stalled
+    scheme = make_scheme(-1, "x", "x+y")
+    program = RevProgram.from_body(compile_producer(scheme).body + _SPIN)
+    before = threading.active_count()
+    report = run_split(scheme, 3, timeout=0.05, program=program)
+    assert report.y == 6
+    assert report.wall_time > 0.05
+    assert threading.active_count() == before
 
 
 def test_split_channel_protocol():
@@ -175,6 +192,17 @@ def test_failed_run_leaves_no_thread(program, error):
     before = threading.active_count()
     with pytest.raises(error):
         run_split(make_scheme(-1, "x", "x+y"), 3, timeout=0.2, program=program())
+    assert threading.active_count() == before
+
+
+def test_stall_waits_for_a_computing_agent():
+    # the producer spins, then ends without emitting: the run stalls only
+    # once it has finished, and no thread outlives the run
+    before = threading.active_count()
+    with pytest.raises(DeadlockTimeout) as excinfo:
+        run_split(make_scheme(-1, "x", "x+y"), 3, timeout=0.05,
+                  program=RevProgram.from_body((SwapCell("inject", "x"),) + _SPIN))
+    assert "producer finished; consumer blocked in probe.get" in str(excinfo.value)
     assert threading.active_count() == before
 
 
