@@ -9,7 +9,9 @@ written, ``full`` while it holds a value for the peer. A put takes ``empty``
 and gives ``full``, on either channel. A probe get takes ``full`` and gives
 ``empty``, so puts and gets strictly alternate without a condition variable.
 An inject swap_in takes ``full`` and gives nothing back, so the slot stays
-closed; swap_out then frees ``empty`` and the slot is open again.
+closed; swap_out then frees ``empty`` and the slot is open again. The
+inject channel is itself the producer's cell: its swap() runs swap_in on
+the first call and swap_out on the second.
 
 An optional shared EventLog receives one record per *completed* operation.
 Each record is appended while the operation still holds the slot: after a
@@ -18,8 +20,8 @@ reads the value and before it frees ``empty`` (a swap_in frees nothing).
 The peer cannot complete its next operation before that, so the log order
 is the true completion order. An event's ``seq`` is its index in the log.
 The watchdog reads the log's ``latest_ns`` (the perf_counter_ns() of its
-latest record, at first of its creation) and each channel's waiting() ops,
-recorded per lock, as each lock has one possible waiter.
+latest record, at first of its creation) and each channel's waiting() ops:
+the op marked on each lock (it has one possible waiter) while the lock is held.
 
 close() wakes every waiter on a channel; the woken call and every later call
 raise ChannelClosed. The harness closes both channels when a run ends, so
@@ -109,8 +111,10 @@ class _Slot:
         _wake(self._full)
 
     def waiting(self) -> list:
-        """(channel, op) of each operation waiting on this slot now."""
-        return [(self._name, op) for op in self._waiting.values() if op]
+        """(channel, op) of each operation waiting on a held lock of this slot now."""
+        # an op marked on a free lock is about to take it; one that has just
+        # taken it still shows until _take clears its mark
+        return [(self._name, op) for lock, op in self._waiting.items() if op and lock.locked()]
 
     def close(self):
         self._closed = True
@@ -143,10 +147,18 @@ class InjectChannel(_Slot):
 
     put stores a value once the slot is open and closes it. swap_in waits for
     a stored value and trades it for the caller's, leaving the slot closed.
-    swap_out trades unconditionally and reopens the slot.
+    swap_out trades unconditionally and reopens the slot. swap alternates
+    the two, which makes the channel the producer's inject cell.
     """
 
     _name = "inject"
+    _swapped_in = False   # only the producer's thread reads or flips it
+
+    def swap(self, value: int) -> int:
+        """swap_in on the first call, swap_out on the second, and so on."""
+        out = (self.swap_out if self._swapped_in else self.swap_in)(value)
+        self._swapped_in = not self._swapped_in
+        return out
 
     def swap_in(self, value: int) -> int:
         self._take(self._full, "swap_in")

@@ -144,12 +144,14 @@ def _resolve_schemes(args, default_deltas):
     """For check/sweep: (pairs, deltas, [(base, step, scheme)]) in sweep order.
 
     An explicit base/step pair or delta narrows the defaults; default_deltas()
-    is only called without a delta. Building every scheme up front makes a
-    bad field a usage error.
+    is only called without a delta. A base without a step, or the reverse,
+    and every scheme that fails to build are usage errors.
     """
     fields = _scheme_fields(args)
     if "base" in fields and "step" in fields:
         pairs = [(fields["base"], fields["step"])]
+    elif "base" in fields or "step" in fields:
+        raise UsageError("give base and step together, or neither for the default pairs")
     else:
         pairs = list(DEFAULT_PAIRS)
     deltas = [fields["delta"]] if "delta" in fields else default_deltas()

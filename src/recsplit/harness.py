@@ -16,13 +16,11 @@ with a bounded wait; only an interrupt while an agent computes leaves it behind.
 
 from __future__ import annotations
 
-import itertools
 import json
 import random
 import threading
 import time
 from dataclasses import dataclass, field
-from types import SimpleNamespace
 
 from .chan import EventLog, InjectChannel, ProbeChannel
 from .consumer import ConsumerConfig, run_consumer
@@ -35,7 +33,6 @@ from .producer import (
 )
 from .revir import (
     PlainCell,
-    RecordingSink,
     RevirError,
     RevProgram,
     Store,
@@ -75,7 +72,6 @@ class RunReport:
     y: int
     oracle_y: int
     emissions: list
-    inject_final: int
     residuals: ResidualReport
     channel_log: list
     wall_time: float
@@ -111,13 +107,8 @@ def run_split(
         probe.close()
         inject.close()
 
-    # swaps alternate swap_in / swap_out, so the program's first swap reads
-    # the injected input and its second exports the leftover and reopens
-    # the channel
-    swaps = itertools.cycle((inject.swap_in, inject.swap_out))
-    cell = SimpleNamespace(swap=lambda value: next(swaps)(value))
     mains = {
-        "producer": lambda: run(program, Store(), sinks={"probe": probe.put}, cells={"inject": cell}),
+        "producer": lambda: run(program, Store(), sinks={"probe": probe.put}, cells={"inject": inject}),
         "consumer": lambda: run_consumer(ConsumerConfig.from_scheme(scheme, x0), inject, probe),
     }
 
@@ -170,15 +161,13 @@ def run_split(
         raise ResultMismatch(f"consumer produced {y}, recursion says {oracle_y}")
     events = trace.events()
     emissions = [e.value for e in events if e.channel == "probe" and e.op == "put"]
-    inject_final = inject.slot
     residuals = residuals_from_store(
-        final_store, x0, scheme.pred.delta, inject_cell=inject_final
+        final_store, x0, scheme.pred.delta, inject_cell=inject.slot
     )
     return RunReport(
         y=y,
         oracle_y=oracle_y,
         emissions=emissions,
-        inject_final=inject_final,
         residuals=residuals,
         channel_log=events,
         wall_time=wall_time,
@@ -195,7 +184,9 @@ class ReversibilityCase:
 
 
 @dataclass
-class ReversibilityReport:
+class CaseReport:
+    """A list of cases, each with an ok flag."""
+
     cases: list
 
     @property
@@ -206,6 +197,8 @@ class ReversibilityReport:
     def failures(self) -> list:
         return [case for case in self.cases if not case.ok]
 
+
+class ReversibilityReport(CaseReport):
     def summary(self) -> str:
         return f"{sum(case.ok for case in self.cases)}/{len(self.cases)} preloads restored"
 
@@ -214,28 +207,19 @@ def check_reversibility(program: RevProgram, preloads) -> ReversibilityReport:
     """Run forward then inverted for each (registers, cells) preload.
 
     A clean pass restores every register and cell exactly. Interpreter faults
-    (discipline violations) are reported per case, never raised. Forward
-    emissions are recorded, inverse ones discarded.
+    (discipline violations) are reported per case, never raised. Emissions
+    are discarded both ways.
     """
     inverse = invert(program)
+    sinks = {port: discard for port in program.ports}
     cases = []
     for index, (registers, cell_values) in enumerate(preloads):
         label = f"preload[{index}]"
         initial = Store(registers)
         cells = {name: PlainCell(value) for name, value in cell_values.items()}
         try:
-            middle = run(
-                program,
-                initial,
-                sinks={port: RecordingSink() for port in program.ports},
-                cells=cells,
-            )
-            final = run(
-                inverse,
-                middle,
-                sinks={port: discard for port in program.ports},
-                cells=cells,
-            )
+            middle = run(program, initial, sinks=sinks, cells=cells)
+            final = run(inverse, middle, sinks=sinks, cells=cells)
         except RevirError as exc:
             cases.append(ReversibilityCase(label, False, f"{type(exc).__name__}: {exc}"))
             continue
@@ -346,18 +330,7 @@ class SweepCase:
         return self.error is None and not self.problems
 
 
-@dataclass
-class SweepReport:
-    cases: list
-
-    @property
-    def all_ok(self) -> bool:
-        return all(case.ok for case in self.cases)
-
-    @property
-    def failures(self) -> list:
-        return [case for case in self.cases if not case.ok]
-
+class SweepReport(CaseReport):
     def format_table(self) -> str:
         """Flat text table, one row per case."""
         header = f"{'base':<12} {'step':<12} {'delta':>5} {'x0':>4} {'ok':<4} detail"

@@ -14,6 +14,10 @@ Emissions are observations, not state: an emit sends a copy of a register
 to a port and inverts to itself, so inverse runs are checked against a
 discarding sink. Cell swaps exchange a register with named external state
 and are their own inverse.
+
+The module holds no state. A fact derived from a node lives on the node: a
+For records at construction whether its body writes its count, and a For's
+inverted body or a RevProgram's inverse is kept from its first use.
 """
 
 from __future__ import annotations
@@ -85,9 +89,17 @@ class For:
 
     count: RegisterId
     body: tuple
+    # checked when the loop is reached, so building such a loop is no error
+    writes_count: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "body", tuple(self.body))
+        object.__setattr__(self, "writes_count", self.count in written_registers(self.body))
+
+    @functools.cached_property
+    def inverted_body(self) -> tuple:
+        """invert_block(body), built on first use and kept on the node."""
+        return invert_block(self.body)
 
 
 @dataclass(frozen=True)
@@ -173,6 +185,10 @@ class RevProgram:
             if undeclared:
                 raise UndeclaredNameError(f"undeclared {kind}(s): {sorted(undeclared)}")
 
+    @functools.cached_property
+    def _inverse(self) -> RevProgram:
+        return RevProgram(invert_block(self.body), self.registers, self.ports, self.cells)
+
     @classmethod
     def from_body(cls, body) -> "RevProgram":
         """Declare exactly the names the body references."""
@@ -189,7 +205,7 @@ def invert_instruction(inst: Instruction) -> Instruction:
     if isinstance(inst, AddReg):
         return AddReg(inst.dest, inst.src, -inst.sign)
     if isinstance(inst, For):
-        return For(inst.count, invert_block(inst.body))
+        return For(inst.count, inst.inverted_body)
     if isinstance(inst, IfSign):
         return IfSign(
             inst.reg,
@@ -201,19 +217,15 @@ def invert_instruction(inst: Instruction) -> Instruction:
     return inst
 
 
-@functools.lru_cache(maxsize=None)
 def invert_block(block: tuple) -> tuple:
     return tuple(invert_instruction(inst) for inst in reversed(block))
 
 
 def invert(program: RevProgram) -> RevProgram:
-    """Syntactic inverse: same declarations, inverted body."""
-    return RevProgram(
-        invert_block(program.body), program.registers, program.ports, program.cells
-    )
+    """Syntactic inverse: same declarations, inverted body; built once per program."""
+    return program._inverse
 
 
-@functools.lru_cache(maxsize=None)
 def written_registers(block: tuple) -> frozenset:
     """Registers any instruction in block (at any nesting depth) can write."""
     written = set()
@@ -343,12 +355,12 @@ def _run_block(block, store, sinks, cells):
         elif isinstance(inst, SubFrom):
             store[inst.dest] = store[inst.src] - store[inst.dest]
         elif isinstance(inst, For):
-            if inst.count in written_registers(inst.body):
+            if inst.writes_count:
                 raise LoopCountMutation(
                     f"loop body writes its count register {inst.count!r}"
                 )
             count = store[inst.count]
-            body = inst.body if count >= 0 else invert_block(inst.body)
+            body = inst.body if count >= 0 else inst.inverted_body
             for _ in range(abs(count)):
                 _run_block(body, store, sinks, cells)
         elif isinstance(inst, IfSign):

@@ -177,6 +177,20 @@ def test_inject_second_put_blocks_until_swap_out():
     assert inject.slot == 2
 
 
+def test_inject_swap_alternates_swap_in_and_swap_out():
+    inject = InjectChannel()
+    inject.put(3)
+    assert inject.swap(0) == 3        # swap_in: the injected value
+    assert inject.swap(5) == 0        # swap_out: what the first swap left
+    thread, result = spawn(inject.swap, 1)
+    assert waiting_soon(inject) == [("inject", "swap_in")]
+    settle()
+    assert thread.is_alive()
+    inject.put(9)                     # the second swap reopened the slot
+    thread.join(JOIN_TIMEOUT)
+    assert result["value"] == 9
+
+
 def test_inject_close_wakes_blocked_calls():
     starved = InjectChannel()     # nothing put: swap_in waits
     full = InjectChannel()

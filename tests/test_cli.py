@@ -75,6 +75,18 @@ def test_scheme_file_with_flag_override(tmp_path, capsys):
     assert capsys.readouterr().out.strip() == "y = 3"
 
 
+def test_lone_base_or_step_is_usage_error(tmp_path, capsys):
+    path = tmp_path / "scheme.txt"
+    path.write_text("delta = -1\nbase = x\n")
+    for command in (["check", "--x-max", "0", "--preloads", "1"],
+                    ["sweep", "--x-range", "0:1", "--delta-range", "-1:-1"]):
+        for fields in (["--base", "zz"], ["--step", "x+y"], ["--scheme", str(path)]):
+            assert main([*command, *fields]) == 2, (command, fields)
+            captured = capsys.readouterr()
+            assert "give base and step together" in captured.err
+            assert captured.out == ""
+
+
 def test_missing_scheme_file_is_usage_error(capsys):
     assert main(["run", "--scheme", "/no/such/file", "--input", "1"]) == 2
 

@@ -37,7 +37,7 @@ def test_split_one_wide_divisible():
     assert report.y == 6
     assert report.oracle_y == 6
     assert report.emissions == [3, 0, 1, 2, 3]
-    assert report.inject_final == 3
+    assert report.residuals.inject_cell == 3
     assert report.residuals == expected_residuals(3, -1)
     assert report.wall_time < 5.0
 
@@ -46,7 +46,7 @@ def test_split_two_wide_non_divisible():
     report = run_split(make_scheme(-2, "x", "x+y"), 3)
     assert report.y == 3
     assert report.emissions == [2, -1, 1, 3]
-    assert report.inject_final == 5
+    assert report.residuals.inject_cell == 5
     assert report.residuals == expected_residuals(3, -2)
 
 
@@ -72,6 +72,13 @@ def test_slow_run_is_not_a_stall():
     report = run_split(make_scheme(-1, "x", "x+y"), 20000, timeout=0.25)
     assert report.y == 200010000
     assert report.wall_time > 0.25
+
+
+def test_sub_millisecond_timeout_is_not_a_stall():
+    # an op marked just before it takes a free lock does not wait, so a run
+    # that keeps moving completes even when every gap exceeds the timeout
+    report = run_split(make_scheme(-1, "x", "x+y"), 1000, timeout=1e-6)
+    assert report.y == 500500
 
 
 # a channel-free loop of about 0.2 s under the interpreter

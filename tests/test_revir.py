@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
@@ -272,6 +275,22 @@ def test_loop_count_mutation_is_structural():
     )
     with pytest.raises(LoopCountMutation):
         run(program)
+
+
+def test_invert_is_built_once_per_program():
+    program = RevProgram.from_body((AddConst("n", 2), For("n", (AddConst("a", 1),))))
+    assert invert(program) is invert(program)
+
+
+def test_loop_facts_are_freed_with_the_program():
+    # a loop's count check and inverted body live on the loop, in no module cache
+    inst = AddConst("a", 104_729)
+    program = RevProgram.from_body((AddConst("n", -2), For("n", (inst, AddReg("b", "a")))))
+    assert run(invert(program), run(program)) == Store()
+    freed = weakref.ref(inst)
+    del inst, program
+    gc.collect()
+    assert freed() is None
 
 
 def test_written_registers_sees_through_nesting():
