@@ -3,13 +3,14 @@
 Subcommands: run a scheme in any of the three modes, dump the compiled
 producer IR, run the reversibility + equivalence check suite, or sweep
 user-specified ranges. Exit codes: 0 success, 1 check failure, 2 usage
-error, 3 deadlock/timeout.
+error, 3 deadlock/timeout, 141 standard output closed by its reader.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import os
 import re
 import sys
 
@@ -29,6 +30,7 @@ EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 EXIT_DEADLOCK = 3
+EXIT_BROKEN_PIPE = 128 + 13   # as a shell reports a process killed by SIGPIPE
 
 DEFAULT_PAIRS = (("x", "x+y"), ("x+1", "x*y+1"))
 
@@ -258,7 +260,15 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # argparse --help
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        status = args.func(args)
+        sys.stdout.flush()   # a reader that left shows here, not at exit
+        return status
+    except BrokenPipeError:
+        # point stdout at devnull so that the flush at exit stays quiet too
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_BROKEN_PIPE
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

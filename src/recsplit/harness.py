@@ -152,15 +152,19 @@ def run_split(
         for thread in threads.values():
             thread.join(JOIN_TIMEOUT)
     if errors:
-        raise errors[0]
+        try:
+            raise errors[0]
+        finally:
+            # the errors' tracebacks hold frames that hold this list: clearing it
+            # frees the channels' pipes now rather than at the next cyclic GC
+            errors.clear()
 
     y = results["consumer"]
     final_store = results["producer"]
     oracle_y = eval_recursive(scheme, x0)
     if y != oracle_y:
         raise ResultMismatch(f"consumer produced {y}, recursion says {oracle_y}")
-    events = trace.events()
-    emissions = [e.value for e in events if e.channel == "probe" and e.op == "put"]
+    events, emissions = trace.events_and_puts("probe")
     residuals = residuals_from_store(
         final_store, x0, scheme.pred.delta, inject_cell=inject.slot
     )

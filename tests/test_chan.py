@@ -29,7 +29,7 @@ def settle():
 
 
 def waiting_soon(channel):
-    # a spawned call shows as waiting once it reaches the lock
+    # a spawned call shows as waiting once it has marked itself on a semaphore with no token
     deadline = time.monotonic() + JOIN_TIMEOUT
     while not channel.waiting() and time.monotonic() < deadline:
         time.sleep(0.001)
@@ -215,6 +215,35 @@ def test_inject_calls_after_close_raise():
         inject.swap_in(0)
     with pytest.raises(ChannelClosed):
         inject.swap_out(0)
+
+
+# --- waiting ----------------------------------------------------------------------
+
+def test_waiting_skips_a_get_whose_token_was_given():
+    probe = ProbeChannel()
+    probe.put(1)
+    # a get that has marked itself but not yet read the token put gave it,
+    # or has read it but not yet cleared its mark, does not wait
+    probe._full.waiter = "get"
+    assert probe.waiting() == []
+    assert probe.get() == 1
+    assert probe.waiting() == []
+
+
+def test_waiting_lists_a_blocked_get_until_close():
+    probe = ProbeChannel()
+    thread, result = spawn(probe.get)
+    assert waiting_soon(probe) == [("probe", "get")]
+    settle()
+    assert thread.is_alive()
+    assert probe.waiting() == [("probe", "get")]
+    probe.close()
+    # at once, whether or not the woken get has run yet
+    assert probe.waiting() == []
+    thread.join(JOIN_TIMEOUT)
+    assert not thread.is_alive()
+    assert isinstance(result["error"], ChannelClosed)
+    assert probe.waiting() == []
 
 
 # --- event log -------------------------------------------------------------------

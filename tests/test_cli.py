@@ -1,5 +1,10 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import recsplit
 from recsplit import harness
 from recsplit.cli import main
 from recsplit.scheme import MAX_EXPR_DEPTH
@@ -188,3 +193,21 @@ def test_deadlock_maps_to_exit_3(monkeypatch, capsys):
 
 def test_unknown_subcommand_is_usage_error(capsys):
     assert main(["frobnicate"]) == 2
+
+
+def test_reader_closing_early_exits_141_quietly():
+    # the reader has gone before the first line is written
+    src = str(Path(recsplit.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "recsplit.cli", "check", "--x-max", "3", "--preloads", "2"],
+            stdout=write, stderr=subprocess.PIPE, env=env, timeout=60,
+        )
+    finally:
+        os.close(write)
+    assert done.stderr == b""
+    assert done.returncode == 141

@@ -1,4 +1,6 @@
+import gc
 import json
+import os
 import threading
 import time
 
@@ -211,6 +213,27 @@ def test_stall_waits_for_a_computing_agent():
                   program=RevProgram.from_body((SwapCell("inject", "x"),) + _SPIN))
     assert "producer finished; consumer blocked in probe.get" in str(excinfo.value)
     assert threading.active_count() == before
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+def test_runs_close_their_pipes_without_a_gc():
+    # each run's two channels hold 8 pipe fds; a stalled run must free them
+    # once its error is handled, not at some later cyclic collection
+    def open_fds():
+        return len(os.listdir("/proc/self/fd"))
+
+    scheme = make_scheme(-1, "x", "x+y")
+    gc.collect()   # channels that earlier tests left in reference cycles
+    start = peak = open_fds()
+    for index in range(300):
+        if index % 2:
+            with pytest.raises(DeadlockTimeout):
+                run_split(scheme, 3, timeout=0.002, program=_silent_producer())
+        else:
+            run_split(scheme, 3)
+        peak = max(peak, open_fds())
+    assert peak - start <= 8
+    assert open_fds() == start
 
 
 # --- reversibility checks --------------------------------------------------------------
