@@ -110,22 +110,20 @@ def _build_parser():
 
 
 @contextlib.contextmanager
-def _usage_errors():
-    """Report a scheme-layer rejection of what the user typed as a usage error."""
+def _usage_errors(errors=SchemeError, prefix=""):
+    """Report a rejection of what the user typed, or of a file they named, as a usage error."""
     try:
         yield
-    except SchemeError as exc:
-        raise UsageError(str(exc)) from None
+    except errors as exc:
+        raise UsageError(f"{prefix}{exc}") from None
 
 
 def _scheme_fields(args) -> dict:
     fields = {}
     if args.scheme:
-        try:
+        with _usage_errors((OSError, UnicodeDecodeError), "cannot read scheme file: "):
             with open(args.scheme, encoding="utf-8") as handle:
                 text = handle.read()
-        except (OSError, UnicodeDecodeError) as exc:
-            raise UsageError(f"cannot read scheme file: {exc}") from None
         with _usage_errors():
             fields = parse_scheme_text(text)
     if args.delta is not None:
@@ -181,24 +179,26 @@ def _cmd_run(args) -> int:
     scheme = _resolve_scheme(args)
     with _usage_errors():
         check_input(args.input)
+    trace = None
     if args.trace:
         if args.mode != "split":
             raise UsageError(f"--trace needs --mode split, the only mode with channels, not {args.mode}")
-        try:
-            open(args.trace, "w", encoding="utf-8").close()   # refuse a bad path before the run
-        except OSError as exc:
-            raise UsageError(f"cannot write trace file: {exc}") from None
-    residuals = None
-    if args.mode == "recursive":
-        y = eval_recursive(scheme, args.input)
-    elif args.mode == "sequential":
-        y, residuals = run_sequential(scheme, args.input)
-    else:
-        report = harness.run_split(scheme, args.input, timeout=args.timeout)
-        y = report.y
-        residuals = report.residuals
-        if args.trace:
-            harness.write_trace_jsonl(report.channel_log, args.trace)
+        with _usage_errors(OSError, "cannot write trace file: "):
+            trace = open(args.trace, "w", encoding="utf-8")   # refuse a bad path before the run
+    with trace or contextlib.nullcontext():
+        residuals = None
+        if args.mode == "recursive":
+            y = eval_recursive(scheme, args.input)
+        elif args.mode == "sequential":
+            y, residuals = run_sequential(scheme, args.input)
+        else:
+            report = harness.run_split(scheme, args.input, timeout=args.timeout)
+            y = report.y
+            residuals = report.residuals
+            if trace is not None:
+                with _usage_errors(OSError, "cannot write trace file: "):
+                    harness.write_trace_jsonl(report.channel_log, trace)
+                    trace.close()   # a full disk may only show when the buffer is flushed
     print(f"y = {y}")
     if args.verbose and residuals is not None:
         print(residuals.to_text())

@@ -69,8 +69,7 @@ def check_timeout(timeout: float) -> float:
 
 @dataclass
 class RunReport:
-    y: int
-    oracle_y: int
+    y: int   # equal to eval_recursive's value, or run_split raises ResultMismatch
     emissions: list
     residuals: ResidualReport
     channel_log: list
@@ -170,7 +169,6 @@ def run_split(
     )
     return RunReport(
         y=y,
-        oracle_y=oracle_y,
         emissions=emissions,
         residuals=residuals,
         channel_log=events,
@@ -297,17 +295,16 @@ _AGENT_BY_OP = {
 }
 
 
-def write_trace_jsonl(events, path):
-    """One JSON object per event: {seq, agent, op, value}."""
-    with open(path, "w", encoding="utf-8") as handle:
-        for event in events:
-            record = {
-                "seq": event.seq,
-                "agent": _AGENT_BY_OP.get((event.channel, event.op), "unknown"),
-                "op": f"{event.channel}.{event.op}",
-                "value": event.value,
-            }
-            handle.write(json.dumps(record) + "\n")
+def write_trace_jsonl(events, handle):
+    """Write one JSON object per event, {seq, agent, op, value}, to an open text file."""
+    for event in events:
+        record = {
+            "seq": event.seq,
+            "agent": _AGENT_BY_OP[event.channel, event.op],
+            "op": f"{event.channel}.{event.op}",
+            "value": event.value,
+        }
+        handle.write(json.dumps(record) + "\n")
 
 
 # --- sweeps -------------------------------------------------------------------------
@@ -320,7 +317,6 @@ class SweepCase:
     x0: int
     error: str | None = None
     split_y: int | None = None
-    oracle_y: int | None = None
     sequential_y: int | None = None
     emissions_ok: bool = False
     residuals_ok: bool = False
@@ -382,12 +378,11 @@ def sweep(x_values, deltas, pairs, timeout: float = DEFAULT_TIMEOUT) -> SweepRep
                     case.error = f"{type(exc).__name__}: {exc}"
                     continue
                 case.split_y = report.y
-                case.oracle_y = report.oracle_y
                 case.wall_time = report.wall_time
                 case.sequential_y = run_sequential(scheme, x0)[0]
-                if case.sequential_y != report.oracle_y:
+                if case.sequential_y != report.y:
                     case.problems.append(
-                        f"sequential y {case.sequential_y} != recursive {report.oracle_y}"
+                        f"sequential y {case.sequential_y} != recursive {report.y}"
                     )
                 plan = expected_emissions(scheme, x0)
                 expected = [plan.iterations, plan.base_arg, *plan.h_args]

@@ -30,9 +30,6 @@ from .scheme import PredecessorSpec, RecursionScheme, check_input
 PROBE_PORT = "probe"
 INJECT_CELL = "inject"
 TEMP_REGISTERS = ("t0", "t1", "t2")
-PRODUCER_REGISTERS = frozenset(
-    ("x", "s", "e", "g", "w", "predDivX", "predNotDivX") + TEMP_REGISTERS
-)
 
 
 class PhaseACounters(NamedTuple):
@@ -265,12 +262,7 @@ def compile_producer(scheme: RecursionScheme) -> RevProgram:
         AddReg("w", "x", -1),
         SwapCell(INJECT_CELL, "x"),
     )
-    return RevProgram(
-        body,
-        registers=PRODUCER_REGISTERS,
-        ports=frozenset((PROBE_PORT,)),
-        cells=frozenset((INJECT_CELL,)),
-    )
+    return RevProgram.from_body(body)
 
 
 def residuals_from_store(

@@ -18,6 +18,10 @@ and are their own inverse.
 The module holds no state. A fact derived from a node lives on the node: a
 For records at construction whether its body writes its count, and a For's
 inverted body or a RevProgram's inverse is kept from its first use.
+
+One walk, _names, finds the registers a block references and can write and
+its ports and cells; every name check reads it, and it rejects a
+non-instruction with TypeError. Building a program walks its body once.
 """
 
 from __future__ import annotations
@@ -136,26 +140,30 @@ class SwapCell:
 Instruction = Union[AddConst, AddReg, SubFrom, For, IfSign, Emit, SwapCell]
 
 
-def _collect_names(block, regs, ports, cells):
+def _names(block, regs, written, ports, cells):
+    # fills the sets from block and every block nested in it
     for inst in block:
         if isinstance(inst, AddConst):
             regs.add(inst.reg)
+            written.add(inst.reg)
         elif isinstance(inst, (AddReg, SubFrom)):
             regs.add(inst.dest)
             regs.add(inst.src)
+            written.add(inst.dest)
         elif isinstance(inst, For):
             regs.add(inst.count)
-            _collect_names(inst.body, regs, ports, cells)
+            _names(inst.body, regs, written, ports, cells)
         elif isinstance(inst, IfSign):
             regs.add(inst.reg)
             for branch in (inst.pos, inst.zero, inst.neg):
-                _collect_names(branch, regs, ports, cells)
+                _names(branch, regs, written, ports, cells)
         elif isinstance(inst, Emit):
             ports.add(inst.port)
             regs.add(inst.reg)
         elif isinstance(inst, SwapCell):
             cells.add(inst.cell)
             regs.add(inst.reg)
+            written.add(inst.reg)
         else:
             raise TypeError(f"not an instruction: {inst!r}")
 
@@ -175,7 +183,7 @@ class RevProgram:
         object.__setattr__(self, "ports", frozenset(self.ports))
         object.__setattr__(self, "cells", frozenset(self.cells))
         regs, ports, cells = set(), set(), set()
-        _collect_names(self.body, regs, ports, cells)
+        _names(self.body, regs, set(), ports, cells)
         for kind, used, declared in (
             ("register", regs, self.registers),
             ("port", ports, self.ports),
@@ -185,16 +193,25 @@ class RevProgram:
             if undeclared:
                 raise UndeclaredNameError(f"undeclared {kind}(s): {sorted(undeclared)}")
 
+    @classmethod
+    def _covering(cls, body: tuple, registers, ports, cells) -> RevProgram:
+        # frozensets known to cover body: skips __post_init__'s second walk
+        program = object.__new__(cls)
+        vars(program).update(body=body, registers=registers, ports=ports, cells=cells)
+        return program
+
     @functools.cached_property
     def _inverse(self) -> RevProgram:
-        return RevProgram(invert_block(self.body), self.registers, self.ports, self.cells)
+        # inversion keeps every instruction's names
+        return self._covering(invert_block(self.body), self.registers, self.ports, self.cells)
 
     @classmethod
     def from_body(cls, body) -> "RevProgram":
         """Declare exactly the names the body references."""
+        body = tuple(body)
         regs, ports, cells = set(), set(), set()
-        _collect_names(tuple(body), regs, ports, cells)
-        return cls(tuple(body), frozenset(regs), frozenset(ports), frozenset(cells))
+        _names(body, regs, set(), ports, cells)
+        return cls._covering(body, frozenset(regs), frozenset(ports), frozenset(cells))
 
 
 # --- inversion ---------------------------------------------------------------
@@ -229,18 +246,7 @@ def invert(program: RevProgram) -> RevProgram:
 def written_registers(block: tuple) -> frozenset:
     """Registers any instruction in block (at any nesting depth) can write."""
     written = set()
-    for inst in block:
-        if isinstance(inst, AddConst):
-            written.add(inst.reg)
-        elif isinstance(inst, (AddReg, SubFrom)):
-            written.add(inst.dest)
-        elif isinstance(inst, SwapCell):
-            written.add(inst.reg)
-        elif isinstance(inst, For):
-            written |= written_registers(inst.body)
-        elif isinstance(inst, IfSign):
-            for branch in (inst.pos, inst.zero, inst.neg):
-                written |= written_registers(branch)
+    _names(block, set(), written, set(), set())
     return frozenset(written)
 
 

@@ -5,6 +5,38 @@ transcriptions, no IR, no channels, no shared code with the package paths
 they are used to check.
 """
 
+import dataclasses
+
+# the field each writing IR instruction kind writes; the other kinds write none
+_WRITTEN_FIELD = {"AddConst": "reg", "AddReg": "dest", "SubFrom": "dest", "SwapCell": "reg"}
+
+
+def names_by_fields(block):
+    """(registers, written registers, ports, cells) of an IR block.
+
+    Reads every dataclass field of every instruction, nested blocks included:
+    a tuple field is a block, reg/dest/src/count fields name registers, and
+    port and cell fields name ports and cells.
+    """
+    regs, written, ports, cells = set(), set(), set(), set()
+    pending = list(block)
+    while pending:
+        inst = pending.pop()
+        for item in dataclasses.fields(inst):
+            value = getattr(inst, item.name)
+            if isinstance(value, tuple):
+                pending.extend(value)
+            elif item.name in ("reg", "dest", "src", "count"):
+                regs.add(value)
+            elif item.name == "port":
+                ports.add(value)
+            elif item.name == "cell":
+                cells.add(value)
+        written_field = _WRITTEN_FIELD.get(type(inst).__name__)
+        if written_field is not None:
+            written.add(getattr(inst, written_field))
+    return regs, written, ports, cells
+
 
 def unfold_arguments(delta, x0):
     """Descend x0 by delta until non-positive; return (base_arg, ascending h args)."""

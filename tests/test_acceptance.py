@@ -33,9 +33,14 @@ from recsplit.revir import (
 )
 from recsplit.scheme import expected_emissions, make_scheme
 
-from oracles import phase_a_by_loop, producer_by_loop
+from oracles import phase_a_by_loop, producer_by_loop, recursion_by_definition
 
 PAIRS = (("x", "x+y"), ("x+1", "x*y+1"))
+# the pairs as Python functions, for the independent recursive oracle
+PAIR_FUNCTIONS = {
+    ("x", "x+y"): (lambda x: x, lambda x, y: x + y),
+    ("x+1", "x*y+1"): (lambda x: x + 1, lambda x, y: x * y + 1),
+}
 DELTAS = range(-7, 0)
 INPUTS = range(0, 201)
 WATCHDOG = 5.0
@@ -46,6 +51,10 @@ def full_sweep():
     return sweep(INPUTS, DELTAS, PAIRS, timeout=WATCHDOG)
 
 
+def _recursive_y(case):
+    return recursion_by_definition(case.delta, *PAIR_FUNCTIONS[case.base, case.step], case.x0)
+
+
 def _report(number, label, passed):
     print(f"[criterion {number}] {label}: {'PASS' if passed else 'FAIL'}")
 
@@ -54,7 +63,7 @@ def test_criterion_1_split_equals_recursion(full_sweep):
     bad = [
         case
         for case in full_sweep.cases
-        if case.error is not None or case.split_y != case.oracle_y
+        if case.error is not None or case.split_y != _recursive_y(case)
     ]
     _report(1, "split result equals recursive value on the full sweep", not bad)
     assert not bad, bad[:5]
@@ -65,7 +74,7 @@ def test_criterion_2_mode_agreement(full_sweep):
         case
         for case in full_sweep.cases
         if case.error is not None
-        or not (case.sequential_y == case.split_y == case.oracle_y)
+        or not (case.sequential_y == case.split_y == _recursive_y(case))
     ]
     _report(2, "sequential, split, and recursive values agree", not bad)
     assert not bad, bad[:5]

@@ -4,6 +4,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import recsplit
 from recsplit import harness
 from recsplit.cli import main
@@ -127,6 +129,15 @@ def test_trace_to_missing_directory_is_usage_error(tmp_path, capsys):
     assert "cannot write trace file" in captured.err
     assert "No such file or directory" in captured.err
     assert captured.out == ""     # refused before the run
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_trace_write_failure_is_usage_error(capsys):
+    # /dev/full opens, but every write to it fails with ENOSPC
+    assert main(["run", *SCHEME_FLAGS, "--input", "2", "--trace", "/dev/full"]) == 2
+    captured = capsys.readouterr()
+    assert "cannot write trace file" in captured.err
+    assert captured.out == ""
 
 
 def test_trace_needs_split_mode(tmp_path, capsys):

@@ -1,4 +1,3 @@
-import gc
 import json
 import os
 import threading
@@ -29,15 +28,16 @@ from recsplit.revir import (
     RevProgram,
     SwapCell,
 )
-from recsplit.scheme import NegativeInputError, make_scheme
+from recsplit.scheme import NegativeInputError, eval_recursive, make_scheme
+
+from oracles import recursion_by_definition
 
 
 # --- split runs -----------------------------------------------------------------
 
 def test_split_one_wide_divisible():
     report = run_split(make_scheme(-1, "x", "x+y"), 3)
-    assert report.y == 6
-    assert report.oracle_y == 6
+    assert report.y == 6 == recursion_by_definition(-1, lambda x: x, lambda x, y: x + y, 3)
     assert report.emissions == [3, 0, 1, 2, 3]
     assert report.residuals.inject_cell == 3
     assert report.residuals == expected_residuals(3, -1)
@@ -112,7 +112,8 @@ def test_split_channel_protocol():
 def test_split_trace_jsonl(tmp_path):
     report = run_split(make_scheme(-2, "x", "x+y"), 3)
     path = tmp_path / "trace.jsonl"
-    write_trace_jsonl(report.channel_log, path)
+    with open(path, "w", encoding="utf-8") as handle:
+        write_trace_jsonl(report.channel_log, handle)
     records = [json.loads(line) for line in path.read_text().splitlines()]
     assert [r["seq"] for r in records] == list(range(len(records)))
     assert records[0] == {"seq": 0, "agent": "consumer", "op": "inject.put", "value": 3}
@@ -141,18 +142,15 @@ def _chatty_producer():
 def test_deadlock_reports_starved_consumer():
     scheme = make_scheme(-1, "x", "x+y")
     started = time.perf_counter()
-    with pytest.raises(DeadlockTimeout) as excinfo:
+    with pytest.raises(DeadlockTimeout, match="consumer blocked in probe.get"):
         run_split(scheme, 3, timeout=0.2, program=_silent_producer())
-    assert "consumer blocked in probe.get" in str(excinfo.value)
     assert time.perf_counter() - started < 5.0
 
 
 def test_deadlock_reports_stuck_producer():
     scheme = make_scheme(-1, "x", "x+y")
-    with pytest.raises(DeadlockTimeout) as excinfo:
+    with pytest.raises(DeadlockTimeout, match="producer blocked in probe.put; consumer finished"):
         run_split(scheme, 3, timeout=0.2, program=_chatty_producer())
-    assert "producer blocked in probe.put" in str(excinfo.value)
-    assert "consumer finished" in str(excinfo.value)
 
 
 def test_result_mismatch_is_raised():
@@ -208,10 +206,9 @@ def test_stall_waits_for_a_computing_agent():
     # the producer spins, then ends without emitting: the run stalls only
     # once it has finished, and no thread outlives the run
     before = threading.active_count()
-    with pytest.raises(DeadlockTimeout) as excinfo:
+    with pytest.raises(DeadlockTimeout, match="producer finished; consumer blocked in probe.get"):
         run_split(make_scheme(-1, "x", "x+y"), 3, timeout=0.05,
                   program=RevProgram.from_body((SwapCell("inject", "x"),) + _SPIN))
-    assert "producer finished; consumer blocked in probe.get" in str(excinfo.value)
     assert threading.active_count() == before
 
 
@@ -223,7 +220,6 @@ def test_runs_close_their_pipes_without_a_gc():
         return len(os.listdir("/proc/self/fd"))
 
     scheme = make_scheme(-1, "x", "x+y")
-    gc.collect()   # channels that earlier tests left in reference cycles
     start = peak = open_fds()
     for index in range(300):
         if index % 2:
@@ -318,7 +314,8 @@ def test_sweep_small_ranges_all_pass():
     assert report.all_ok
     assert len(report.cases) == 21 * 3 * 2
     for case in report.cases:
-        assert case.split_y == case.oracle_y == case.sequential_y
+        recursive = eval_recursive(make_scheme(case.delta, case.base, case.step), case.x0)
+        assert case.split_y == case.sequential_y == recursive
         assert case.emissions_ok and case.residuals_ok and case.protocol_ok
 
 

@@ -27,6 +27,8 @@ from recsplit.revir import (
     written_registers,
 )
 
+from oracles import names_by_fields
+
 REGS = ("a", "b", "c", "n", "m")
 
 
@@ -296,6 +298,40 @@ def test_loop_facts_are_freed_with_the_program():
 def test_written_registers_sees_through_nesting():
     block = (For("n", (IfSign("a", neg=(SwapCell("cell", "b"),)),)),)
     assert written_registers(block) == {"b"}
+
+
+def _loops(block):
+    for inst in block:
+        if isinstance(inst, For):
+            yield inst
+            yield from _loops(inst.body)
+        elif isinstance(inst, IfSign):
+            for branch in (inst.pos, inst.zero, inst.neg):
+                yield from _loops(branch)
+
+
+@given(program=_programs())
+@settings(max_examples=200)
+def test_names_match_a_walk_over_every_field(program):
+    regs, written, ports, cells = names_by_fields(program.body)
+    assert (program.registers, program.ports, program.cells) == (regs, ports, cells)
+    assert written_registers(program.body) == written
+    # the inverse is declared without a second walk: its body must agree
+    inverse = invert(program)
+    assert (inverse.registers, inverse.ports, inverse.cells) == (regs, ports, cells)
+    assert names_by_fields(inverse.body) == (regs, written, ports, cells)
+    for loop in _loops(program.body):
+        assert loop.writes_count == (loop.count in names_by_fields(loop.body)[1])
+
+
+@pytest.mark.parametrize(
+    "build",
+    [RevProgram, RevProgram.from_body, lambda body: For("n", body), written_registers],
+    ids=["RevProgram", "from_body", "For", "written_registers"],
+)
+def test_every_name_check_rejects_a_non_instruction(build):
+    with pytest.raises(TypeError, match="not an instruction"):
+        build((AddConst("a", 1), IfSign("a", neg=("emit out, a",))))
 
 
 def test_ifsign_dispatch():
