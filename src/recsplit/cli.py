@@ -250,6 +250,21 @@ def _cmd_sweep(args) -> int:
     return EXIT_OK if report.all_ok else EXIT_CHECK_FAILED
 
 
+@contextlib.contextmanager
+def _unlimited_int_digits():
+    """Lift CPython's int/str digit limit (3.11, 3.10.7+) for one command:
+    y has as many digits as the recursion gives it, and literals may too."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        yield
+        return
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
@@ -260,7 +275,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # argparse --help
         return int(exc.code or 0)
     try:
-        status = args.func(args)
+        with _unlimited_int_digits():
+            status = args.func(args)
         sys.stdout.flush()   # a reader that left shows here, not at exit
         return status
     except BrokenPipeError:

@@ -2,15 +2,16 @@
 
 The consumer owns base and step. It reads the iteration count, applies base
 to the next probed value, and then folds step over one probed value per
-iteration. It performs exactly one inject put and iterations + 2 probe gets,
-whatever the values are.
+iteration, through the Python functions the expression nodes compile to
+once and keep. It performs exactly one inject put and iterations + 2 probe
+gets, whatever the values are.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .scheme import Expression, RecursionScheme, check_input, check_variables, eval_expr
+from .scheme import Expression, RecursionScheme, check_input, check_variables
 
 
 @dataclass(frozen=True)
@@ -34,9 +35,11 @@ def run_consumer(config: ConsumerConfig, inject, probe) -> int:
     inject needs put(value), probe needs get() -> value; real channels block
     until a producer services them, scripted stand-ins return immediately.
     """
+    get = probe.get
     inject.put(config.x0)
-    iterations = probe.get()
-    out = eval_expr(config.base, {"x": probe.get()})
+    iterations = get()
+    out = config.base.function(get())
+    step = config.step.function
     for _ in range(iterations):
-        out = eval_expr(config.step, {"x": probe.get(), "y": out})
+        out = step(get(), out)
     return out

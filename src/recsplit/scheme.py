@@ -2,18 +2,22 @@
 
 This module owns the object being compiled: a base expression b(x), a step
 expression h(x, y), and a predecessor that moves x by a fixed negative
-displacement. It also provides the two reference computations the rest of
-the toolkit is validated against: direct evaluation of the recursion and
-the closed-form prediction of the values the producer must emit.
+displacement. Every expression node compiles to a Python function of
+(x, y) on first use and keeps it (`function`), so the classical half
+evaluates b and h without walking the tree. The module also provides the
+two reference computations the rest of the toolkit is validated against:
+direct evaluation of the recursion and the closed-form prediction of the
+values the producer must emit.
 
 All arithmetic is on Python integers, so results never wrap or truncate.
 """
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass
-from typing import Mapping, NamedTuple, Union
+from typing import NamedTuple, Union
 
 
 class SchemeError(Exception):
@@ -50,36 +54,46 @@ class SchemeFileError(SchemeError):
 
 # --- expression AST ---------------------------------------------------------
 
+class _Node:
+    """Shared base of the expression nodes; facts derived from a node live on it."""
+
+    @functools.cached_property
+    def function(self):
+        """This expression as a Python function f(x, y=None), generated on
+        first use and kept on the node."""
+        return _generate(self)
+
+
 @dataclass(frozen=True)
-class Const:
+class Const(_Node):
     value: int
 
 
 @dataclass(frozen=True)
-class Var:
+class Var(_Node):
     name: str
 
 
 @dataclass(frozen=True)
-class Add:
+class Add(_Node):
     left: "Expression"
     right: "Expression"
 
 
 @dataclass(frozen=True)
-class Sub:
+class Sub(_Node):
     left: "Expression"
     right: "Expression"
 
 
 @dataclass(frozen=True)
-class Mul:
+class Mul(_Node):
     left: "Expression"
     right: "Expression"
 
 
 @dataclass(frozen=True)
-class Neg:
+class Neg(_Node):
     operand: "Expression"
 
 
@@ -106,7 +120,7 @@ def _scan(text):
 
 # deepest expression accepted: at most this many operators on any path from
 # the root, and at most this many parentheses and minuses open at once while
-# parsing; parsing, evaluating and rendering all recurse once per level
+# parsing; parsing, rendering and compiling all recurse once per level
 MAX_EXPR_DEPTH = 100
 
 
@@ -167,7 +181,12 @@ class _Parser:
     def atom(self, open_levels):
         kind, text, pos = self._advance()
         if kind == "int":
-            return Const(int(text)), 0
+            try:
+                return Const(int(text)), 0
+            except ValueError:   # past the interpreter's int/str digit limit
+                raise ExpressionSyntaxError(
+                    f"integer literal of {len(text)} digits is too long", pos
+                ) from None
         if kind == "name":
             if text not in self._allowed:
                 raise UndeclaredVariableError(text, pos, self._allowed)
@@ -197,38 +216,55 @@ def parse_expr(text: str, allowed_vars) -> Expression:
 
 def pretty(expr: Expression) -> str:
     """Render with minimal parentheses; parse_expr(pretty(e)) rebuilds e."""
-    return _render(expr, 1)
+    return _render(expr, 1, _leaf_text)
 
 
-def _render(expr, context):
-    if isinstance(expr, Const):
-        return str(expr.value)
-    if isinstance(expr, Var):
-        return expr.name
+def _leaf_text(leaf):
+    return str(leaf.value) if isinstance(leaf, Const) else leaf.name
+
+
+def _render(expr, context, leaf_text):
+    """Text of expr in the precedence this language shares with Python
+    (unary minus > * > binary +/-, each left-associative); leaf_text gives
+    the text of a Const or a Var."""
+    if isinstance(expr, (Const, Var)):
+        return leaf_text(expr)
     if isinstance(expr, Add):
-        mine, text = 1, f"{_render(expr.left, 1)} + {_render(expr.right, 2)}"
+        mine, text = 1, f"{_render(expr.left, 1, leaf_text)} + {_render(expr.right, 2, leaf_text)}"
     elif isinstance(expr, Sub):
-        mine, text = 1, f"{_render(expr.left, 1)} - {_render(expr.right, 2)}"
+        mine, text = 1, f"{_render(expr.left, 1, leaf_text)} - {_render(expr.right, 2, leaf_text)}"
     elif isinstance(expr, Mul):
-        mine, text = 2, f"{_render(expr.left, 2)} * {_render(expr.right, 3)}"
+        mine, text = 2, f"{_render(expr.left, 2, leaf_text)} * {_render(expr.right, 3, leaf_text)}"
+    elif isinstance(expr, Neg):
+        mine, text = 3, f"-{_render(expr.operand, 3, leaf_text)}"
     else:
-        mine, text = 3, f"-{_render(expr.operand, 3)}"
+        raise TypeError(f"not an expression node: {expr!r}")
     return f"({text})" if mine < context else text
 
 
-def eval_expr(expr: Expression, env: Mapping[str, int]) -> int:
-    """Evaluate; env must bind every variable occurring in expr."""
-    if isinstance(expr, Const):
-        return expr.value
-    if isinstance(expr, Var):
-        return env[expr.name]
-    if isinstance(expr, Add):
-        return eval_expr(expr.left, env) + eval_expr(expr.right, env)
-    if isinstance(expr, Sub):
-        return eval_expr(expr.left, env) - eval_expr(expr.right, env)
-    if isinstance(expr, Mul):
-        return eval_expr(expr.left, env) * eval_expr(expr.right, env)
-    return -eval_expr(expr.operand, env)
+def _generate(expr: Expression):
+    """Compile expr to `lambda x, y=None: ...`.
+
+    Constants are bound as names c0, c1, ..., never rendered as literals, so
+    neither a digit limit nor foreign text reaches compile(). A variable
+    other than x and y and a constant that is not an int are refused first.
+    """
+    consts = {}
+
+    def leaf_text(leaf):
+        if isinstance(leaf, Var):
+            if leaf.name not in ("x", "y"):
+                raise ValueError(f"expression may only use x and y, found {leaf.name!r}")
+            return "x" if leaf.name == "x" else "y"   # only text written here
+        if type(leaf.value) is not int:
+            raise TypeError(f"constant must be an int, got {leaf.value!r}")
+        name = f"c{len(consts)}"
+        consts[name] = leaf.value
+        return name
+
+    text = _render(expr, 1, leaf_text)
+    return eval(compile(f"lambda x, y=None: {text}", "<expression>", "eval"),
+                {"__builtins__": {}, **consts})
 
 
 def variables(expr: Expression) -> frozenset:
@@ -292,11 +328,15 @@ class RecursionScheme:
     def __post_init__(self):
         check_variables(self.base, self.step)
 
-    def base_value(self, x: int) -> int:
-        return eval_expr(self.base, {"x": x})
+    @property
+    def base_value(self):
+        """b as a function of x, compiled once per expression node."""
+        return self.base.function
 
-    def step_value(self, x: int, y: int) -> int:
-        return eval_expr(self.step, {"x": x, "y": y})
+    @property
+    def step_value(self):
+        """h as a function of (x, y), compiled once per expression node."""
+        return self.step.function
 
 
 def make_scheme(delta: int, base: str, step: str) -> RecursionScheme:
@@ -313,16 +353,17 @@ def eval_recursive(scheme: RecursionScheme, x: int) -> int:
 
     Implemented as a descend-then-fold loop rather than call-stack recursion,
     so sweeps to large x cannot exhaust the stack; the value is identical to
-    the recursive definition (base at x <= 0, step above).
+    the recursive definition (base at x <= 0, step above). The descent is
+    range(x, 0, delta), the arguments above 0, and it ends at the first
+    value <= 0, which the base receives; the fold applies step to those
+    arguments from the last one back, through the compiled functions.
     """
-    pending = []
-    current = x
-    while current > 0:
-        pending.append(current)
-        current = scheme.pred.pred(current)
-    y = scheme.base_value(current)
-    while pending:
-        y = scheme.step_value(pending.pop(), y)
+    delta = scheme.pred.delta
+    descent = range(x, 0, delta)
+    step = scheme.step.function
+    y = scheme.base.function(x + len(descent) * delta)
+    for value in reversed(descent):
+        y = step(value, y)
     return y
 
 

@@ -38,6 +38,22 @@ def names_by_fields(block):
     return regs, written, ports, cells
 
 
+def eval_expr(expr, env):
+    """Reference interpreter: walk the expression tree; env binds its variables."""
+    kind = type(expr).__name__
+    if kind == "Const":
+        return expr.value
+    if kind == "Var":
+        return env[expr.name]
+    if kind == "Add":
+        return eval_expr(expr.left, env) + eval_expr(expr.right, env)
+    if kind == "Sub":
+        return eval_expr(expr.left, env) - eval_expr(expr.right, env)
+    if kind == "Mul":
+        return eval_expr(expr.left, env) * eval_expr(expr.right, env)
+    return -eval_expr(expr.operand, env)
+
+
 def unfold_arguments(delta, x0):
     """Descend x0 by delta until non-positive; return (base_arg, ascending h args)."""
     args = []

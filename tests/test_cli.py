@@ -9,7 +9,7 @@ import pytest
 import recsplit
 from recsplit import harness
 from recsplit.cli import main
-from recsplit.scheme import MAX_EXPR_DEPTH
+from recsplit.scheme import MAX_EXPR_DEPTH, eval_recursive, make_scheme
 
 SCHEME_FLAGS = ["--delta", "-1", "--base", "x", "--step", "x+y"]
 
@@ -33,6 +33,33 @@ def test_modes_agree(capsys):
                      "--input", "8", "--mode", mode]) == 0
         outputs.append(capsys.readouterr().out.splitlines()[0])
     assert len(set(outputs)) == 1
+
+
+def _decimal(value):
+    """str(value), past the interpreter's int/str digit limit if it has one."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        return str(value)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return str(value)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def test_huge_results_print(capsys):
+    # y = 3000 * y(2999) + 1 has more than 9000 digits, past CPython's 4300
+    flags = ["--delta", "-1", "--base", "x", "--step", "x*y+1"]
+    want = "y = " + _decimal(eval_recursive(make_scheme(-1, "x", "x*y+1"), 3000))
+    assert len(want) > 4300
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
+    for mode in ("recursive", "sequential", "split"):
+        assert main(["run", *flags, "--input", "3000", "--mode", mode]) == 0, mode
+        assert capsys.readouterr().out.splitlines()[0] == want, mode
+    assert main(["sweep", *flags, "--x-range", "3000:3000", "--delta-range", "-1:-1"]) == 0
+    assert "1 cases, 0 failures" in capsys.readouterr().out
+    if limit is not None:   # the limit is lifted for the command only
+        assert sys.get_int_max_str_digits() == limit
 
 
 def test_run_verbose_prints_residuals(capsys):

@@ -5,6 +5,7 @@ import time
 
 import pytest
 
+from recsplit import scheme as scheme_module
 from recsplit.chan import ChannelEvent
 from recsplit.harness import (
     DeadlockTimeout,
@@ -28,7 +29,7 @@ from recsplit.revir import (
     RevProgram,
     SwapCell,
 )
-from recsplit.scheme import NegativeInputError, eval_recursive, make_scheme
+from recsplit.scheme import NegativeInputError, eval_recursive, make_scheme, pretty
 
 from oracles import recursion_by_definition
 
@@ -57,6 +58,19 @@ def test_split_base_case():
     report = run_split(scheme, 0)
     assert report.y == scheme.base_value(0)
     assert report.emissions == [0, 0]
+
+
+def test_split_compiles_each_expression_once(monkeypatch):
+    generated = []
+    generate = scheme_module._generate
+    monkeypatch.setattr(scheme_module, "_generate", lambda expr: generated.append(expr) or generate(expr))
+    scheme = make_scheme(-2, "x+1", "x*y+1")
+    assert generated == []   # building a scheme compiles nothing
+    first = run_split(scheme, 9)
+    assert sorted(map(pretty, generated)) == ["x * y + 1", "x + 1"]
+    second = run_split(scheme, 9)
+    assert len(generated) == 2 and second.y == first.y
+    assert scheme.step.function is scheme.step.function
 
 
 def test_split_rejects_bad_arguments():

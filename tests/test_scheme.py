@@ -1,6 +1,9 @@
+import sys
+
 import pytest
 from hypothesis import given, strategies as st
 
+from recsplit import scheme as scheme_module
 from recsplit.scheme import (
     Add,
     Const,
@@ -14,7 +17,6 @@ from recsplit.scheme import (
     Sub,
     UndeclaredVariableError,
     Var,
-    eval_expr,
     eval_recursive,
     expected_emissions,
     load_scheme_file,
@@ -25,7 +27,7 @@ from recsplit.scheme import (
     variables,
 )
 
-from oracles import fold_plan, recursion_by_definition, unfold_arguments
+from oracles import eval_expr, fold_plan, recursion_by_definition, unfold_arguments
 
 
 # --- parsing ------------------------------------------------------------------
@@ -68,6 +70,14 @@ def test_syntax_error_reports_position():
     assert excinfo.value.position == 4
 
 
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no int/str digit limit")
+def test_parse_reports_overlong_literal_at_its_column():
+    digits = sys.get_int_max_str_digits() + 1
+    with pytest.raises(ExpressionSyntaxError) as excinfo:
+        parse_expr("x + " + "1" * digits, {"x"})
+    assert excinfo.value.position == 4
+
+
 # each shape of deep expression: text with n levels, and the column of the
 # level that crosses MAX_EXPR_DEPTH
 _DEEP_SHAPES = {
@@ -83,7 +93,7 @@ def test_parse_bounds_depth(shape, levels):
     if levels <= MAX_EXPR_DEPTH:
         expr = parse_expr(build(levels), {"x", "y"})
         # everything that walks the tree stays clear of the recursion limit
-        eval_expr(expr, {"x": 1, "y": 2})
+        assert expr.function(1, 2) == eval_expr(expr, {"x": 1, "y": 2})
         variables(expr)
         assert parse_expr(pretty(expr), {"x", "y"}) == expr
     else:
@@ -152,6 +162,50 @@ def test_pretty_examples():
     assert pretty(Mul(Add(Var("x"), Const(1)), Var("y"))) == "(x + 1) * y"
     assert pretty(Neg(Mul(Var("x"), Var("y")))) == "-(x * y)"
     assert pretty(Neg(Neg(Var("x")))) == "--x"
+
+
+# --- generated functions ----------------------------------------------------------
+
+# negative and positive, well past 64 bits
+_WIDE_INTS = st.integers(min_value=-(2**130), max_value=2**130)
+
+
+@given(expr=_expressions(), x=_WIDE_INTS, y=_WIDE_INTS)
+def test_generated_function_matches_interpreter(expr, x, y):
+    assert expr.function(x, y) == eval_expr(expr, {"x": x, "y": y})
+    if "y" not in variables(expr):
+        assert expr.function(x) == eval_expr(expr, {"x": x})
+
+
+@pytest.mark.parametrize(
+    "build",
+    [build for build, _ in _DEEP_SHAPES.values()]
+    + [lambda n: "x-(" * n + "y" + ")" * n, lambda n: "x*(" * n + "y" + ")" * n],
+)
+def test_generated_function_at_depth_bound(build):
+    expr = parse_expr(build(MAX_EXPR_DEPTH), {"x", "y"})
+    x, y = -(2**70) + 3, 2**65 + 1
+    assert expr.function(x, y) == eval_expr(expr, {"x": x, "y": y})
+
+
+@pytest.mark.parametrize(
+    "expr, error",
+    [
+        (Add(Var("x"), Var("__import__")), ValueError),
+        (Var("x; y"), ValueError),
+        (Const(1.5), TypeError),
+        (Const("1"), TypeError),
+        (Neg(Const(True)), TypeError),
+        (Mul(Var("x"), "y"), TypeError),
+    ],
+)
+def test_generator_refuses_before_compiling(monkeypatch, expr, error):
+    def refuse(*args):
+        raise AssertionError("compile() reached")
+
+    monkeypatch.setattr(scheme_module, "compile", refuse, raising=False)
+    with pytest.raises(error):
+        expr.function
 
 
 # --- predecessor --------------------------------------------------------------
