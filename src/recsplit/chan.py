@@ -1,7 +1,8 @@
 """Single-slot blocking rendezvous channels.
 
 Each channel holds at most one value and is shared by exactly two agents.
-Blocking here is indefinite; deadline handling belongs to the harness.
+A take blocks until it gets its token, unless its semaphore has a watch
+hook; deadline handling belongs to the harness, which sets that hook.
 
 One slot mechanism serves both channels: the slot is handed over with two
 counting semaphores, each an OS pipe in which a byte is a token. ``empty``
@@ -35,6 +36,14 @@ the semaphore's tokens given equal those taken, and never once the channel
 is closed. A marked op whose token is already given, or is taken but not
 yet unmarked, is not listed.
 
+A semaphore's ``watch`` hook, when set, is called as watch(ready) by a
+marked take that finds as many tokens taken as given, before it reads.
+ready(seconds) waits up to seconds with ``select.poll`` on the pipe's read
+end (POSIX) and says whether a token is there. The hook returns once one
+is, or raises to abandon the take, which then takes nothing. A take that
+finds a token pays one compare and no extra system call. The harness sets
+the hook on the producer's two takes, probe.put and inject.swap_in.
+
 close() gives one token to each semaphore, which wakes every waiter on a
 channel; a woken call gives its token back, so the next taker wakes too,
 and it and every later call raise ChannelClosed. The harness closes both
@@ -44,8 +53,12 @@ channels when a run ends, so no agent stays blocked after it.
 from __future__ import annotations
 
 import os
+import select
 from time import perf_counter_ns
 from typing import NamedTuple
+
+
+_POLL_MAX_S = (2**31 - 1) // 1000   # poll() takes a C int of milliseconds
 
 
 class ChannelClosed(Exception):
@@ -98,6 +111,7 @@ class _Tokens:
     """
 
     _read = None   # set once the pipe exists; until then __del__ closes nothing
+    watch = None   # called as watch(self.ready) by a take that finds no token
 
     def __init__(self, tokens: int):
         self._read, self._write = os.pipe()
@@ -112,9 +126,19 @@ class _Tokens:
 
     def take(self, op: str):
         self.waiter = op
+        if self.given == self.taken and self.watch is not None:
+            self.watch(self.ready)
         os.read(self._read, 1)
         self.waiter = None
         self.taken += 1
+
+    def ready(self, seconds: float) -> bool:
+        """Whether a token can be read within seconds, or within about 24
+        days if seconds is longer: the longest wait poll() takes."""
+        # poll, as select refuses descriptors from FD_SETSIZE (1024) on
+        poller = select.poll()
+        poller.register(self._read, select.POLLIN)
+        return bool(poller.poll(min(seconds, _POLL_MAX_S) * 1000))
 
     def __del__(self, close=os.close):
         # close is bound here, as the os global may be gone at interpreter shutdown

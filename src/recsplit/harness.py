@@ -1,17 +1,23 @@
 """Orchestration: split runs on live channels, deadlock watchdog, and the
 equivalence / reversibility / protocol check suites.
 
-A split run puts the compiled producer (under the IR interpreter, with its
-probe port and inject cell bound to real channels) on one thread and the
-classical consumer on another, and assembles a report. An agent that fails
-records its error and closes both channels, which wakes a blocked peer with
-ChannelClosed, so a failed run ends at once with the first error. Otherwise
-the main thread joins both threads until the run stalls: timeout seconds
-pass with no completed channel operation while every live agent waits on
-one. A computing agent never stalls, as every IR program and the fold end;
-the error says, from the channels, which operation each agent waits in.
-However the run ends, both channels are then closed and both threads joined
-with a bounded wait; only an interrupt while an agent computes leaves it behind.
+A split run runs the compiled producer (under the IR interpreter, with its
+probe port and inject cell bound to real channels) on the calling thread
+and the classical consumer on one new thread, and assembles a report. An
+agent that fails records its error and closes both channels, which wakes a
+blocked peer with ChannelClosed, so a failed run ends at once with the
+first error. The calling thread is also the watchdog, in the two places it
+can wait: in a producer take that finds no token, through the semaphore's
+watch hook, and in joining the consumer once the producer has ended. Both
+waits run one loop, which raises DeadlockTimeout when the run stalls:
+timeout seconds pass with no completed channel operation while every live
+agent waits on one. A computing agent never stalls, as every IR program and
+the fold end; the error says, from the channels, which operation each agent
+waits in. However the run ends, both channels are then closed and the
+consumer joined with a bounded wait. That holds for an interrupt too: on
+the main thread it lands in the producer or in one of the waits, and only
+a consumer that is still computing outlives the run, until its next
+channel operation raises ChannelClosed.
 """
 
 from __future__ import annotations
@@ -82,11 +88,13 @@ def run_split(
     timeout: float = DEFAULT_TIMEOUT,
     program: RevProgram | None = None,
 ) -> RunReport:
-    """Run producer and consumer as two threads over a fresh channel pair.
+    """Run the producer on the calling thread and the consumer on a new one.
 
-    Joins both until they end or stall (timeout seconds with no completed
-    channel operation and every live agent waiting on one), asserts the
-    consumer's result against the recursive value, and returns the full
+    The calling thread is also the watchdog: it watches while the producer
+    waits for a token and, once the producer has ended, while it joins the
+    consumer. The run stalls when timeout seconds pass with no completed
+    channel operation and every live agent waiting on one. Asserts the
+    consumer's result against the recursive value and returns the full
     report. The optional program argument substitutes the producer program
     (fault-injection hooks for tests); by default the scheme is compiled.
     """
@@ -99,57 +107,70 @@ def run_split(
     probe = ProbeChannel(trace)
     inject = InjectChannel(trace)
     results = {}
-    # shared by both workers and the watchdog; the first one is the run's error
+    # shared by both agents; the first one is the run's error
     errors = []
 
     def close_channels():
         probe.close()
         inject.close()
 
-    mains = {
-        "producer": lambda: run(program, Store(), sinks={"probe": probe.put}, cells={"inject": inject}),
-        "consumer": lambda: run_consumer(ConsumerConfig.from_scheme(scheme, x0), inject, probe),
-    }
-
-    def worker(agent):
+    def consume():
         try:
-            results[agent] = mains[agent]()
+            results["consumer"] = run_consumer(ConsumerConfig.from_scheme(scheme, x0), inject, probe)
         except BaseException as exc:
-            # a failed agent can never unblock its peer: closing wakes it,
-            # and its ChannelClosed lands after this error
+            # a failed consumer can never unblock the producer: closing wakes
+            # it, and its ChannelClosed lands after this error
             errors.append(exc)
             close_channels()
 
-    started = time.perf_counter()
-    threads = {agent: threading.Thread(target=worker, args=(agent,), daemon=True) for agent in mains}
-    for thread in threads.values():
-        thread.start()
+    consumer = threading.Thread(target=consume, daemon=True)
 
-    stall = None
+    def stall(latest):
+        """What each agent waits in, if the run has stalled since latest, else None."""
+        running = {"producer": "producer" not in results, "consumer": consumer.is_alive()}
+        live = {agent for agent, alive in running.items() if alive}
+        blocked = {_AGENT_BY_OP[key]: ".".join(key) for key in probe.waiting() + inject.waiting()}
+        # a record since latest may have woken an agent still marked waiting
+        if live and blocked.keys() >= live and trace.latest_ns == latest:
+            return "; ".join(f"{agent} blocked in {blocked[agent]}" if agent in live
+                             else f"{agent} finished" for agent in running)
+        return None
+
+    def watch(ready):
+        """Return once ready(seconds) is true; raise DeadlockTimeout if the run stalls first."""
+        # re-arm after every completed channel operation, and while an agent computes
+        while True:
+            latest = trace.latest_ns
+            idle = (time.perf_counter_ns() - latest) / 1e9
+            if idle >= timeout:
+                blocked = stall(latest)
+                if blocked:
+                    raise DeadlockTimeout(f"no channel operation completed for {timeout}s: {blocked}")
+                idle = 0
+            if ready(timeout - idle):
+                return
+
+    def joined(seconds):
+        consumer.join(seconds)
+        return not consumer.is_alive()
+
+    started = time.perf_counter()
+    consumer.start()
+    # the producer's takes: probe.put and inject.swap_in
+    probe._empty.watch = inject._full.watch = watch
     try:
-        for thread in threads.values():
-            # re-arm after every completed channel operation, and while an agent computes
-            while stall is None and thread.is_alive():
-                latest = trace.latest_ns
-                idle = (time.perf_counter_ns() - latest) / 1e9
-                if idle >= timeout:
-                    live = {agent for agent, peer in threads.items() if peer.is_alive()}
-                    blocked = {_AGENT_BY_OP[key]: ".".join(key) for key in probe.waiting() + inject.waiting()}
-                    # a record since latest may have woken an agent still marked waiting
-                    if live and blocked.keys() >= live and trace.latest_ns == latest:
-                        stall = "; ".join(f"{agent} blocked in {blocked[agent]}" if agent in live
-                                          else f"{agent} finished" for agent in threads)
-                        break
-                    idle = 0
-                thread.join(timeout - idle)
+        try:
+            results["producer"] = run(program, Store(), sinks={"probe": probe.put}, cells={"inject": inject})
+            watch(joined)
+        except Exception as exc:
+            errors.append(exc)
         wall_time = time.perf_counter() - started
-        # settle the outcome before closing, which fails blocked agents with ChannelClosed
-        if stall and not errors:
-            errors.append(DeadlockTimeout(f"no channel operation completed for {timeout}s: {stall}"))
     finally:
+        # the hooks close over the channels: left set, they would keep the
+        # pipes open until a cyclic GC
+        probe._empty.watch = inject._full.watch = None
         close_channels()
-        for thread in threads.values():
-            thread.join(JOIN_TIMEOUT)
+        consumer.join(JOIN_TIMEOUT)
     if errors:
         try:
             raise errors[0]
@@ -337,7 +358,7 @@ class SweepReport(CaseReport):
         lines = [header, "-" * len(header)]
         for case in self.cases:
             if case.ok:
-                detail = f"y = {_clip(str(case.split_y))}"
+                detail = f"y = {_show(case.split_y)}"
             elif case.error is not None:
                 detail = case.error
             else:
@@ -350,7 +371,22 @@ class SweepReport(CaseReport):
         return "\n".join(lines)
 
 
-def _clip(text, width=32):
+# a y this large has more digits than str() converts by default (4300), and
+# converting it costs time quadratic in its length: the table shows its digit count
+_SHOWN_BELOW = 10 ** 4300
+
+
+def _show(y: int, width: int = 32) -> str:
+    """y in decimal clipped to width characters, or, past _SHOWN_BELOW, its digit count."""
+    magnitude = abs(y)
+    if magnitude >= _SHOWN_BELOW:
+        # 1 + (bits - 1) * log10(2), rounded down with a factor just under
+        # log10(2), is at most the digit count
+        digits = 1 + (magnitude.bit_length() - 1) * 3010299956 // 10**10
+        while magnitude >= 10 ** digits:
+            digits += 1
+        return f"{'-' if y < 0 else ''}<{digits} digits>"
+    text = str(y)
     return text if len(text) <= width else text[: width - 3] + "..."
 
 

@@ -246,6 +246,25 @@ def test_waiting_lists_a_blocked_get_until_close():
     assert probe.waiting() == []
 
 
+def test_watch_hook_runs_only_for_a_take_without_a_token():
+    probe = ProbeChannel()
+    seen = []
+
+    def watch(ready):
+        seen.append(ready(0.01))    # no get yet: times out
+        seen.append(probe.get())    # gives the token the put waits for
+        seen.append(ready(threading.TIMEOUT_MAX))   # the token is there: at once
+
+    probe._empty.watch = watch
+    probe.put(1)                    # the slot starts empty: a token is there
+    assert seen == []
+    thread, _ = spawn(probe.put, 2)
+    thread.join(JOIN_TIMEOUT)
+    assert not thread.is_alive()
+    assert seen == [False, 1, True]
+    assert probe.get() == 2
+
+
 # --- event log -------------------------------------------------------------------
 
 def test_event_log_records_completed_protocol():

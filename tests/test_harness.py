@@ -1,10 +1,13 @@
 import json
 import os
+import resource
+import sys
 import threading
 import time
 
 import pytest
 
+from recsplit import harness
 from recsplit import scheme as scheme_module
 from recsplit.chan import ChannelEvent
 from recsplit.harness import (
@@ -85,9 +88,9 @@ def test_split_rejects_bad_arguments():
 def test_slow_run_is_not_a_stall():
     # the timeout bounds the time between completed channel operations, not
     # the whole run, which outlives it here
-    report = run_split(make_scheme(-1, "x", "x+y"), 20000, timeout=0.25)
+    report = run_split(make_scheme(-1, "x", "x+y"), 20000, timeout=0.05)
     assert report.y == 200010000
-    assert report.wall_time > 0.25
+    assert report.wall_time > 0.05
 
 
 def test_sub_millisecond_timeout_is_not_a_stall():
@@ -135,6 +138,58 @@ def test_split_trace_jsonl(tmp_path):
     assert producer_ops == {"probe.put", "inject.swap_in", "inject.swap_out"}
 
 
+def test_split_starts_one_thread(monkeypatch):
+    started = []
+
+    class CountingThread(threading.Thread):
+        def start(self):
+            started.append(self)
+            super().start()
+
+    monkeypatch.setattr(threading, "Thread", CountingThread)
+    assert run_split(make_scheme(-1, "x", "x+y"), 3).y == 6
+    assert len(started) == 1
+
+
+def test_producer_runs_on_the_calling_thread(monkeypatch):
+    idents = []
+    run = harness.run
+
+    def recording_run(*args, **kwargs):
+        idents.append(threading.get_ident())
+        return run(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "run", recording_run)
+    assert run_split(make_scheme(-1, "x", "x+y"), 3).y == 6
+    assert idents == [threading.get_ident()]
+
+
+def test_concurrent_split_runs_under_preemption():
+    # more runs than cores, each producer on its own calling thread and
+    # watching its own takes, with a switch interval short enough to preempt
+    # between any two bytecodes
+    scheme = make_scheme(-2, "x", "x+y")
+    inputs = range(200, 206)
+    outcomes = {}
+
+    def one(x0):
+        report = run_split(scheme, x0)
+        outcomes[x0] = (report.y, channel_protocol_problems(report.channel_log))
+
+    threads = [threading.Thread(target=one, args=(x0,), daemon=True) for x0 in inputs]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(30.0)
+            assert not thread.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+    assert outcomes == {x0: (eval_recursive(scheme, x0), []) for x0 in inputs}
+
+
 # --- fault injection ---------------------------------------------------------------
 
 def _silent_producer():
@@ -162,9 +217,14 @@ def test_deadlock_reports_starved_consumer():
 
 
 def test_deadlock_reports_stuck_producer():
+    # the calling thread itself waits in probe.put and sees the stall there
     scheme = make_scheme(-1, "x", "x+y")
+    before = threading.active_count()
+    started = time.perf_counter()
     with pytest.raises(DeadlockTimeout, match="producer blocked in probe.put; consumer finished"):
         run_split(scheme, 3, timeout=0.2, program=_chatty_producer())
+    assert time.perf_counter() - started < 0.2 + 1.0
+    assert threading.active_count() == before
 
 
 def test_result_mismatch_is_raised():
@@ -235,15 +295,36 @@ def test_runs_close_their_pipes_without_a_gc():
 
     scheme = make_scheme(-1, "x", "x+y")
     start = peak = open_fds()
+    # stalls in the consumer's wait and in the producer's own
+    stalling = (_silent_producer, _chatty_producer)
     for index in range(300):
         if index % 2:
             with pytest.raises(DeadlockTimeout):
-                run_split(scheme, 3, timeout=0.002, program=_silent_producer())
+                run_split(scheme, 3, timeout=0.002, program=stalling[index // 2 % 2]())
         else:
             run_split(scheme, 3)
         peak = max(peak, open_fds())
     assert peak - start <= 8
     assert open_fds() == start
+
+
+def test_producer_waits_on_descriptors_past_select_limit():
+    # select() refuses descriptors from FD_SETSIZE (1024 on Linux) on; the
+    # stall makes the producer wait on pipes numbered past that
+    soft, hard = resource.getrlimit(resource.RLIMIT_NOFILE)
+    if hard != resource.RLIM_INFINITY and hard < 1200:
+        pytest.skip(f"needs 1200 open files, the hard limit is {hard}")
+    resource.setrlimit(resource.RLIMIT_NOFILE, (max(soft, 1200), hard))
+    fillers = []
+    try:
+        for _ in range(1100):
+            fillers.append(os.open(os.devnull, os.O_RDONLY))
+        with pytest.raises(DeadlockTimeout, match="producer blocked in probe.put"):
+            run_split(make_scheme(-1, "x", "x+y"), 3, timeout=0.05, program=_chatty_producer())
+    finally:
+        for fd in fillers:
+            os.close(fd)
+        resource.setrlimit(resource.RLIMIT_NOFILE, (soft, hard))
 
 
 # --- reversibility checks --------------------------------------------------------------
@@ -343,6 +424,15 @@ def test_sweep_table_format():
     table = report.format_table()
     assert "3 cases, 0 failures" in table
     assert table.count("yes") == 3
+
+
+def test_sweep_table_shows_huge_y_as_its_digit_count():
+    # str() of the last two would pass the interpreter's 4300-digit limit
+    widest = 10 ** 4300
+    cases = [SweepCase(base="x", step="x*y+1", delta=-1, x0=0, split_y=y)
+             for y in (widest - 1, widest, -widest * 10 ** 700)]
+    details = [line.split("yes  ")[1] for line in SweepReport(cases).format_table().splitlines()[2:5]]
+    assert details == ["y = " + "9" * 29 + "...", "y = <4301 digits>", "y = -<5001 digits>"]
 
 
 def test_sweep_report_accounts_failures():
