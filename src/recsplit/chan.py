@@ -1,7 +1,10 @@
 """Single-slot blocking rendezvous channels.
 
 Each channel holds at most one value and is shared by exactly two agents.
-A take blocks until it gets its token, unless its semaphore has a watch
+PROTOCOL is their protocol, written down once: per channel and op, the
+agent that performs the op, the slot state it needs and the state it
+leaves. A slot starts in START; a completed run leaves it in FINAL. A
+take blocks until it gets its token, unless its semaphore has a watch
 hook; deadline handling belongs to the harness, which sets that hook.
 
 One slot mechanism serves both channels: the slot is handed over with two
@@ -9,11 +12,11 @@ counting semaphores, each an OS pipe in which a byte is a token. ``empty``
 holds a token while the slot may be written and starts with one; ``full``
 holds one while the slot holds a value for the peer and starts with none.
 A put takes ``empty`` and gives ``full``, on either channel. A probe get
-takes ``full`` and gives ``empty``, so puts and gets strictly alternate
-without a condition variable. An inject swap_in takes ``full`` and gives
-nothing back, so the slot stays closed; swap_out then gives ``empty`` and
-the slot is open again. The inject channel is itself the producer's cell:
-its swap() runs swap_in on the first call and swap_out on the second.
+takes ``full`` and gives ``empty``; an inject swap_in takes ``full`` and
+gives nothing back, and swap_out gives ``empty``. So an op gets its token
+once its slot is in the state it needs, without a condition variable. The
+inject channel is itself the producer's cell: its swap() runs swap_out
+while a swap_in holds the slot, and swap_in otherwise.
 
 CPython releases the GIL inside the write that gives a token and the read
 that takes one, so the woken peer finds the GIL free and runs at once. A
@@ -23,26 +26,23 @@ against 2.0 here. The pipes are closed when the channel is freed; a
 blocked call's frame holds its channel, so they outlive every call.
 
 An optional shared EventLog receives one record per *completed* operation.
-Each record is appended while the operation still holds the slot: after a
-put stores its value and before it gives ``full``, after a get or a swap
-reads the value and before it gives ``empty`` (a swap_in gives nothing).
+An op sets its slot's state and appends its record while it still holds
+the slot: before it gives a token, or, for swap_in, before it returns.
 The peer cannot complete its next operation before that, so the log order
 is the true completion order. An event's ``seq`` is its index in the log.
 The watchdog reads the log's ``latest_ns`` (the perf_counter_ns() of its
 latest record, at first of its creation) and each channel's waiting() ops.
-A take marks its op on the semaphore (each has one possible taker) and
-waits only while it has no token: an op is listed while it is marked and
-the semaphore's tokens given equal those taken, and never once the channel
-is closed. A marked op whose token is already given, or is taken but not
-yet unmarked, is not listed.
+A take marks its op on its semaphore (each has one possible taker), and
+waiting() lists a marked op while the slot is not in the state the op
+needs, and never once the channel is closed.
 
 A semaphore's ``watch`` hook, when set, is called as watch(ready) by a
-marked take that finds as many tokens taken as given, before it reads.
+marked take whose slot is not in the state it needs, before it reads.
 ready(seconds) waits up to seconds with ``select.poll`` on the pipe's read
 end (POSIX) and says whether a token is there. The hook returns once one
-is, or raises to abandon the take, which then takes nothing. A take that
-finds a token pays one compare and no extra system call. The harness sets
-the hook on the producer's two takes, probe.put and inject.swap_in.
+is, or raises to abandon the take, which then takes nothing. Any other
+take pays one compare and no extra system call. The harness sets the
+hook on the producer's two takes, probe.put and inject.swap_in.
 
 close() gives one token to each semaphore, which wakes every waiter on a
 channel; a woken call gives its token back, so the next taker wakes too,
@@ -59,6 +59,20 @@ from typing import NamedTuple
 
 
 _POLL_MAX_S = (2**31 - 1) // 1000   # poll() takes a C int of milliseconds
+
+
+# a row of PROTOCOL: the agent that performs an op, the state it needs, the state it leaves
+Step = NamedTuple("Step", [("agent", str), ("before", str), ("after", str)])
+
+PROTOCOL = {
+    "probe": {"put": Step("producer", "empty", "full"),
+              "get": Step("consumer", "full", "empty")},
+    "inject": {"put": Step("consumer", "empty", "full"),
+               "swap_in": Step("producer", "full", "held"),
+               "swap_out": Step("producer", "held", "done")},
+}
+START = "empty"
+FINAL = {"probe": "empty", "inject": "done"}
 
 
 class ChannelClosed(Exception):
@@ -102,35 +116,19 @@ class EventLog:
 
 
 class _Tokens:
-    """A counting semaphore on an OS pipe: each byte in the pipe is a token.
-
-    While the channel is open each count has one writer. given is bumped
-    before the write, so a token in flight is already counted, and taken
-    after the taker's mark is cleared, so a marked op with given == taken
-    has no token to take: it waits, or is about to.
-    """
+    """A counting semaphore on an OS pipe: each byte in the pipe is a token."""
 
     _read = None   # set once the pipe exists; until then __del__ closes nothing
-    watch = None   # called as watch(self.ready) by a take that finds no token
+    watch = None   # called as watch(self.ready) by a take whose slot is not ready
 
     def __init__(self, tokens: int):
         self._read, self._write = os.pipe()
-        self.given = self.taken = 0
         self.waiter = None   # the op marked as taking a token
         for _ in range(tokens):
             self.give()
 
     def give(self):
-        self.given += 1
         os.write(self._write, b"\0")
-
-    def take(self, op: str):
-        self.waiter = op
-        if self.given == self.taken and self.watch is not None:
-            self.watch(self.ready)
-        os.read(self._read, 1)
-        self.waiter = None
-        self.taken += 1
 
     def ready(self, seconds: float) -> bool:
         """Whether a token can be read within seconds, or within about 24
@@ -150,7 +148,8 @@ class _Tokens:
 class _Slot:
     """The token-handoff slot both channels share, with its put and close."""
 
-    _name = ""
+    _name = ""    # the channel's key in PROTOCOL, and in its events
+    _steps = {}   # PROTOCOL[_name]; each channel sets both
 
     def __init__(self, trace: EventLog | None = None):
         self._empty = _Tokens(1)
@@ -158,27 +157,38 @@ class _Slot:
         self._slot = 0
         self._closed = False
         self._trace = trace
+        self.state = START   # the state the last completed op left
 
     def _take(self, tokens: _Tokens, op: str):
         """Take a token for op, or raise ChannelClosed once the channel is closed."""
-        tokens.take(op)
+        tokens.waiter = op
+        if tokens.watch is not None and self.state != self._steps[op].before:
+            tokens.watch(tokens.ready)
+        os.read(tokens._read, 1)
+        tokens.waiter = None
         if self._closed:
             tokens.give()         # so the next taker wakes too
             raise ChannelClosed(f"{self._name}.{op} on a closed channel")
 
+    def _done(self, op: str, value: int):
+        """Enter op's after state and record op with value; before op gives a token."""
+        self.state = self._steps[op].after
+        if self._trace is not None:
+            self._trace.record(self._name, op, value)
+
     def put(self, value: int):
         self._take(self._empty, "put")
         self._slot = value
-        if self._trace is not None:
-            self._trace.record(self._name, "put", value)
+        self._done("put", value)
         self._full.give()
 
     def waiting(self) -> list:
         """(channel, op) of each operation waiting for a token of this slot now."""
-        if self._closed:          # close() gives from a second thread, so counts may race
+        if self._closed:          # close() gives tokens but leaves the state as it was
             return []
-        return [(self._name, tokens.waiter) for tokens in (self._empty, self._full)
-                if tokens.waiter and tokens.given == tokens.taken]
+        # each waiter is read once: its take may clear it meanwhile
+        return [(self._name, op) for op in (self._empty.waiter, self._full.waiter)
+                if op and self.state != self._steps[op].before]
 
     def close(self):
         self._closed = True
@@ -189,19 +199,18 @@ class _Slot:
 class ProbeChannel(_Slot):
     """Carries produced values to the consumer, one at a time.
 
-    put blocks while the previous value is still unconsumed; get blocks until
-    a value is available. In any completed run the puts and gets strictly
-    alternate, starting with a put, and every value is delivered exactly once
-    in order.
+    Its protocol is PROTOCOL["probe"]: put blocks while the previous value
+    is still unconsumed, get blocks until a value is available, and every
+    value is delivered exactly once in order.
     """
 
     _name = "probe"
+    _steps = PROTOCOL[_name]
 
     def get(self) -> int:
         self._take(self._full, "get")
         value = self._slot
-        if self._trace is not None:
-            self._trace.record("probe", "get", value)
+        self._done("get", value)
         self._empty.give()
         return value
 
@@ -209,26 +218,24 @@ class ProbeChannel(_Slot):
 class InjectChannel(_Slot):
     """Carries the input to the producer and the producer's leftover back out.
 
-    put stores a value once the slot is open and closes it. swap_in waits for
-    a stored value and trades it for the caller's, leaving the slot closed.
-    swap_out trades unconditionally and reopens the slot. swap alternates
-    the two, which makes the channel the producer's inject cell.
+    Its protocol is PROTOCOL["inject"]. swap_in waits for a put value and
+    trades it for the caller's; swap_out trades without waiting and reopens
+    the slot. swap runs whichever of the two is next, which makes the
+    channel the producer's inject cell.
     """
 
     _name = "inject"
-    _swapped_in = False   # only the producer's thread reads or flips it
+    _steps = PROTOCOL[_name]
 
     def swap(self, value: int) -> int:
-        """swap_in on the first call, swap_out on the second, and so on."""
-        out = (self.swap_out if self._swapped_in else self.swap_in)(value)
-        self._swapped_in = not self._swapped_in
-        return out
+        """swap_out while a swap_in holds the slot, else swap_in."""
+        held = self.state == self._steps["swap_out"].before
+        return (self.swap_out if held else self.swap_in)(value)
 
     def swap_in(self, value: int) -> int:
         self._take(self._full, "swap_in")
         out, self._slot = self._slot, value
-        if self._trace is not None:
-            self._trace.record("inject", "swap_in", out)
+        self._done("swap_in", out)
         # gives nothing back: empty stays taken by put, full by this call
         return out
 
@@ -236,8 +243,7 @@ class InjectChannel(_Slot):
         if self._closed:
             raise ChannelClosed("inject.swap_out on a closed channel")
         out, self._slot = self._slot, value
-        if self._trace is not None:
-            self._trace.record("inject", "swap_out", value)
+        self._done("swap_out", value)
         self._empty.give()
         return out
 

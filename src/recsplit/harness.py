@@ -28,7 +28,7 @@ import threading
 import time
 from dataclasses import dataclass, field
 
-from .chan import EventLog, InjectChannel, ProbeChannel
+from .chan import FINAL, PROTOCOL, START, EventLog, InjectChannel, ProbeChannel
 from .consumer import ConsumerConfig, run_consumer
 from .producer import (
     ResidualReport,
@@ -129,7 +129,7 @@ def run_split(
         """What each agent waits in, if the run has stalled since latest, else None."""
         running = {"producer": "producer" not in results, "consumer": consumer.is_alive()}
         live = {agent for agent, alive in running.items() if alive}
-        blocked = {_AGENT_BY_OP[key]: ".".join(key) for key in probe.waiting() + inject.waiting()}
+        blocked = {PROTOCOL[name][op].agent: f"{name}.{op}" for name, op in probe.waiting() + inject.waiting()}
         # a record since latest may have woken an agent still marked waiting
         if live and blocked.keys() >= live and trace.latest_ns == latest:
             return "; ".join(f"{agent} blocked in {blocked[agent]}" if agent in live
@@ -281,39 +281,30 @@ def random_preloads(program: RevProgram, count: int, seed: int):
 def channel_protocol_problems(events) -> list:
     """Violations of the rendezvous protocol in a completed run's log.
 
-    Probe traffic must strictly alternate put/get starting with a put, with
-    every get returning the value of the put just before it; inject traffic
-    must be exactly put, swap_in, swap_out.
+    Replays each channel's events through its chan.PROTOCOL table from
+    chan.START. The first op the table does not allow ends the replay; a
+    full replay must end in chan.FINAL. The table cannot hold one rule: a
+    take from the state a put leaves returns the put's value. Each event on
+    a channel the table does not have is reported too.
     """
-    problems = []
-    probe = [e for e in events if e.channel == "probe"]
-    if len(probe) % 2 != 0:
-        problems.append(f"probe log has odd length {len(probe)}")
-    last_put = None
-    for index, event in enumerate(probe):
-        expected_op = "put" if index % 2 == 0 else "get"
-        if event.op != expected_op:
-            problems.append(f"probe event {index} is {event.op}, expected {expected_op}")
-            break
-        if event.op == "put":
-            last_put = event.value
-        elif event.value != last_put:
-            problems.append(
-                f"probe event {index} got {event.value}, last put was {last_put}"
-            )
-    inject_ops = [e.op for e in events if e.channel == "inject"]
-    if inject_ops != ["put", "swap_in", "swap_out"]:
-        problems.append(f"inject ops {inject_ops} != ['put', 'swap_in', 'swap_out']")
+    problems = [f"event {e.seq} is on unknown channel {e.channel}"
+                for e in events if e.channel not in PROTOCOL]
+    for channel, steps in PROTOCOL.items():
+        # the op before a take from the state a put leaves is that put
+        filled, state, previous = steps["put"].after, START, None
+        for index, (_, _, op, value) in enumerate([e for e in events if e.channel == channel]):
+            step = steps.get(op)
+            if step is None or step.before != state:
+                allowed = " or ".join(name for name, row in steps.items() if row.before == state)
+                problems.append(f"{channel} event {index} is {op}, expected {allowed or 'no op'}")
+                break
+            if state == filled and value != previous:
+                problems.append(f"{channel} event {index} got {value}, last put was {previous}")
+            state, previous = step.after, value
+        else:
+            if state != FINAL[channel]:
+                problems.append(f"{channel} ops end in {state}, expected {FINAL[channel]}")
     return problems
-
-
-_AGENT_BY_OP = {
-    ("probe", "put"): "producer",
-    ("probe", "get"): "consumer",
-    ("inject", "put"): "consumer",
-    ("inject", "swap_in"): "producer",
-    ("inject", "swap_out"): "producer",
-}
 
 
 def write_trace_jsonl(events, handle):
@@ -321,7 +312,7 @@ def write_trace_jsonl(events, handle):
     for event in events:
         record = {
             "seq": event.seq,
-            "agent": _AGENT_BY_OP[event.channel, event.op],
+            "agent": PROTOCOL[event.channel][event.op].agent,
             "op": f"{event.channel}.{event.op}",
             "value": event.value,
         }

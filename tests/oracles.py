@@ -151,3 +151,35 @@ def producer_by_loop(delta, x0):
         "predDivX": pdx, "predNotDivX": pndx,
     }
     return emitted, registers, cell
+
+
+def protocol_problems_by_sequence(events):
+    """Reference protocol check, written as the literal op sequences.
+
+    Probe traffic must strictly alternate put/get starting with a put, with
+    every get returning the value of the put just before it; inject traffic
+    must be exactly put, swap_in, swap_out, with swap_in returning the put's
+    value. No other channel may carry events.
+    """
+    problems = []
+    probe = [e for e in events if e.channel == "probe"]
+    if len(probe) % 2 != 0:
+        problems.append(f"probe log has odd length {len(probe)}")
+    last_put = None
+    for index, event in enumerate(probe):
+        expected_op = "put" if index % 2 == 0 else "get"
+        if event.op != expected_op:
+            problems.append(f"probe event {index} is {event.op}, expected {expected_op}")
+            break
+        if event.op == "put":
+            last_put = event.value
+        elif event.value != last_put:
+            problems.append(f"probe event {index} got {event.value}, last put was {last_put}")
+    inject = [e for e in events if e.channel == "inject"]
+    if [e.op for e in inject] != ["put", "swap_in", "swap_out"]:
+        problems.append(f"inject ops {[e.op for e in inject]} != ['put', 'swap_in', 'swap_out']")
+    elif inject[1].value != inject[0].value:
+        problems.append(f"inject swap_in got {inject[1].value}, last put was {inject[0].value}")
+    problems.extend(f"event {e.seq} on unknown channel {e.channel}"
+                    for e in events if e.channel not in ("probe", "inject"))
+    return problems

@@ -4,7 +4,7 @@ import time
 
 import pytest
 
-from recsplit.chan import ChannelClosed, EventLog, InjectChannel, ProbeChannel
+from recsplit.chan import PROTOCOL, START, ChannelClosed, EventLog, InjectChannel, ProbeChannel
 from recsplit.scheme import expected_emissions, make_scheme
 
 JOIN_TIMEOUT = 5.0
@@ -263,6 +263,55 @@ def test_watch_hook_runs_only_for_a_take_without_a_token():
     assert not thread.is_alive()
     assert seen == [False, 1, True]
     assert probe.get() == 2
+
+
+# --- protocol table --------------------------------------------------------------
+
+class Watched(Exception):
+    pass
+
+
+def raise_watched(ready):
+    raise Watched
+
+
+def call(channel, op):
+    return channel.get() if op == "get" else getattr(channel, op)(0)
+
+
+def reachable(steps):
+    """{state: the ops that lead there from START} for each state the table reaches."""
+    paths, pending = {START: []}, [START]
+    while pending:
+        state = pending.pop()
+        for op, step in steps.items():
+            if step.before == state and step.after not in paths:
+                paths[step.after] = paths[state] + [op]
+                pending.append(step.after)
+    return paths
+
+
+@pytest.mark.parametrize("name, make", [("probe", ProbeChannel), ("inject", InjectChannel)])
+def test_protocol_table_is_what_the_channel_does(name, make):
+    steps = PROTOCOL[name]
+    paths = reachable(steps)
+    # every state the table names is reachable from START
+    assert set(paths) == {state for step in steps.values() for state in (step.before, step.after)}
+    for state, path in paths.items():
+        for op, step in steps.items():
+            channel = make()
+            channel._empty.watch = channel._full.watch = raise_watched
+            for earlier in path:
+                call(channel, earlier)
+            assert channel.state == state
+            if step.before == state:
+                call(channel, op)          # its token is there: no hook, no wait
+                assert channel.state == step.after
+            elif op != "swap_out":         # the one op that takes no token
+                with pytest.raises(Watched):
+                    call(channel, op)
+                assert channel.state == state
+                assert channel.waiting() == [(name, op)]
 
 
 # --- event log -------------------------------------------------------------------

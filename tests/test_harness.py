@@ -1,3 +1,4 @@
+import functools
 import json
 import os
 import resource
@@ -6,6 +7,7 @@ import threading
 import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from recsplit import harness
 from recsplit import scheme as scheme_module
@@ -34,7 +36,7 @@ from recsplit.revir import (
 )
 from recsplit.scheme import NegativeInputError, eval_recursive, make_scheme, pretty
 
-from oracles import recursion_by_definition
+from oracles import protocol_problems_by_sequence, recursion_by_definition
 
 
 # --- split runs -----------------------------------------------------------------
@@ -400,6 +402,71 @@ def test_protocol_checker_rejects_missing_swap_out():
         _event(1, "inject", "swap_in", 3),
     ]
     assert any("inject ops" in p for p in channel_protocol_problems(events))
+
+
+def test_protocol_checker_rejects_inject_value_loss():
+    events = [
+        _event(0, "inject", "put", 3),
+        _event(1, "inject", "swap_in", 4),
+        _event(2, "probe", "put", 1),
+        _event(3, "probe", "get", 1),
+        _event(4, "inject", "swap_out", 5),
+    ]
+    assert any("last put" in p for p in channel_protocol_problems(events))
+
+
+def test_protocol_checker_rejects_unknown_channels_and_ops():
+    valid = [
+        _event(0, "inject", "put", 3),
+        _event(1, "inject", "swap_in", 3),
+        _event(2, "probe", "put", 1),
+        _event(3, "probe", "get", 1),
+        _event(4, "inject", "swap_out", 5),
+    ]
+    assert channel_protocol_problems(valid + [_event(5, "bogus", "put", 0)]) == [
+        "event 5 is on unknown channel bogus"
+    ]
+    assert channel_protocol_problems(valid + [_event(5, "probe", "peek", 0)]) == [
+        "probe event 2 is peek, expected put"
+    ]
+    assert channel_protocol_problems(valid[1:]) == ["inject event 0 is swap_in, expected put"]
+
+
+@functools.lru_cache(maxsize=None)
+def _real_logs():
+    return [run_split(make_scheme(delta, "x", "x+y"), x0).channel_log
+            for delta in (-3, -2, -1) for x0 in (0, 1, 2, 4)]
+
+
+_EDITS = ("delete", "duplicate", "swap", "value", "seq")
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), kind=st.sampled_from(_EDITS), change=st.integers(-3, 3).filter(bool))
+def test_protocol_checker_reports_edited_logs(data, kind, change):
+    log = data.draw(st.sampled_from(_real_logs()))
+    assert channel_protocol_problems(log) == protocol_problems_by_sequence(log) == []
+    index = data.draw(st.integers(0, len(log) - (2 if kind == "swap" else 1)))
+    edited, event = list(log), log[index]
+    if kind == "delete":
+        del edited[index]
+    elif kind == "duplicate":
+        edited.insert(index, event)
+    elif kind == "swap":
+        edited[index : index + 2] = [log[index + 1], event]
+    elif kind == "value":
+        edited[index] = event._replace(value=event.value + change)
+    else:
+        edited[index] = event._replace(seq=event.seq + change)
+    accepted = not channel_protocol_problems(edited)
+    assert accepted == (not protocol_problems_by_sequence(edited))
+    # the edits that leave a valid trace: the checks read neither seq, nor
+    # the order across channels, nor what swap_out leaves in the slot
+    assert accepted == (
+        kind == "seq"
+        or (kind == "swap" and event.channel != log[index + 1].channel)
+        or (kind == "value" and (event.channel, event.op) == ("inject", "swap_out"))
+    )
 
 
 # --- sweeps -----------------------------------------------------------------------------------
