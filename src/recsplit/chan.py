@@ -1,20 +1,21 @@
 """Single-slot blocking rendezvous channels.
 
 Each channel holds at most one value and is shared by exactly two agents.
-PROTOCOL is their protocol, written down once: per channel and op, the
-agent that performs the op, the slot state it needs and the state it
-leaves. A slot starts in START; a completed run leaves it in FINAL. A
-take blocks until it gets its token, unless its semaphore has a watch
-hook; deadline handling belongs to the harness, which sets that hook.
+PROTOCOL is their protocol, written down once, and the channels run from
+it: per channel and op, the agent that performs the op, the slot state it
+needs and the state it leaves. A slot starts in START; a completed run
+leaves it in FINAL, and no op runs from ``done``. Deadline handling
+belongs to the harness, through a semaphore's watch hook.
 
-One slot mechanism serves both channels: the slot is handed over with two
-counting semaphores, each an OS pipe in which a byte is a token. ``empty``
-holds a token while the slot may be written and starts with one; ``full``
-holds one while the slot holds a value for the peer and starts with none.
-A put takes ``empty`` and gives ``full``, on either channel. A probe get
-takes ``full`` and gives ``empty``; an inject swap_in takes ``full`` and
-gives nothing back, and swap_out gives ``empty``. So an op gets its token
-once its slot is in the state it needs, without a condition variable. The
+Each state an op may wait for has a counting semaphore, an OS pipe in
+which a byte is a token: ``empty`` starts with one, ``full`` with none.
+Every op follows one rule: it takes a token from its ``before`` state's
+semaphore, trades its value for the slot's content, enters its ``after``
+state, records itself, and gives a token to ``after``'s semaphore, if any.
+An op whose ``before`` state has no semaphore (swap_out, from ``held``)
+cannot wait: from any other state it raises ProtocolError. So a slot has
+at most one token, on the semaphore of its state, and an op gets its token
+once the slot is in the state it needs, without a condition variable. The
 inject channel is itself the producer's cell: its swap() runs swap_out
 while a swap_in holds the slot, and swap_in otherwise.
 
@@ -25,11 +26,12 @@ again and is woken a second time: about 4.4 context switches per handshake
 against 2.0 here. The pipes are closed when the channel is freed; a
 blocked call's frame holds its channel, so they outlive every call.
 
-An optional shared EventLog receives one record per *completed* operation.
-An op sets its slot's state and appends its record while it still holds
-the slot: before it gives a token, or, for swap_in, before it returns.
-The peer cannot complete its next operation before that, so the log order
-is the true completion order. An event's ``seq`` is its index in the log.
+An optional shared EventLog receives one record per *completed* operation:
+an op from the state a put leaves records the value it took, any other op
+the value it gave. An op sets its slot's state and appends its record
+while it still holds the slot, before it gives a token. The peer cannot
+complete its next operation before that, so the log order is the true
+completion order. An event's ``seq`` is its index in the log.
 The watchdog reads the log's ``latest_ns`` (the perf_counter_ns() of its
 latest record, at first of its creation) and each channel's waiting() ops.
 A take marks its op on its semaphore (each has one possible taker), and
@@ -40,9 +42,11 @@ A semaphore's ``watch`` hook, when set, is called as watch(ready) by a
 marked take whose slot is not in the state it needs, before it reads.
 ready(seconds) waits up to seconds with ``select.poll`` on the pipe's read
 end (POSIX) and says whether a token is there. The hook returns once one
-is, or raises to abandon the take, which then takes nothing. Any other
-take pays one compare and no extra system call. The harness sets the
-hook on the producer's two takes, probe.put and inject.swap_in.
+is, or raises to abandon the take, which then takes nothing and is no
+longer marked. Any other take pays one compare and no extra system call.
+A channel's watch(agent, hook) sets the hook on the semaphores the agent's
+ops take from, by the table's agent column; the harness sets it for the
+producer, whose takes are probe.put and inject.swap_in.
 
 close() gives one token to each semaphore, which wakes every waiter on a
 channel; a woken call gives its token back, so the next taker wakes too,
@@ -77,6 +81,10 @@ FINAL = {"probe": "empty", "inject": "done"}
 
 class ChannelClosed(Exception):
     """A channel operation was attempted on, or woken by, a closed channel."""
+
+
+class ProtocolError(Exception):
+    """An op that cannot wait was called from a state PROTOCOL does not run it in."""
 
 
 class ChannelEvent(NamedTuple):
@@ -146,54 +154,69 @@ class _Tokens:
 
 
 class _Slot:
-    """The token-handoff slot both channels share, with its put and close."""
+    """The token-handoff slot both channels share: every op runs through _step."""
 
     _name = ""    # the channel's key in PROTOCOL, and in its events
     _steps = {}   # PROTOCOL[_name]; each channel sets both
 
     def __init__(self, trace: EventLog | None = None):
-        self._empty = _Tokens(1)
-        self._full = _Tokens(0)
+        # a semaphore per state an op can wait for; START's holds the one token
+        self._tokens = {"empty": _Tokens(1), "full": _Tokens(0)}
+        # op -> (row, semaphore taken, semaphore given, whether it records what it took)
+        filled = self._steps["put"].after
+        self._ops = {op: (step, self._tokens.get(step.before), self._tokens.get(step.after),
+                          step.before == filled) for op, step in self._steps.items()}
         self._slot = 0
         self._closed = False
         self._trace = trace
         self.state = START   # the state the last completed op left
 
-    def _take(self, tokens: _Tokens, op: str):
-        """Take a token for op, or raise ChannelClosed once the channel is closed."""
-        tokens.waiter = op
-        if tokens.watch is not None and self.state != self._steps[op].before:
-            tokens.watch(tokens.ready)
-        os.read(tokens._read, 1)
-        tokens.waiter = None
+    def _step(self, op: str, value):
+        """Perform op by the one rule for a PROTOCOL row; return what it took from the slot."""
+        step, tokens, given, took = self._ops[op]
+        if tokens is not None:
+            tokens.waiter = op
+            try:
+                if tokens.watch is not None and self.state != step.before:
+                    tokens.watch(tokens.ready)
+                os.read(tokens._read, 1)
+            finally:
+                tokens.waiter = None
         if self._closed:
-            tokens.give()         # so the next taker wakes too
+            if tokens is not None:
+                tokens.give()     # so the next taker wakes too
             raise ChannelClosed(f"{self._name}.{op} on a closed channel")
-
-    def _done(self, op: str, value: int):
-        """Enter op's after state and record op with value; before op gives a token."""
-        self.state = self._steps[op].after
+        if self.state != step.before:   # only an op that has no token to wait for
+            raise ProtocolError(f"{self._name}.{op} needs state {step.before}, not {self.state}")
+        out, self._slot = self._slot, value
+        self.state = step.after
         if self._trace is not None:
-            self._trace.record(self._name, op, value)
+            self._trace.record(self._name, op, out if took else value)
+        if given is not None:
+            given.give()
+        return out
 
     def put(self, value: int):
-        self._take(self._empty, "put")
-        self._slot = value
-        self._done("put", value)
-        self._full.give()
+        self._step("put", value)
+
+    def watch(self, agent: str, hook):
+        """Set hook, or clear it with None, on each semaphore an op of agent takes."""
+        for step, tokens, _, _ in self._ops.values():
+            if step.agent == agent and tokens is not None:
+                tokens.watch = hook
 
     def waiting(self) -> list:
         """(channel, op) of each operation waiting for a token of this slot now."""
         if self._closed:          # close() gives tokens but leaves the state as it was
             return []
         # each waiter is read once: its take may clear it meanwhile
-        return [(self._name, op) for op in (self._empty.waiter, self._full.waiter)
-                if op and self.state != self._steps[op].before]
+        return [(self._name, op) for tokens in self._tokens.values()
+                if (op := tokens.waiter) and self.state != self._steps[op].before]
 
     def close(self):
         self._closed = True
-        self._empty.give()
-        self._full.give()
+        for tokens in self._tokens.values():
+            tokens.give()
 
 
 class ProbeChannel(_Slot):
@@ -208,20 +231,16 @@ class ProbeChannel(_Slot):
     _steps = PROTOCOL[_name]
 
     def get(self) -> int:
-        self._take(self._full, "get")
-        value = self._slot
-        self._done("get", value)
-        self._empty.give()
-        return value
+        return self._step("get", None)
 
 
 class InjectChannel(_Slot):
     """Carries the input to the producer and the producer's leftover back out.
 
     Its protocol is PROTOCOL["inject"]. swap_in waits for a put value and
-    trades it for the caller's; swap_out trades without waiting and reopens
-    the slot. swap runs whichever of the two is next, which makes the
-    channel the producer's inject cell.
+    trades it for the caller's; swap_out trades without waiting and leaves
+    the slot done, after which no op completes. swap runs whichever of the
+    two is next, which makes the channel the producer's inject cell.
     """
 
     _name = "inject"
@@ -230,22 +249,13 @@ class InjectChannel(_Slot):
     def swap(self, value: int) -> int:
         """swap_out while a swap_in holds the slot, else swap_in."""
         held = self.state == self._steps["swap_out"].before
-        return (self.swap_out if held else self.swap_in)(value)
+        return self._step("swap_out" if held else "swap_in", value)
 
     def swap_in(self, value: int) -> int:
-        self._take(self._full, "swap_in")
-        out, self._slot = self._slot, value
-        self._done("swap_in", out)
-        # gives nothing back: empty stays taken by put, full by this call
-        return out
+        return self._step("swap_in", value)
 
     def swap_out(self, value: int) -> int:
-        if self._closed:
-            raise ChannelClosed("inject.swap_out on a closed channel")
-        out, self._slot = self._slot, value
-        self._done("swap_out", value)
-        self._empty.give()
-        return out
+        return self._step("swap_out", value)
 
     @property
     def slot(self) -> int:

@@ -106,13 +106,10 @@ def run_split(
     trace = EventLog()
     probe = ProbeChannel(trace)
     inject = InjectChannel(trace)
+    channels = (probe, inject)
     results = {}
     # shared by both agents; the first one is the run's error
     errors = []
-
-    def close_channels():
-        probe.close()
-        inject.close()
 
     def consume():
         try:
@@ -121,7 +118,8 @@ def run_split(
             # a failed consumer can never unblock the producer: closing wakes
             # it, and its ChannelClosed lands after this error
             errors.append(exc)
-            close_channels()
+            for channel in channels:
+                channel.close()
 
     consumer = threading.Thread(target=consume, daemon=True)
 
@@ -156,8 +154,8 @@ def run_split(
 
     started = time.perf_counter()
     consumer.start()
-    # the producer's takes: probe.put and inject.swap_in
-    probe._empty.watch = inject._full.watch = watch
+    for channel in channels:
+        channel.watch("producer", watch)
     try:
         try:
             results["producer"] = run(program, Store(), sinks={"probe": probe.put}, cells={"inject": inject})
@@ -166,10 +164,11 @@ def run_split(
             errors.append(exc)
         wall_time = time.perf_counter() - started
     finally:
-        # the hooks close over the channels: left set, they would keep the
+        # the hook closes over the channels: left set, it would keep the
         # pipes open until a cyclic GC
-        probe._empty.watch = inject._full.watch = None
-        close_channels()
+        for channel in channels:
+            channel.watch("producer", None)
+            channel.close()
         consumer.join(JOIN_TIMEOUT)
     if errors:
         try:

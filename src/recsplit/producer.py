@@ -130,10 +130,10 @@ def run_sequential(scheme: RecursionScheme, x0: int):
             x = scheme.pred.pred_inv(x)
             if x > 0:
                 g -= 1
-                y = scheme.step_value(x, y)
+                y = scheme.step.function(x, y)
             elif x == 0:
                 e -= 1
-                y = scheme.base_value(x)
+                y = scheme.base.function(x)
             else:
                 s -= 1
     for _ in range(pred_not_div_x):
@@ -146,10 +146,10 @@ def run_sequential(scheme: RecursionScheme, x0: int):
                 if z < 0:
                     pass
                 elif z == 0:
-                    y = scheme.base_value(x)
+                    y = scheme.base.function(x)
                     z += 1
                 else:
-                    y = scheme.step_value(x, y)
+                    y = scheme.step.function(x, y)
                 x = scheme.pred.pred_inv(x)
             elif x == 0:
                 e -= 1

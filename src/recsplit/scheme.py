@@ -140,15 +140,15 @@ class _Parser:
     """
 
     def __init__(self, tokens, allowed):
-        self._tokens = tokens
+        self._lexemes = tokens
         self._pos = 0
         self._allowed = allowed
 
     def _peek(self):
-        return self._tokens[self._pos]
+        return self._lexemes[self._pos]
 
     def _advance(self):
-        token = self._tokens[self._pos]
+        token = self._lexemes[self._pos]
         self._pos += 1
         return token
 
@@ -328,16 +328,6 @@ class RecursionScheme:
     def __post_init__(self):
         check_variables(self.base, self.step)
 
-    @property
-    def base_value(self):
-        """b as a function of x, compiled once per expression node."""
-        return self.base.function
-
-    @property
-    def step_value(self):
-        """h as a function of (x, y), compiled once per expression node."""
-        return self.step.function
-
 
 def make_scheme(delta: int, base: str, step: str) -> RecursionScheme:
     """Build a scheme from expression text."""
@@ -354,15 +344,16 @@ def eval_recursive(scheme: RecursionScheme, x: int) -> int:
     Implemented as a descend-then-fold loop rather than call-stack recursion,
     so sweeps to large x cannot exhaust the stack; the value is identical to
     the recursive definition (base at x <= 0, step above). The descent is
-    range(x, 0, delta), the arguments above 0, and it ends at the first
+    range(x, 0, -d), the ceil(x / d) arguments above 0 (counted without
+    len(), which refuses more than sys.maxsize), and it ends at the first
     value <= 0, which the base receives; the fold applies step to those
     arguments from the last one back, through the compiled functions.
     """
-    delta = scheme.pred.delta
-    descent = range(x, 0, delta)
+    d = scheme.pred.step_size
+    steps = max(0, -(-x // d))
     step = scheme.step.function
-    y = scheme.base.function(x + len(descent) * delta)
-    for value in reversed(descent):
+    y = scheme.base.function(x - steps * d)
+    for value in reversed(range(x, 0, -d)):
         y = step(value, y)
     return y
 

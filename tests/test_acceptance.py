@@ -197,7 +197,7 @@ def test_criterion_8_discipline_enforcement():
 
 def test_criterion_9_worked_example():
     scheme = make_scheme(-1, "x", "x+y")
-    b, h = scheme.base_value, scheme.step_value
+    b, h = scheme.base.function, scheme.step.function
     unfolded = h(3, h(2, h(1, b(0))))
     report = run_split(scheme, 3)
     step_applications = report.emissions[0]

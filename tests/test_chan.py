@@ -4,7 +4,15 @@ import time
 
 import pytest
 
-from recsplit.chan import PROTOCOL, START, ChannelClosed, EventLog, InjectChannel, ProbeChannel
+from recsplit.chan import (
+    PROTOCOL,
+    START,
+    ChannelClosed,
+    EventLog,
+    InjectChannel,
+    ProbeChannel,
+    ProtocolError,
+)
 from recsplit.scheme import expected_emissions, make_scheme
 
 JOIN_TIMEOUT = 5.0
@@ -139,15 +147,23 @@ def test_inject_put_then_swap_in():
     assert inject.slot == 0
 
 
-def test_inject_swap_out_reopens_slot():
+def test_inject_swap_out_is_terminal():
     inject = InjectChannel()
     inject.put(3)
     inject.swap_in(0)
     assert inject.swap_out(5) == 0
     assert inject.slot == 5
-    # slot is open again: a new put must not block
-    inject.put(9)
-    assert inject.slot == 9
+    assert inject.state == "done"
+    # no op runs from done: a new put waits until close
+    thread, result = spawn(inject.put, 9)
+    assert waiting_soon(inject) == [("inject", "put")]
+    settle()
+    assert thread.is_alive()
+    inject.close()
+    thread.join(JOIN_TIMEOUT)
+    assert not thread.is_alive()
+    assert isinstance(result["error"], ChannelClosed)
+    assert inject.slot == 5
 
 
 def test_inject_swap_in_blocks_before_put():
@@ -162,19 +178,24 @@ def test_inject_swap_in_blocks_before_put():
     assert inject.waiting() == []
 
 
-def test_inject_second_put_blocks_until_swap_out():
+def test_inject_second_put_blocks_until_close():
     inject = InjectChannel()
     inject.put(1)
-    thread, _ = spawn(inject.put, 2)
+    thread, result = spawn(inject.put, 2)
     settle()
     assert thread.is_alive()
     inject.swap_in(0)
     settle()
-    assert thread.is_alive()      # swap_in leaves the slot closed
+    assert thread.is_alive()      # swap_in leaves the slot held
     inject.swap_out(8)
+    assert waiting_soon(inject) == [("inject", "put")]
+    settle()
+    assert thread.is_alive()      # and swap_out leaves it done
+    inject.close()
     thread.join(JOIN_TIMEOUT)
     assert not thread.is_alive()
-    assert inject.slot == 2
+    assert isinstance(result["error"], ChannelClosed)
+    assert inject.slot == 8
 
 
 def test_inject_swap_alternates_swap_in_and_swap_out():
@@ -182,13 +203,36 @@ def test_inject_swap_alternates_swap_in_and_swap_out():
     inject.put(3)
     assert inject.swap(0) == 3        # swap_in: the injected value
     assert inject.swap(5) == 0        # swap_out: what the first swap left
+    assert inject.state == "done"
     thread, result = spawn(inject.swap, 1)
     assert waiting_soon(inject) == [("inject", "swap_in")]
     settle()
-    assert thread.is_alive()
-    inject.put(9)                     # the second swap reopened the slot
+    assert thread.is_alive()          # a third swap waits, as nothing leaves done
+    inject.close()
     thread.join(JOIN_TIMEOUT)
-    assert result["value"] == 9
+    assert not thread.is_alive()
+    assert isinstance(result["error"], ChannelClosed)
+    assert inject.slot == 5
+
+
+def test_inject_swap_out_out_of_order_is_refused():
+    trace = EventLog()
+    inject = InjectChannel(trace)
+    with pytest.raises(ProtocolError):
+        inject.swap_out(7)        # nothing is held: no swap_in ran
+    assert inject.state == START
+    assert trace.events() == []
+    inject.put(1)
+    # the refused swap_out gave no token: a second put waits until close
+    thread, result = spawn(inject.put, 2)
+    assert waiting_soon(inject) == [("inject", "put")]
+    settle()
+    assert thread.is_alive()
+    inject.close()
+    thread.join(JOIN_TIMEOUT)
+    assert not thread.is_alive()
+    assert isinstance(result["error"], ChannelClosed)
+    assert [(e.op, e.value) for e in trace.events()] == [("put", 1)]
 
 
 def test_inject_close_wakes_blocked_calls():
@@ -224,7 +268,7 @@ def test_waiting_skips_a_get_whose_token_was_given():
     probe.put(1)
     # a get that has marked itself but not yet read the token put gave it,
     # or has read it but not yet cleared its mark, does not wait
-    probe._full.waiter = "get"
+    probe._tokens["full"].waiter = "get"
     assert probe.waiting() == []
     assert probe.get() == 1
     assert probe.waiting() == []
@@ -255,7 +299,7 @@ def test_watch_hook_runs_only_for_a_take_without_a_token():
         seen.append(probe.get())    # gives the token the put waits for
         seen.append(ready(threading.TIMEOUT_MAX))   # the token is there: at once
 
-    probe._empty.watch = watch
+    probe.watch("producer", watch)
     probe.put(1)                    # the slot starts empty: a token is there
     assert seen == []
     thread, _ = spawn(probe.put, 2)
@@ -263,6 +307,13 @@ def test_watch_hook_runs_only_for_a_take_without_a_token():
     assert not thread.is_alive()
     assert seen == [False, 1, True]
     assert probe.get() == 2
+    # the consumer's get is not the producer's: it waits without the hook
+    thread, result = spawn(probe.get)
+    assert waiting_soon(probe) == [("probe", "get")]
+    probe.put(3)
+    thread.join(JOIN_TIMEOUT)
+    assert result["value"] == 3
+    assert seen == [False, 1, True]
 
 
 # --- protocol table --------------------------------------------------------------
@@ -300,18 +351,20 @@ def test_protocol_table_is_what_the_channel_does(name, make):
     for state, path in paths.items():
         for op, step in steps.items():
             channel = make()
-            channel._empty.watch = channel._full.watch = raise_watched
+            for agent in ("producer", "consumer"):
+                channel.watch(agent, raise_watched)
             for earlier in path:
                 call(channel, earlier)
             assert channel.state == state
             if step.before == state:
                 call(channel, op)          # its token is there: no hook, no wait
                 assert channel.state == step.after
-            elif op != "swap_out":         # the one op that takes no token
-                with pytest.raises(Watched):
+            else:
+                # swap_out is the one op that cannot wait: held has no semaphore
+                with pytest.raises(ProtocolError if op == "swap_out" else Watched):
                     call(channel, op)
                 assert channel.state == state
-                assert channel.waiting() == [(name, op)]
+                assert channel.waiting() == []   # an abandoned take is no longer marked
 
 
 # --- event log -------------------------------------------------------------------

@@ -61,7 +61,7 @@ def test_split_two_wide_non_divisible():
 def test_split_base_case():
     scheme = make_scheme(-3, "x+1", "x*y+1")
     report = run_split(scheme, 0)
-    assert report.y == scheme.base_value(0)
+    assert report.y == scheme.base.function(0)
     assert report.emissions == [0, 0]
 
 

@@ -94,7 +94,7 @@ def test_run_sequential_non_divisible_case():
 def test_run_sequential_base_case():
     scheme = make_scheme(-3, "x+1", "x*y+1")
     y, residuals = run_sequential(scheme, 0)
-    assert y == scheme.base_value(0)
+    assert y == scheme.base.function(0)
     assert residuals.divisible
     assert (residuals.s, residuals.e, residuals.g, residuals.w) == (0, 0, 0, 0)
     assert residuals.x == 0

@@ -237,8 +237,8 @@ def test_make_scheme_validates_variables():
 
 def test_scheme_base_and_step_values():
     scheme = make_scheme(-1, "x+1", "x*y+1")
-    assert scheme.base_value(0) == 1
-    assert scheme.step_value(3, 2) == 7
+    assert scheme.base.function(0) == 1
+    assert scheme.step.function(3, 2) == 7
 
 
 # --- recursive oracle -------------------------------------------------------------
@@ -246,19 +246,36 @@ def test_scheme_base_and_step_values():
 def test_eval_recursive_base_case():
     for base, step in (("x", "x+y"), ("x+1", "x*y+1")):
         scheme = make_scheme(-1, base, step)
-        assert eval_recursive(scheme, 0) == scheme.base_value(0)
+        assert eval_recursive(scheme, 0) == scheme.base.function(0)
 
 
 def test_eval_recursive_hand_unfolded():
     scheme = make_scheme(-1, "x", "x+y")
-    b = scheme.base_value
-    h = scheme.step_value
+    b = scheme.base.function
+    h = scheme.step.function
     assert eval_recursive(scheme, 3) == h(3, h(2, h(1, b(0)))) == 6
 
     scheme = make_scheme(-2, "x", "x+y")
-    b = scheme.base_value
-    h = scheme.step_value
+    b = scheme.base.function
+    h = scheme.step.function
     assert eval_recursive(scheme, 3) == h(3, h(1, b(-1))) == 3
+
+
+class StepReached(Exception):
+    pass
+
+
+def test_eval_recursive_descends_past_sys_maxsize():
+    # len() refuses a range of 2**64 arguments; the fold's first step is at x = 1
+    def stop(x, y):
+        raise StepReached(x, y)
+
+    for delta, base_arg in ((-1, 0), (-3, -2)):
+        scheme = make_scheme(delta, "x", "x+y")
+        vars(scheme.step)["function"] = stop   # where the cached function is kept
+        with pytest.raises(StepReached) as reached:
+            eval_recursive(scheme, 2**64)
+        assert reached.value.args == (1, base_arg)
 
 
 def test_eval_recursive_accepts_negative_x():
@@ -271,7 +288,7 @@ def test_eval_recursive_matches_definition():
         scheme = make_scheme(delta, "x+1", "x*y+1")
         for x0 in range(0, 40):
             expected = recursion_by_definition(
-                delta, scheme.base_value, scheme.step_value, x0
+                delta, scheme.base.function, scheme.step.function, x0
             )
             assert eval_recursive(scheme, x0) == expected
 
@@ -315,7 +332,7 @@ def test_oracle_consistency_fold_equals_recursion():
             for x0 in range(0, 201):
                 plan = expected_emissions(scheme, x0)
                 folded = fold_plan(
-                    scheme.base_value, scheme.step_value, plan.base_arg, plan.h_args
+                    scheme.base.function, scheme.step.function, plan.base_arg, plan.h_args
                 )
                 assert folded == eval_recursive(scheme, x0)
 
