@@ -172,6 +172,8 @@ def _parse_span(text, name) -> range:
         raise UsageError(f"{name} must look like LO:HI, got {text!r}") from None
     if lo > hi:
         raise UsageError(f"{name}: {lo} > {hi}")
+    if hi - lo >= sys.maxsize:
+        raise UsageError(f"{name} spans more than {sys.maxsize} values")
     return range(lo, hi + 1)
 
 
@@ -215,6 +217,8 @@ def _cmd_check(args) -> int:
     pairs, deltas, cases = _resolve_schemes(args, lambda: range(-5, 0))
     if args.x_max < 0:
         raise UsageError(f"--x-max must be non-negative, got {args.x_max}")
+    if args.x_max >= sys.maxsize:
+        raise UsageError(f"--x-max must be below {sys.maxsize}, got {args.x_max}")
     if args.preloads < 1:
         raise UsageError(f"--preloads must be at least 1, got {args.preloads}")
     failed = False
@@ -232,8 +236,7 @@ def _cmd_check(args) -> int:
     sweep_report = harness.sweep(range(0, args.x_max + 1), deltas, pairs, timeout=args.timeout)
     print(f"sweep: {len(sweep_report.cases)} cases, {len(sweep_report.failures)} failures")
     for case in sweep_report.failures:
-        detail = case.error if case.error is not None else "; ".join(case.problems)
-        print(f"  delta={case.delta} x0={case.x0} base={case.base} step={case.step}: {detail}")
+        print(f"  delta={case.delta} x0={case.x0} base={case.base} step={case.step}: {case.detail}")
     failed = failed or not sweep_report.all_ok
     return EXIT_CHECK_FAILED if failed else EXIT_OK
 
@@ -243,7 +246,7 @@ def _cmd_sweep(args) -> int:
         args, lambda: _parse_span(args.delta_range, "--delta-range")
     )
     x_span = _parse_span(args.x_range, "--x-range")
-    if len(x_span) and min(x_span) < 0:
+    if x_span.start < 0:
         raise UsageError("--x-range must be non-negative")
     report = harness.sweep(x_span, deltas, pairs, timeout=args.timeout)
     print(report.format_table())

@@ -95,8 +95,9 @@ def run_split(
     consumer. The run stalls when timeout seconds pass with no completed
     channel operation and every live agent waiting on one. Asserts the
     consumer's result against the recursive value and returns the full
-    report. The optional program argument substitutes the producer program
-    (fault-injection hooks for tests); by default the scheme is compiled.
+    report. The optional program argument substitutes the producer program:
+    tests pass fault programs, and sweep passes one compiled producer to
+    every input of a block; by default the scheme is compiled.
     """
     check_input(x0)
     check_timeout(timeout)
@@ -340,6 +341,11 @@ class SweepCase:
     def ok(self) -> bool:
         return self.error is None and not self.problems
 
+    @property
+    def detail(self) -> str:
+        """Why the case failed: its error if it has one, else its problems."""
+        return self.error if self.error is not None else "; ".join(self.problems)
+
 
 class SweepReport(CaseReport):
     def format_table(self) -> str:
@@ -347,12 +353,7 @@ class SweepReport(CaseReport):
         header = f"{'base':<12} {'step':<12} {'delta':>5} {'x0':>4} {'ok':<4} detail"
         lines = [header, "-" * len(header)]
         for case in self.cases:
-            if case.ok:
-                detail = f"y = {_show(case.split_y)}"
-            elif case.error is not None:
-                detail = case.error
-            else:
-                detail = "; ".join(case.problems)
+            detail = f"y = {_show(case.split_y)}" if case.ok else case.detail
             lines.append(
                 f"{case.base:<12} {case.step:<12} {case.delta:>5} {case.x0:>4} "
                 f"{'yes' if case.ok else 'NO':<4} {detail}"

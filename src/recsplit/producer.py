@@ -187,8 +187,8 @@ def _loop_w_plus_one(temp, body):
     )
 
 
-def _phase_a_body(delta):
-    return (
+def _phase_a(delta):
+    classify = (
         IfSign(
             "x",
             pos=(AddConst("g", 1),),
@@ -197,13 +197,12 @@ def _phase_a_body(delta):
         ),
         AddConst("x", delta),
     )
+    return (AddReg("w", "x", 1), *_loop_w_plus_one("t0", classify))
 
 
 def compile_phase_a(scheme: RecursionScheme) -> RevProgram:
-    """Just the counting prologue: w := w + x, then classify the trajectory."""
-    delta = scheme.pred.delta
-    body = (AddReg("w", "x", 1), *_loop_w_plus_one("t0", _phase_a_body(delta)))
-    return RevProgram.from_body(body)
+    """Just compile_producer's counting prologue: w := w + x, then classify the trajectory."""
+    return RevProgram.from_body(_phase_a(scheme.pred.delta))
 
 
 def compile_producer(scheme: RecursionScheme) -> RevProgram:
@@ -243,8 +242,7 @@ def compile_producer(scheme: RecursionScheme) -> RevProgram:
     body = (
         AddConst("predNotDivX", 1),
         SwapCell(INJECT_CELL, "x"),
-        AddReg("w", "x", 1),
-        *_loop_w_plus_one("t0", _phase_a_body(delta)),
+        *_phase_a(delta),
         For("e", (AddReg("predDivX", "predNotDivX", 1), SubFrom("predNotDivX", "predDivX"))),
         For(
             "predDivX",

@@ -21,7 +21,8 @@ inverted body or a RevProgram's inverse is kept from its first use.
 
 One walk, _names, finds the registers a block references and can write and
 its ports and cells; every name check reads it, and it rejects a
-non-instruction with TypeError. Building a program walks its body once.
+non-instruction with TypeError. Every program, an inverse too, passes the
+constructor's check that it declares each name its body uses.
 """
 
 from __future__ import annotations
@@ -193,17 +194,9 @@ class RevProgram:
             if undeclared:
                 raise UndeclaredNameError(f"undeclared {kind}(s): {sorted(undeclared)}")
 
-    @classmethod
-    def _covering(cls, body: tuple, registers, ports, cells) -> RevProgram:
-        # frozensets known to cover body: skips __post_init__'s second walk
-        program = object.__new__(cls)
-        vars(program).update(body=body, registers=registers, ports=ports, cells=cells)
-        return program
-
     @functools.cached_property
     def _inverse(self) -> RevProgram:
-        # inversion keeps every instruction's names
-        return self._covering(invert_block(self.body), self.registers, self.ports, self.cells)
+        return RevProgram(invert_block(self.body), self.registers, self.ports, self.cells)
 
     @classmethod
     def from_body(cls, body) -> "RevProgram":
@@ -211,7 +204,7 @@ class RevProgram:
         body = tuple(body)
         regs, ports, cells = set(), set(), set()
         _names(body, regs, set(), ports, cells)
-        return cls._covering(body, frozenset(regs), frozenset(ports), frozenset(cells))
+        return cls(body, regs, ports, cells)
 
 
 # --- inversion ---------------------------------------------------------------

@@ -311,11 +311,6 @@ class PredecessorSpec:
     def pred_inv(self, x: int) -> int:
         return x - self.delta
 
-    @property
-    def step_size(self) -> int:
-        """The positive distance d each predecessor application covers."""
-        return -self.delta
-
 
 @dataclass(frozen=True)
 class RecursionScheme:
@@ -349,7 +344,7 @@ def eval_recursive(scheme: RecursionScheme, x: int) -> int:
     value <= 0, which the base receives; the fold applies step to those
     arguments from the last one back, through the compiled functions.
     """
-    d = scheme.pred.step_size
+    d = -scheme.pred.delta
     steps = max(0, -(-x // d))
     step = scheme.step.function
     y = scheme.base.function(x - steps * d)
@@ -373,7 +368,7 @@ def expected_emissions(scheme: RecursionScheme, x: int) -> EmissionPlan:
     starting from base(base_arg) reproduces eval_recursive(scheme, x).
     """
     check_input(x)
-    d = scheme.pred.step_size
+    d = -scheme.pred.delta
     iterations = -(-x // d)
     base_arg = x - iterations * d
     h_args = tuple(x - k * d for k in range(iterations - 1, -1, -1))
@@ -418,8 +413,3 @@ def scheme_from_fields(fields) -> RecursionScheme:
         return make_scheme(delta, fields["base"], fields["step"])
     except ValueError as exc:
         raise SchemeFileError(str(exc)) from None
-
-
-def load_scheme_file(path) -> RecursionScheme:
-    with open(path, encoding="utf-8") as handle:
-        return scheme_from_fields(parse_scheme_text(handle.read()))

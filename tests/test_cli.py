@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -218,6 +219,37 @@ def test_check_rejects_too_few_preloads(capsys):
         captured = capsys.readouterr()
         assert "--preloads must be at least 1" in captured.err
         assert captured.out == ""
+
+
+HUGE = str(10 ** 20)
+
+
+@pytest.mark.parametrize(
+    "command, option",
+    [
+        (["sweep", "--x-range", f"0:{HUGE}", "--delta-range", "-1:-1"], "--x-range"),
+        (["sweep", "--x-range", "0:0", "--delta-range", f"-{HUGE}:-1"], "--delta-range"),
+        (["sweep", "--x-range", f"0:{sys.maxsize}", "--delta-range", "-1:-1"], "--x-range"),
+        (["check", "--x-max", HUGE, "--preloads", "1", "--delta", "-1"], "--x-max"),
+        (["check", "--x-max", str(sys.maxsize), "--preloads", "1", "--delta", "-1"], "--x-max"),
+    ],
+)
+def test_huge_ranges_are_usage_errors(command, option, capsys):
+    # more values than sys.maxsize: len() and list() of such a range overflow
+    assert main([*command, "--base", "x", "--step", "x+y"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""     # refused before any output
+    assert option in captured.err
+    assert "Traceback" not in captured.err
+
+
+def test_negative_x_range_is_refused_without_walking_it(capsys):
+    started = time.perf_counter()
+    assert main(["sweep", *SCHEME_FLAGS, "--x-range", "-1:1000000000"]) == 2
+    assert time.perf_counter() - started < 1.0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--x-range must be non-negative" in captured.err
 
 
 def test_deadlock_maps_to_exit_3(monkeypatch, capsys):

@@ -508,3 +508,7 @@ def test_sweep_report_accounts_failures():
     assert not report.all_ok
     assert report.failures == [failing]
     assert "boom" in report.format_table()
+    assert failing.detail == "boom"
+    two = SweepCase(base="x", step="x+y", delta=-1, x0=3, problems=["a", "b"])
+    assert two.detail == "a; b"
+    assert SweepReport(cases=[two]).format_table().splitlines()[2].endswith(" NO   a; b")

@@ -67,6 +67,11 @@ def test_from_body_declares_exactly_what_is_used():
     assert program.cells == {"cell"}
 
 
+def test_from_body_is_the_constructor_with_the_names_it_finds():
+    body = (For("n", (IfSign("a", pos=(Emit("out", "b"),)),)), SwapCell("cell", "c"))
+    assert RevProgram.from_body(body) == RevProgram(body, {"n", "a", "b", "c"}, {"out"}, {"cell"})
+
+
 # --- inversion ----------------------------------------------------------------------
 
 def test_invert_addconst():
@@ -282,6 +287,13 @@ def test_loop_count_mutation_is_structural():
 def test_invert_is_built_once_per_program():
     program = RevProgram.from_body((AddConst("n", 2), For("n", (AddConst("a", 1),))))
     assert invert(program) is invert(program)
+
+
+def test_invert_keeps_unused_declarations():
+    program = RevProgram((AddConst("a", 1),), {"a", "spare"}, {"out"}, {"cell"})
+    inverse = invert(program)
+    assert inverse.body == (AddConst("a", -1),)
+    assert (inverse.registers, inverse.ports, inverse.cells) == ({"a", "spare"}, {"out"}, {"cell"})
 
 
 def test_loop_facts_are_freed_with_the_program():

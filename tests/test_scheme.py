@@ -19,11 +19,11 @@ from recsplit.scheme import (
     Var,
     eval_recursive,
     expected_emissions,
-    load_scheme_file,
     make_scheme,
     parse_expr,
     parse_scheme_text,
     pretty,
+    scheme_from_fields,
     variables,
 )
 
@@ -351,10 +351,8 @@ def test_parse_scheme_text():
     assert parse_scheme_text(SCHEME_TEXT) == {"delta": "-2", "base": "x", "step": "x + y"}
 
 
-def test_load_scheme_file(tmp_path):
-    path = tmp_path / "scheme.txt"
-    path.write_text(SCHEME_TEXT)
-    scheme = load_scheme_file(path)
+def test_load_scheme_file():
+    scheme = scheme_from_fields(parse_scheme_text(SCHEME_TEXT))
     assert scheme.pred.delta == -2
     assert eval_recursive(scheme, 3) == 3
 
@@ -380,8 +378,6 @@ def test_parse_scheme_text_rejects(text):
         "delta = 0\nbase = x\nstep = x+y",          # delta out of range
     ],
 )
-def test_load_scheme_file_rejects(tmp_path, text):
-    path = tmp_path / "scheme.txt"
-    path.write_text(text)
+def test_load_scheme_file_rejects(text):
     with pytest.raises(SchemeFileError):
-        load_scheme_file(path)
+        scheme_from_fields(parse_scheme_text(text))
