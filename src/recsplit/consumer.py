@@ -9,20 +9,17 @@ gets, whatever the values are.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from .record import FrozenRecord
 from .scheme import Expression, RecursionScheme, check_input, check_variables
 
 
-@dataclass(frozen=True)
-class ConsumerConfig:
-    base: Expression
-    step: Expression
-    x0: int
+class ConsumerConfig(FrozenRecord):
+    __slots__ = _fields = ("base", "step", "x0")
 
-    def __post_init__(self):
-        check_variables(self.base, self.step)
-        check_input(self.x0)
+    def __init__(self, base: Expression, step: Expression, x0: int):
+        check_variables(base, step)
+        check_input(x0)
+        self._set(base, step, x0)
 
     @classmethod
     def from_scheme(cls, scheme: RecursionScheme, x0: int) -> "ConsumerConfig":

@@ -26,7 +26,7 @@ import json
 import random
 import threading
 import time
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .chan import FINAL, PROTOCOL, START, EventLog, InjectChannel, ProbeChannel
 from .consumer import ConsumerConfig, run_consumer
@@ -37,6 +37,7 @@ from .producer import (
     residuals_from_store,
     run_sequential,
 )
+from .record import Record
 from .revir import (
     PlainCell,
     RevirError,
@@ -73,8 +74,7 @@ def check_timeout(timeout: float) -> float:
     return timeout
 
 
-@dataclass
-class RunReport:
+class RunReport(NamedTuple):
     y: int   # equal to eval_recursive's value, or run_split raises ResultMismatch
     emissions: list
     residuals: ResidualReport
@@ -199,18 +199,19 @@ def run_split(
 
 # --- reversibility checks --------------------------------------------------------
 
-@dataclass
-class ReversibilityCase:
+class ReversibilityCase(NamedTuple):
     label: str
     ok: bool
     problem: str | None = None
 
 
-@dataclass
-class CaseReport:
+class CaseReport(Record):
     """A list of cases, each with an ok flag."""
 
-    cases: list
+    _fields = ("cases",)
+
+    def __init__(self, cases: list):
+        self.cases = cases
 
     @property
     def all_ok(self) -> bool:
@@ -321,21 +322,19 @@ def write_trace_jsonl(events, handle):
 
 # --- sweeps -------------------------------------------------------------------------
 
-@dataclass
-class SweepCase:
-    base: str
-    step: str
-    delta: int
-    x0: int
-    error: str | None = None
-    split_y: int | None = None
-    sequential_y: int | None = None
-    emissions_ok: bool = False
-    residuals_ok: bool = False
-    protocol_ok: bool = False
-    handshakes: int = 0
-    wall_time: float = 0.0
-    problems: list = field(default_factory=list)
+class SweepCase(Record):
+    _fields = ("base", "step", "delta", "x0", "error", "split_y", "sequential_y",
+               "emissions_ok", "residuals_ok", "protocol_ok", "handshakes", "wall_time",
+               "problems")
+
+    def __init__(self, base: str, step: str, delta: int, x0: int,
+                 error: str | None = None, split_y: int | None = None,
+                 sequential_y: int | None = None, emissions_ok: bool = False,
+                 residuals_ok: bool = False, protocol_ok: bool = False,
+                 handshakes: int = 0, wall_time: float = 0.0, problems: list | None = None):
+        self._set(base, step, delta, x0, error, split_y, sequential_y, emissions_ok,
+                  residuals_ok, protocol_ok, handshakes, wall_time,
+                  [] if problems is None else problems)
 
     @property
     def ok(self) -> bool:

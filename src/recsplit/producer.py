@@ -11,9 +11,9 @@ two swaps at the very start and very end.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import NamedTuple
 
+from .record import FrozenRecord
 from .revir import (
     AddConst,
     AddReg,
@@ -55,25 +55,21 @@ def phase_a_counters(x0: int, delta: int) -> PhaseACounters:
     return PhaseACounters(g, e, s, x_final)
 
 
-@dataclass(frozen=True)
-class ResidualReport:
+class ResidualReport(FrozenRecord):
     """Register leftovers after a full run: the run's cleanliness fingerprint.
 
     z only exists in the classical executor; temps and inject_cell only in
     compiled runs.
     """
 
-    s: int
-    e: int
-    g: int
-    w: int
-    x: int
-    pred_div_x: int
-    pred_not_div_x: int
-    divisible: bool
-    z: int | None = None
-    temps: dict = field(default_factory=dict)
-    inject_cell: int | None = None
+    __slots__ = _fields = ("s", "e", "g", "w", "x", "pred_div_x", "pred_not_div_x",
+                           "divisible", "z", "temps", "inject_cell")
+
+    def __init__(self, s: int, e: int, g: int, w: int, x: int, pred_div_x: int,
+                 pred_not_div_x: int, divisible: bool, z: int | None = None,
+                 temps: dict | None = None, inject_cell: int | None = None):
+        self._set(s, e, g, w, x, pred_div_x, pred_not_div_x, divisible, z,
+                  {} if temps is None else temps, inject_cell)
 
     def to_text(self) -> str:
         """Flat `key = value` block."""
@@ -108,6 +104,7 @@ def run_sequential(scheme: RecursionScheme, x0: int):
     """
     check_input(x0)
     delta = scheme.pred.delta
+    base, step = scheme.base.function, scheme.step.function
     s = e = g = w = 0
     z = 0
     pred_div_x, pred_not_div_x = 0, 1
@@ -130,10 +127,10 @@ def run_sequential(scheme: RecursionScheme, x0: int):
             x = scheme.pred.pred_inv(x)
             if x > 0:
                 g -= 1
-                y = scheme.step.function(x, y)
+                y = step(x, y)
             elif x == 0:
                 e -= 1
-                y = scheme.base.function(x)
+                y = base(x)
             else:
                 s -= 1
     for _ in range(pred_not_div_x):
@@ -146,10 +143,10 @@ def run_sequential(scheme: RecursionScheme, x0: int):
                 if z < 0:
                     pass
                 elif z == 0:
-                    y = scheme.base.function(x)
+                    y = base(x)
                     z += 1
                 else:
-                    y = scheme.step.function(x, y)
+                    y = step(x, y)
                 x = scheme.pred.pred_inv(x)
             elif x == 0:
                 e -= 1

@@ -1,0 +1,83 @@
+"""Record classes for the package's nodes, configs and mutable reports.
+
+A record class names its constructor's fields, in order, in _fields, and
+its own __init__ stores them with _set. Records compare field by field
+within one class only, and show their fields in a dataclass-style repr.
+A FrozenRecord is also hashable and refuses assignment; a fact derived
+from one is a cached_slot, computed on first read and kept in a slot.
+
+These stand in for dataclasses, whose import loads inspect and whose every
+class runs exec once per generated method: together most of a cold start.
+"""
+
+from __future__ import annotations
+
+
+class Record:
+    """Fields in _fields; equality and repr by field, no hash."""
+
+    __slots__ = ("__weakref__",)
+    _fields = ()
+
+    def _set(self, *values):
+        for name, value in zip(self._fields, values):
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple(map(self.__getattribute__, self._fields))
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._values() == other._values()
+
+    __hash__ = None
+
+    def __repr__(self):
+        inside = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({inside})"
+
+
+class FrozenRecord(Record):
+    """A Record that is hashable and refuses assignment; subclasses declare __slots__."""
+
+    __slots__ = ()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        # rebuilt through the constructor, which takes the fields in order
+        return type(self), self._values()
+
+
+class cached_slot:
+    """functools.cached_property for a FrozenRecord: the value is computed on
+    first read and kept in the slot named after the property plus "_".
+
+    Every read calls __get__, so a loop reads the value once, before it starts.
+    """
+
+    def __init__(self, compute):
+        self._compute = compute
+        self.__doc__ = compute.__doc__
+
+    def __set_name__(self, owner, name):
+        self._slot = owner.__dict__[name + "_"]
+
+    def __get__(self, record, owner=None):
+        if record is None:
+            return self
+        try:
+            return self._slot.__get__(record, owner)
+        except AttributeError:   # not computed yet
+            pass
+        value = self._compute(record)
+        self._slot.__set__(record, value)
+        return value

@@ -15,9 +15,12 @@ to a port and inverts to itself, so inverse runs are checked against a
 discarding sink. Cell swaps exchange a register with named external state
 and are their own inverse.
 
-The module holds no state. A fact derived from a node lives on the node: a
-For records at construction whether its body writes its count, and a For's
-inverted body or a RevProgram's inverse is kept from its first use.
+The module holds no state. Instructions and programs are immutable records
+(record.FrozenRecord): two nodes are equal only when they are of one kind
+with equal fields. A fact derived from a node lives in a slot of the node:
+a For records at construction whether its body writes its count, and a
+For's inverted body or a RevProgram's inverse is built on first use and
+kept (record.cached_slot).
 
 One walk, _names, finds the registers a block references and can write and
 its ports and cells; every name check reads it, and it rejects a
@@ -27,9 +30,9 @@ constructor's check that it declares each name its body uses.
 
 from __future__ import annotations
 
-import functools
-from dataclasses import dataclass, field
 from typing import Callable, Mapping, Union
+
+from .record import FrozenRecord, Record, cached_slot
 
 RegisterId = str
 
@@ -52,90 +55,84 @@ class UndeclaredNameError(RevirError):
 
 # --- instructions -----------------------------------------------------------
 
-@dataclass(frozen=True)
-class AddConst:
+class AddConst(FrozenRecord):
     """reg := reg + amount."""
 
-    reg: RegisterId
-    amount: int
+    __slots__ = _fields = ("reg", "amount")
+
+    def __init__(self, reg: RegisterId, amount: int):
+        self._set(reg, amount)
 
 
-@dataclass(frozen=True)
-class AddReg:
+class AddReg(FrozenRecord):
     """dest := dest + sign * src; the registers must differ."""
 
-    dest: RegisterId
-    src: RegisterId
-    sign: int = 1
+    __slots__ = _fields = ("dest", "src", "sign")
 
-    def __post_init__(self):
-        if self.dest == self.src:
-            raise ValueError(f"AddReg needs distinct registers, got {self.dest!r} twice")
-        if self.sign not in (1, -1):
-            raise ValueError(f"sign must be +1 or -1, got {self.sign}")
+    def __init__(self, dest: RegisterId, src: RegisterId, sign: int = 1):
+        if dest == src:
+            raise ValueError(f"AddReg needs distinct registers, got {dest!r} twice")
+        if sign not in (1, -1):
+            raise ValueError(f"sign must be +1 or -1, got {sign}")
+        self._set(dest, src, sign)
 
 
-@dataclass(frozen=True)
-class SubFrom:
+class SubFrom(FrozenRecord):
     """dest := src - dest (self-inverse); the registers must differ."""
 
-    dest: RegisterId
-    src: RegisterId
+    __slots__ = _fields = ("dest", "src")
 
-    def __post_init__(self):
-        if self.dest == self.src:
-            raise ValueError(f"SubFrom needs distinct registers, got {self.dest!r} twice")
+    def __init__(self, dest: RegisterId, src: RegisterId):
+        if dest == src:
+            raise ValueError(f"SubFrom needs distinct registers, got {dest!r} twice")
+        self._set(dest, src)
 
 
-@dataclass(frozen=True)
-class For:
+class For(FrozenRecord):
     """Run body count-register-value times; a negative count runs the
     inverted body that many times. The body must not write the count."""
 
-    count: RegisterId
-    body: tuple
-    # checked when the loop is reached, so building such a loop is no error
-    writes_count: bool = field(init=False, repr=False, compare=False)
+    _fields = ("count", "body")
+    # writes_count is checked when the loop is reached, so building such a
+    # loop is no error
+    __slots__ = _fields + ("writes_count", "inverted_body_")
 
-    def __post_init__(self):
-        object.__setattr__(self, "body", tuple(self.body))
-        object.__setattr__(self, "writes_count", self.count in written_registers(self.body))
+    def __init__(self, count: RegisterId, body: tuple):
+        body = tuple(body)
+        self._set(count, body)
+        object.__setattr__(self, "writes_count", count in written_registers(body))
 
-    @functools.cached_property
+    @cached_slot
     def inverted_body(self) -> tuple:
         """invert_block(body), built on first use and kept on the node."""
         return invert_block(self.body)
 
 
-@dataclass(frozen=True)
-class IfSign:
+class IfSign(FrozenRecord):
     """Dispatch on the sign of reg; the chosen branch must preserve it."""
 
-    reg: RegisterId
-    pos: tuple = ()
-    zero: tuple = ()
-    neg: tuple = ()
+    __slots__ = _fields = ("reg", "pos", "zero", "neg")
 
-    def __post_init__(self):
-        object.__setattr__(self, "pos", tuple(self.pos))
-        object.__setattr__(self, "zero", tuple(self.zero))
-        object.__setattr__(self, "neg", tuple(self.neg))
+    def __init__(self, reg: RegisterId, pos: tuple = (), zero: tuple = (), neg: tuple = ()):
+        self._set(reg, tuple(pos), tuple(zero), tuple(neg))
 
 
-@dataclass(frozen=True)
-class Emit:
+class Emit(FrozenRecord):
     """Send a copy of reg to a port; registers are untouched."""
 
-    port: str
-    reg: RegisterId
+    __slots__ = _fields = ("port", "reg")
+
+    def __init__(self, port: str, reg: RegisterId):
+        self._set(port, reg)
 
 
-@dataclass(frozen=True)
-class SwapCell:
+class SwapCell(FrozenRecord):
     """Exchange reg with the named external cell."""
 
-    cell: str
-    reg: RegisterId
+    __slots__ = _fields = ("cell", "reg")
+
+    def __init__(self, cell: str, reg: RegisterId):
+        self._set(cell, reg)
 
 
 Instruction = Union[AddConst, AddReg, SubFrom, For, IfSign, Emit, SwapCell]
@@ -169,32 +166,29 @@ def _names(block, regs, written, ports, cells):
             raise TypeError(f"not an instruction: {inst!r}")
 
 
-@dataclass(frozen=True)
-class RevProgram:
+class RevProgram(FrozenRecord):
     """An instruction sequence plus the names it is allowed to touch."""
 
-    body: tuple
-    registers: frozenset = frozenset()
-    ports: frozenset = frozenset()
-    cells: frozenset = frozenset()
+    _fields = ("body", "registers", "ports", "cells")
+    __slots__ = _fields + ("_inverse_",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "body", tuple(self.body))
-        object.__setattr__(self, "registers", frozenset(self.registers))
-        object.__setattr__(self, "ports", frozenset(self.ports))
-        object.__setattr__(self, "cells", frozenset(self.cells))
-        regs, ports, cells = set(), set(), set()
-        _names(self.body, regs, set(), ports, cells)
+    def __init__(self, body: tuple, registers: frozenset = frozenset(),
+                 ports: frozenset = frozenset(), cells: frozenset = frozenset()):
+        body = tuple(body)
+        registers, ports, cells = frozenset(registers), frozenset(ports), frozenset(cells)
+        used_regs, used_ports, used_cells = set(), set(), set()
+        _names(body, used_regs, set(), used_ports, used_cells)
         for kind, used, declared in (
-            ("register", regs, self.registers),
-            ("port", ports, self.ports),
-            ("cell", cells, self.cells),
+            ("register", used_regs, registers),
+            ("port", used_ports, ports),
+            ("cell", used_cells, cells),
         ):
             undeclared = used - declared
             if undeclared:
                 raise UndeclaredNameError(f"undeclared {kind}(s): {sorted(undeclared)}")
+        self._set(body, registers, ports, cells)
 
-    @functools.cached_property
+    @cached_slot
     def _inverse(self) -> RevProgram:
         return RevProgram(invert_block(self.body), self.registers, self.ports, self.cells)
 
@@ -309,11 +303,13 @@ def discard(value: int) -> None:
     """Sink that drops every emission."""
 
 
-@dataclass
-class RecordingSink:
+class RecordingSink(Record):
     """Sink that keeps every emitted value in order."""
 
-    values: list = field(default_factory=list)
+    _fields = ("values",)
+
+    def __init__(self, values: list | None = None):
+        self.values = [] if values is None else values
 
     def __call__(self, value: int):
         self.values.append(value)

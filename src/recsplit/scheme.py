@@ -14,10 +14,10 @@ All arithmetic is on Python integers, so results never wrap or truncate.
 
 from __future__ import annotations
 
-import functools
 import re
-from dataclasses import dataclass
 from typing import NamedTuple, Union
+
+from .record import FrozenRecord, cached_slot
 
 
 class SchemeError(Exception):
@@ -54,47 +54,56 @@ class SchemeFileError(SchemeError):
 
 # --- expression AST ---------------------------------------------------------
 
-class _Node:
+class _Node(FrozenRecord):
     """Shared base of the expression nodes; facts derived from a node live on it."""
 
-    @functools.cached_property
+    __slots__ = ("function_",)
+
+    @cached_slot
     def function(self):
         """This expression as a Python function f(x, y=None), generated on
         first use and kept on the node."""
         return _generate(self)
 
 
-@dataclass(frozen=True)
 class Const(_Node):
-    value: int
+    __slots__ = _fields = ("value",)
+
+    def __init__(self, value: int):
+        self._set(value)
 
 
-@dataclass(frozen=True)
 class Var(_Node):
-    name: str
+    __slots__ = _fields = ("name",)
+
+    def __init__(self, name: str):
+        self._set(name)
 
 
-@dataclass(frozen=True)
-class Add(_Node):
-    left: "Expression"
-    right: "Expression"
+class _Binary(_Node):
+    __slots__ = _fields = ("left", "right")
+
+    def __init__(self, left: Expression, right: Expression):
+        self._set(left, right)
 
 
-@dataclass(frozen=True)
-class Sub(_Node):
-    left: "Expression"
-    right: "Expression"
+class Add(_Binary):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Mul(_Node):
-    left: "Expression"
-    right: "Expression"
+class Sub(_Binary):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
+class Mul(_Binary):
+    __slots__ = ()
+
+
 class Neg(_Node):
-    operand: "Expression"
+    __slots__ = _fields = ("operand",)
+
+    def __init__(self, operand: Expression):
+        self._set(operand)
 
 
 Expression = Union[Const, Var, Add, Sub, Mul, Neg]
@@ -295,15 +304,15 @@ def check_input(x0: int):
         raise NegativeInputError(f"input must be non-negative, got {x0}")
 
 
-@dataclass(frozen=True)
-class PredecessorSpec:
+class PredecessorSpec(FrozenRecord):
     """Constant-displacement predecessor: pred(x) = x + delta, delta <= -1."""
 
-    delta: int
+    __slots__ = _fields = ("delta",)
 
-    def __post_init__(self):
-        if self.delta > -1:
-            raise ValueError(f"predecessor displacement must be <= -1, got {self.delta}")
+    def __init__(self, delta: int):
+        if delta > -1:
+            raise ValueError(f"predecessor displacement must be <= -1, got {delta}")
+        self._set(delta)
 
     def pred(self, x: int) -> int:
         return x + self.delta
@@ -312,16 +321,14 @@ class PredecessorSpec:
         return x - self.delta
 
 
-@dataclass(frozen=True)
-class RecursionScheme:
+class RecursionScheme(FrozenRecord):
     """base over {x}, step over {x, y}, base case taken whenever x <= 0."""
 
-    pred: PredecessorSpec
-    base: Expression
-    step: Expression
+    __slots__ = _fields = ("pred", "base", "step")
 
-    def __post_init__(self):
-        check_variables(self.base, self.step)
+    def __init__(self, pred: PredecessorSpec, base: Expression, step: Expression):
+        check_variables(base, step)
+        self._set(pred, base, step)
 
 
 def make_scheme(delta: int, base: str, step: str) -> RecursionScheme:

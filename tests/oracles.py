@@ -5,8 +5,6 @@ transcriptions, no IR, no channels, no shared code with the package paths
 they are used to check.
 """
 
-import dataclasses
-
 # the field each writing IR instruction kind writes; the other kinds write none
 _WRITTEN_FIELD = {"AddConst": "reg", "AddReg": "dest", "SubFrom": "dest", "SwapCell": "reg"}
 
@@ -14,7 +12,7 @@ _WRITTEN_FIELD = {"AddConst": "reg", "AddReg": "dest", "SubFrom": "dest", "SwapC
 def names_by_fields(block):
     """(registers, written registers, ports, cells) of an IR block.
 
-    Reads every dataclass field of every instruction, nested blocks included:
+    Reads every declared field (_fields) of every instruction, nested blocks included:
     a tuple field is a block, reg/dest/src/count fields name registers, and
     port and cell fields name ports and cells.
     """
@@ -22,15 +20,15 @@ def names_by_fields(block):
     pending = list(block)
     while pending:
         inst = pending.pop()
-        for item in dataclasses.fields(inst):
-            value = getattr(inst, item.name)
+        for name in inst._fields:
+            value = getattr(inst, name)
             if isinstance(value, tuple):
                 pending.extend(value)
-            elif item.name in ("reg", "dest", "src", "count"):
+            elif name in ("reg", "dest", "src", "count"):
                 regs.add(value)
-            elif item.name == "port":
+            elif name == "port":
                 ports.add(value)
-            elif item.name == "cell":
+            elif name == "cell":
                 cells.add(value)
         written_field = _WRITTEN_FIELD.get(type(inst).__name__)
         if written_field is not None:

@@ -36,6 +36,18 @@ def test_modes_agree(capsys):
     assert len(set(outputs)) == 1
 
 
+def test_import_loads_no_dataclasses_or_inspect():
+    # every command starts a fresh interpreter, so the package imports only
+    # light standard modules
+    src = os.path.dirname(os.path.dirname(recsplit.__file__))
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import recsplit.cli, recsplit.harness; "
+            "print(sorted({'dataclasses', 'inspect'} & sys.modules.keys()))")
+    done = subprocess.run([sys.executable, "-I", "-c", code, src],
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[]\n"
+
+
 def _decimal(value):
     """str(value), past the interpreter's int/str digit limit if it has one."""
     if not hasattr(sys, "set_int_max_str_digits"):

@@ -1,5 +1,6 @@
 import functools
 import json
+import math
 import os
 import resource
 import sys
@@ -33,6 +34,7 @@ from recsplit.revir import (
     IfSign,
     RevProgram,
     SwapCell,
+    run,
 )
 from recsplit.scheme import NegativeInputError, eval_recursive, make_scheme, pretty
 
@@ -102,17 +104,37 @@ def test_sub_millisecond_timeout_is_not_a_stall():
     assert report.y == 500500
 
 
-# a channel-free loop of about 0.2 s under the interpreter
-_SPIN = (AddConst("n", 400_000), For("n", (AddConst("a", 1),)))
+# the stall timeout of the runs that spin
+_SPIN_TIMEOUT = 0.05
+
+
+def _spin_loop(count):
+    return (AddConst("n", count), For("n", (AddConst("a", 1),)))
+
+
+@functools.cache
+def _spin():
+    """A channel-free loop that runs at least 4 * _SPIN_TIMEOUT seconds, as
+    timed here: the IR's speed sets how many iterations that takes."""
+    count = 1000
+    while True:
+        started = time.perf_counter()
+        run(RevProgram.from_body(_spin_loop(count)))
+        elapsed = time.perf_counter() - started
+        if elapsed >= _SPIN_TIMEOUT / 2:
+            break
+        count *= 2
+    # aim at 5 * _SPIN_TIMEOUT, so a loop timed a little fast still lasts 4
+    return _spin_loop(math.ceil(count * 5 * _SPIN_TIMEOUT / elapsed))
 
 
 def test_computing_agent_is_not_a_stall():
     # after its final swap the producer computes far past the timeout while
     # the consumer has finished: no agent waits, so the run is not stalled
     scheme = make_scheme(-1, "x", "x+y")
-    program = RevProgram.from_body(compile_producer(scheme).body + _SPIN)
+    program = RevProgram.from_body(compile_producer(scheme).body + _spin())
     before = threading.active_count()
-    report = run_split(scheme, 3, timeout=0.05, program=program)
+    report = run_split(scheme, 3, timeout=_SPIN_TIMEOUT, program=program)
     assert report.y == 6
     assert report.wall_time > 0.05
     assert threading.active_count() == before
@@ -283,8 +305,8 @@ def test_stall_waits_for_a_computing_agent():
     # once it has finished, and no thread outlives the run
     before = threading.active_count()
     with pytest.raises(DeadlockTimeout, match="producer finished; consumer blocked in probe.get"):
-        run_split(make_scheme(-1, "x", "x+y"), 3, timeout=0.05,
-                  program=RevProgram.from_body((SwapCell("inject", "x"),) + _SPIN))
+        run_split(make_scheme(-1, "x", "x+y"), 3, timeout=_SPIN_TIMEOUT,
+                  program=RevProgram.from_body((SwapCell("inject", "x"),) + _spin()))
     assert threading.active_count() == before
 
 

@@ -1,3 +1,4 @@
+import copy
 import gc
 import weakref
 
@@ -26,6 +27,7 @@ from recsplit.revir import (
     run,
     written_registers,
 )
+from recsplit.scheme import Add, Const, Var
 
 from oracles import names_by_fields
 
@@ -305,6 +307,35 @@ def test_loop_facts_are_freed_with_the_program():
     del inst, program
     gc.collect()
     assert freed() is None
+
+
+_SAME_FIELDS = (SubFrom("a", "b"), Emit("a", "b"), SwapCell("a", "b"))
+
+
+@pytest.mark.parametrize(
+    "record",
+    [
+        *_SAME_FIELDS,
+        For("n", (AddConst("a", 1),)),
+        Add(Var("x"), Const(1)),
+        RevProgram.from_body((AddConst("a", 1),)),
+    ],
+    ids=lambda record: type(record).__name__,
+)
+def test_records_are_read_only_and_equal_within_one_kind(record):
+    field = record._fields[0]
+    with pytest.raises(AttributeError):
+        setattr(record, field, getattr(record, field))
+    twin = copy.copy(record)
+    assert twin == record and hash(twin) == hash(record)
+    # kinds with equal fields stay apart, in a set too
+    assert len(set(_SAME_FIELDS)) == 3
+    assert [type(other) for other in _SAME_FIELDS if other == record] == [
+        type(other) for other in _SAME_FIELDS if type(other) is type(record)
+    ]
+    shown = repr(record)
+    assert shown.startswith(f"{type(record).__name__}({field}=")
+    assert "writes_count" not in shown
 
 
 def test_written_registers_sees_through_nesting():
