@@ -13,6 +13,7 @@ import contextlib
 import os
 import re
 import sys
+from itertools import islice
 
 from . import harness
 from .producer import compile_producer, run_sequential
@@ -22,6 +23,7 @@ from .scheme import (
     SchemeError,
     check_input,
     eval_recursive,
+    make_scheme,
     parse_scheme_text,
     scheme_from_fields,
 )
@@ -141,11 +143,12 @@ def _resolve_scheme(args) -> RecursionScheme:
 
 
 def _resolve_schemes(args, default_deltas):
-    """For check/sweep: (pairs, deltas, [(base, step, scheme)]) in sweep order.
+    """For check/sweep: (pairs, deltas) in sweep order, the deltas as ints.
 
     An explicit base/step pair or delta narrows the defaults; default_deltas()
-    is only called without a delta. A base without a step, or the reverse,
-    and every scheme that fails to build are usage errors.
+    is only called without a delta, and gives an ascending range. A base
+    without a step, or the reverse, is a usage error, and so is the first
+    scheme in sweep order that fails to build.
     """
     fields = _scheme_fields(args)
     if "base" in fields and "step" in fields:
@@ -156,12 +159,12 @@ def _resolve_schemes(args, default_deltas):
         pairs = list(DEFAULT_PAIRS)
     deltas = [fields["delta"]] if "delta" in fields else default_deltas()
     with _usage_errors():
-        cases = [
-            (base, step, scheme_from_fields({"delta": delta, "base": base, "step": step}))
-            for base, step in pairs
-            for delta in deltas
-        ]
-    return pairs, list(dict.fromkeys(scheme.pred.delta for _, _, scheme in cases)), cases
+        for base, step in pairs:
+            first = scheme_from_fields({"delta": deltas[0], "base": base, "step": step}).pred.delta
+            # the deltas ascend, so once the first builds, the first that cannot is 0
+            if 0 in deltas:
+                scheme_from_fields({"delta": 0, "base": base, "step": step})
+    return pairs, [first] if "delta" in fields else deltas
 
 
 def _parse_span(text, name) -> range:
@@ -213,44 +216,58 @@ def _cmd_emit_ir(args) -> int:
     return EXIT_OK
 
 
+def _tally(cases):
+    """How many cases there were, and the failing ones: all that check keeps."""
+    count, failures = 0, []
+    for count, case in enumerate(cases, 1):
+        if not case.ok:
+            failures.append(case)
+    return count, failures
+
+
 def _cmd_check(args) -> int:
-    pairs, deltas, cases = _resolve_schemes(args, lambda: range(-5, 0))
+    pairs, deltas = _resolve_schemes(args, lambda: range(-5, 0))
     if args.x_max < 0:
         raise UsageError(f"--x-max must be non-negative, got {args.x_max}")
     if args.x_max >= sys.maxsize:
         raise UsageError(f"--x-max must be below {sys.maxsize}, got {args.x_max}")
     if args.preloads < 1:
         raise UsageError(f"--preloads must be at least 1, got {args.preloads}")
+    if args.preloads >= sys.maxsize:
+        raise UsageError(f"--preloads must be below {sys.maxsize}, got {args.preloads}")
     failed = False
-    for base_text, step_text, scheme in cases:
-        delta = scheme.pred.delta
-        program = compile_producer(scheme)
-        preloads = harness.random_preloads(program, args.preloads, seed=args.seed + delta)
-        report = harness.check_reversibility(program, preloads)
-        status = "ok" if report.all_ok else "FAILED"
-        print(f"reversibility delta={delta} base={base_text} step={step_text}: "
-              f"{report.summary()} [{status}]")
-        for case in report.failures:
-            print(f"  {case.label}: {case.problem}")
-        failed = failed or not report.all_ok
-    sweep_report = harness.sweep(range(0, args.x_max + 1), deltas, pairs, timeout=args.timeout)
-    print(f"sweep: {len(sweep_report.cases)} cases, {len(sweep_report.failures)} failures")
-    for case in sweep_report.failures:
+    for base_text, step_text in pairs:
+        for delta in deltas:
+            program = compile_producer(make_scheme(delta, base_text, step_text))
+            preloads = islice(harness.preload_stream(program, seed=args.seed + delta), args.preloads)
+            count, failures = _tally(harness.reversibility_cases(program, preloads))
+            status = "FAILED" if failures else "ok"
+            print(f"reversibility delta={delta} base={base_text} step={step_text}: "
+                  f"{harness.restored_summary(count - len(failures), count)} [{status}]")
+            for case in failures:
+                print(f"  {case.label}: {case.problem}")
+            failed = failed or bool(failures)
+    count, failures = _tally(harness.sweep_cases(range(0, args.x_max + 1), deltas, pairs, timeout=args.timeout))
+    print(f"sweep: {harness.table_summary(count, len(failures))}")
+    for case in failures:
         print(f"  delta={case.delta} x0={case.x0} base={case.base} step={case.step}: {case.detail}")
-    failed = failed or not sweep_report.all_ok
-    return EXIT_CHECK_FAILED if failed else EXIT_OK
+    return EXIT_CHECK_FAILED if failed or failures else EXIT_OK
 
 
 def _cmd_sweep(args) -> int:
-    pairs, deltas, _ = _resolve_schemes(
+    pairs, deltas = _resolve_schemes(
         args, lambda: _parse_span(args.delta_range, "--delta-range")
     )
     x_span = _parse_span(args.x_range, "--x-range")
     if x_span.start < 0:
         raise UsageError("--x-range must be non-negative")
-    report = harness.sweep(x_span, deltas, pairs, timeout=args.timeout)
-    print(report.format_table())
-    return EXIT_OK if report.all_ok else EXIT_CHECK_FAILED
+    print(harness.TABLE_HEADER, flush=True)
+    count = failures = 0
+    for count, case in enumerate(harness.sweep_cases(x_span, deltas, pairs, timeout=args.timeout), 1):
+        print(case.row(), flush=True)
+        failures += not case.ok
+    print(harness.table_summary(count, failures))
+    return EXIT_CHECK_FAILED if failures else EXIT_OK
 
 
 @contextlib.contextmanager

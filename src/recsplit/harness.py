@@ -26,6 +26,7 @@ import json
 import random
 import threading
 import time
+from itertools import islice
 from typing import NamedTuple
 
 from .chan import FINAL, PROTOCOL, START, EventLog, InjectChannel, ProbeChannel
@@ -224,11 +225,22 @@ class CaseReport(Record):
 
 class ReversibilityReport(CaseReport):
     def summary(self) -> str:
-        return f"{sum(case.ok for case in self.cases)}/{len(self.cases)} preloads restored"
+        return restored_summary(sum(case.ok for case in self.cases), len(self.cases))
+
+
+def restored_summary(restored: int, count: int) -> str:
+    """The one line that says how many of count preloads a reversibility check restored."""
+    return f"{restored}/{count} preloads restored"
 
 
 def check_reversibility(program: RevProgram, preloads) -> ReversibilityReport:
-    """Run forward then inverted for each (registers, cells) preload.
+    """Every case of reversibility_cases, in one report."""
+    return ReversibilityReport(list(reversibility_cases(program, preloads)))
+
+
+def reversibility_cases(program: RevProgram, preloads):
+    """Run forward then inverted for each (registers, cells) preload, and
+    yield its ReversibilityCase as it ends.
 
     A clean pass restores every register and cell exactly. Interpreter faults
     (discipline violations) are reported per case, never raised. Emissions
@@ -236,7 +248,6 @@ def check_reversibility(program: RevProgram, preloads) -> ReversibilityReport:
     """
     inverse = invert(program)
     sinks = {port: discard for port in program.ports}
-    cases = []
     for index, (registers, cell_values) in enumerate(preloads):
         label = f"preload[{index}]"
         initial = Store(registers)
@@ -245,7 +256,7 @@ def check_reversibility(program: RevProgram, preloads) -> ReversibilityReport:
             middle = run(program, initial, sinks=sinks, cells=cells)
             final = run(inverse, middle, sinks=sinks, cells=cells)
         except RevirError as exc:
-            cases.append(ReversibilityCase(label, False, f"{type(exc).__name__}: {exc}"))
+            yield ReversibilityCase(label, False, f"{type(exc).__name__}: {exc}")
             continue
         problems = []
         if final != initial:
@@ -254,27 +265,29 @@ def check_reversibility(program: RevProgram, preloads) -> ReversibilityReport:
             if cells[name].value != value:
                 problems.append(f"cell {name} {cells[name].value} != {value}")
         if problems:
-            cases.append(ReversibilityCase(label, False, "; ".join(problems)))
+            yield ReversibilityCase(label, False, "; ".join(problems))
         else:
-            cases.append(ReversibilityCase(label, True))
-    return ReversibilityReport(cases)
+            yield ReversibilityCase(label, True)
 
 
 def random_preloads(program: RevProgram, count: int, seed: int):
-    """Deterministic random (registers, cells) preloads for a program.
+    """The first count preloads of preload_stream(program, seed), in a list."""
+    return list(islice(preload_stream(program, seed), max(count, 0)))
+
+
+def preload_stream(program: RevProgram, seed: int):
+    """Deterministic random (registers, cells) preloads for a program, without end.
 
     Values are kept small because register values drive loop counts.
     """
     rng = random.Random(seed)
     registers = sorted(program.registers)
     cells = sorted(program.cells)
-    return [
-        (
+    while True:
+        yield (
             {reg: rng.randint(*PRELOAD_RANGE) for reg in registers},
             {cell: rng.randint(*PRELOAD_RANGE) for cell in cells},
         )
-        for _ in range(count)
-    ]
 
 
 # --- protocol checks ---------------------------------------------------------------
@@ -345,20 +358,27 @@ class SweepCase(Record):
         """Why the case failed: its error if it has one, else its problems."""
         return self.error if self.error is not None else "; ".join(self.problems)
 
+    def row(self) -> str:
+        """The case's line in a sweep table, under TABLE_HEADER."""
+        detail = f"y = {_show(self.split_y)}" if self.ok else self.detail
+        return (f"{self.base:<12} {self.step:<12} {self.delta:>5} {self.x0:>4} "
+                f"{'yes' if self.ok else 'NO':<4} {detail}")
+
+
+_COLUMNS = f"{'base':<12} {'step':<12} {'delta':>5} {'x0':>4} {'ok':<4} detail"
+TABLE_HEADER = f"{_COLUMNS}\n{'-' * len(_COLUMNS)}"
+
+
+def table_summary(count: int, failures: int) -> str:
+    """The one line that closes a sweep table of count cases."""
+    return f"{count} cases, {failures} failures"
+
 
 class SweepReport(CaseReport):
     def format_table(self) -> str:
         """Flat text table, one row per case."""
-        header = f"{'base':<12} {'step':<12} {'delta':>5} {'x0':>4} {'ok':<4} detail"
-        lines = [header, "-" * len(header)]
-        for case in self.cases:
-            detail = f"y = {_show(case.split_y)}" if case.ok else case.detail
-            lines.append(
-                f"{case.base:<12} {case.step:<12} {case.delta:>5} {case.x0:>4} "
-                f"{'yes' if case.ok else 'NO':<4} {detail}"
-            )
-        lines.append(f"{len(self.cases)} cases, {len(self.failures)} failures")
-        return "\n".join(lines)
+        rows = [case.row() for case in self.cases]
+        return "\n".join([TABLE_HEADER, *rows, table_summary(len(self.cases), len(self.failures))])
 
 
 # a y this large has more digits than str() converts by default (4300), and
@@ -381,27 +401,32 @@ def _show(y: int, width: int = 32) -> str:
 
 
 def sweep(x_values, deltas, pairs, timeout: float = DEFAULT_TIMEOUT) -> SweepReport:
-    """Cross product of inputs, displacements, and (base, step) text pairs.
+    """Every case of sweep_cases, in one report."""
+    return SweepReport(list(sweep_cases(x_values, deltas, pairs, timeout)))
 
-    Each case does a split run, the one-piece classical run, and the direct
-    recursive evaluation, then checks emission conformity, residual
-    conformity, and the channel protocol. Failures are collected, not
-    raised.
+
+def sweep_cases(x_values, deltas, pairs, timeout: float = DEFAULT_TIMEOUT):
+    """Cross product of (base, step) text pairs, displacements and inputs, in
+    that order: yield each SweepCase as it ends.
+
+    Each (pair, delta) block builds its scheme and producer when it starts
+    and walks x_values again, as each pair walks deltas again: both must be
+    ranges or sequences, not one-pass iterators. Each case does a split run,
+    the one-piece classical run, and the direct recursive evaluation, then
+    checks emission conformity, residual conformity, and the channel
+    protocol. Failures are recorded in the case, not raised.
     """
-    x_values = list(x_values)
-    deltas = list(deltas)
-    cases = []
     for base_text, step_text in pairs:
         for delta in deltas:
             scheme = make_scheme(delta, base_text, step_text)
             program = compile_producer(scheme)
             for x0 in x_values:
                 case = SweepCase(base=base_text, step=step_text, delta=delta, x0=x0)
-                cases.append(case)
                 try:
                     report = run_split(scheme, x0, timeout=timeout, program=program)
                 except (HarnessError, RevirError, NegativeInputError) as exc:
                     case.error = f"{type(exc).__name__}: {exc}"
+                    yield case
                     continue
                 case.split_y = report.y
                 case.wall_time = report.wall_time
@@ -428,4 +453,4 @@ def sweep(x_values, deltas, pairs, timeout: float = DEFAULT_TIMEOUT) -> SweepRep
                     case.problems.append(
                         f"{case.handshakes} handshakes, expected {plan.iterations + 2}"
                     )
-    return SweepReport(cases)
+                yield case

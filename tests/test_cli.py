@@ -1,14 +1,19 @@
+import builtins
+import gc
 import json
 import os
+import select
 import subprocess
 import sys
 import time
+import tracemalloc
+import weakref
 from pathlib import Path
 
 import pytest
 
 import recsplit
-from recsplit import harness
+from recsplit import cli, harness
 from recsplit.cli import main
 from recsplit.scheme import MAX_EXPR_DEPTH, eval_recursive, make_scheme
 
@@ -244,6 +249,8 @@ HUGE = str(10 ** 20)
         (["sweep", "--x-range", f"0:{sys.maxsize}", "--delta-range", "-1:-1"], "--x-range"),
         (["check", "--x-max", HUGE, "--preloads", "1", "--delta", "-1"], "--x-max"),
         (["check", "--x-max", str(sys.maxsize), "--preloads", "1", "--delta", "-1"], "--x-max"),
+        (["check", "--x-max", "0", "--preloads", HUGE, "--delta", "-1"], "--preloads"),
+        (["check", "--x-max", "0", "--preloads", str(sys.maxsize), "--delta", "-1"], "--preloads"),
     ],
 )
 def test_huge_ranges_are_usage_errors(command, option, capsys):
@@ -253,6 +260,124 @@ def test_huge_ranges_are_usage_errors(command, option, capsys):
     assert captured.out == ""     # refused before any output
     assert option in captured.err
     assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize(
+    "flags, error",
+    [
+        (["--delta-range", "-3:2"], "predecessor displacement must be <= -1, got 0"),
+        (["--delta-range", "1:3"], "predecessor displacement must be <= -1, got 1"),
+        (["--delta-range", "-3:2", "--base", "x+", "--step", "x"], "unexpected end of expression (column 2)"),
+    ],
+)
+def test_first_bad_scheme_in_sweep_order_is_the_usage_error(flags, error, capsys):
+    assert main(["sweep", "--x-range", "0:2", *flags]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"usage error: {error}\n"
+
+
+class _Stop(Exception):
+    pass
+
+
+def test_huge_delta_range_builds_schemes_as_its_blocks_start(monkeypatch, capsys):
+    built = []
+
+    def counted(build):
+        def wrapper(*args):
+            built.append(args)
+            if len(built) > 8:
+                raise _Stop("a scheme per delta")
+            return build(*args)
+        return wrapper
+
+    def first_run(*args, **kwargs):
+        raise _Stop("first run")
+
+    monkeypatch.setattr(cli, "scheme_from_fields", counted(cli.scheme_from_fields))
+    monkeypatch.setattr(harness, "make_scheme", counted(harness.make_scheme))
+    monkeypatch.setattr(harness, "run_split", first_run)
+    with pytest.raises(_Stop, match="first run"):
+        main(["sweep", "--x-range", "0:0", "--delta-range", f"-{10 ** 18}:-1"])
+    assert len(built) <= 2 * len(cli.DEFAULT_PAIRS)
+    assert capsys.readouterr().out == harness.TABLE_HEADER + "\n"
+
+
+def test_sweep_prints_the_table_of_harness_sweep(capsys):
+    assert main(["sweep", "--x-range", "0:6", "--delta-range", "-3:-1"]) == 0
+    table = harness.sweep(range(0, 7), range(-3, 0), cli.DEFAULT_PAIRS).format_table()
+    assert capsys.readouterr().out == table + "\n"
+
+
+def test_sweep_prints_each_row_as_its_case_ends():
+    src = str(Path(recsplit.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    command = [sys.executable, "-m", "recsplit.cli", "sweep", *SCHEME_FLAGS,
+               "--x-range", "0:1000000000000", "--delta-range", "-1:-1"]
+    with subprocess.Popen(command, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                          env={**os.environ, "PYTHONPATH": path}) as done:
+        try:
+            lines = []
+            while len(lines) < 3 and select.select([done.stdout], [], [], 30)[0]:
+                lines.append(done.stdout.readline())
+            done.stdout.close()   # the reader leaves while the sweep goes on
+            assert done.wait(timeout=30) == 141
+        finally:
+            done.kill()
+        assert done.stderr.read() == b""
+    assert lines[2].split() == [b"x", b"x+y", b"-1", b"0", b"yes", b"y", b"=", b"0"]
+
+
+def test_check_keeps_only_failing_sweep_cases(monkeypatch, capsys):
+    cases = []   # a weak reference to each SweepCase: records are not hashable
+    kept = []
+    real_init, real_run_split = harness.SweepCase.__init__, harness.run_split
+
+    def init(self, *args, **kwargs):
+        real_init(self, *args, **kwargs)
+        cases.append(weakref.ref(self))
+
+    def run_split(scheme, x0, **kwargs):
+        if x0 == 3:
+            raise harness.DeadlockTimeout("stalled")
+        return real_run_split(scheme, x0, **kwargs)
+
+    def print_(*args, **kwargs):
+        if str(args[0]).startswith("sweep:"):
+            gc.collect()
+            kept.append(sum(case() is not None for case in cases))
+        builtins.print(*args, **kwargs)
+
+    monkeypatch.setattr(harness.SweepCase, "__init__", init)
+    monkeypatch.setattr(harness, "run_split", run_split)
+    monkeypatch.setattr(cli, "print", print_, raising=False)
+    assert main(["check", *SCHEME_FLAGS, "--x-max", "7", "--preloads", "1"]) == 1
+    assert kept == [1]
+    assert "sweep: 8 cases, 1 failures\n  delta=-1 x0=3" in capsys.readouterr().out
+
+
+# less than the peak of check --x-max 0 grew per 100 preloads while check kept
+# every preload and case (about 59 KiB on CPython 3.11)
+KEPT_PER_100_PRELOADS = 48 * 1024
+
+
+def test_check_memory_does_not_grow_with_preloads(monkeypatch, capsys):
+    # zero preloads keep each IR run short; what a preload and its case hold
+    # does not depend on the values
+    monkeypatch.setattr(harness, "PRELOAD_RANGE", (0, 0))
+
+    def peak(preloads):
+        tracemalloc.start()
+        try:
+            assert main(["check", *SCHEME_FLAGS, "--x-max", "0", "--preloads", str(preloads)]) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(1)   # first-use allocations
+    assert abs(peak(2000) - peak(200)) < KEPT_PER_100_PRELOADS
+    assert "2000/2000 preloads restored" in capsys.readouterr().out
 
 
 def test_negative_x_range_is_refused_without_walking_it(capsys):

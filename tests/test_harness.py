@@ -2,10 +2,12 @@ import functools
 import json
 import math
 import os
+import random
 import resource
 import sys
 import threading
 import time
+from itertools import islice
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -20,9 +22,12 @@ from recsplit.harness import (
     SweepReport,
     channel_protocol_problems,
     check_reversibility,
+    preload_stream,
     random_preloads,
+    reversibility_cases,
     run_split,
     sweep,
+    sweep_cases,
     write_trace_jsonl,
 )
 from recsplit.producer import compile_phase_a, compile_producer, expected_residuals
@@ -379,6 +384,20 @@ def test_random_preloads_are_deterministic():
     assert random_preloads(program, 5, seed=9) != random_preloads(program, 5, seed=10)
 
 
+def test_preload_stream_draws_what_random_preloads_returns():
+    program = compile_producer(make_scheme(-2, "x", "x+y"))
+    rng = random.Random(9)
+    registers, cells = sorted(program.registers), sorted(program.cells)
+    want = [({reg: rng.randint(-8, 8) for reg in registers}, {cell: rng.randint(-8, 8) for cell in cells})
+            for _ in range(5)]
+    assert random_preloads(program, 5, seed=9) == want
+    assert list(islice(preload_stream(program, 9), 5)) == want
+    # an endless stream is checked one preload at a time
+    cases = list(islice(reversibility_cases(program, preload_stream(program, 9)), 5))
+    assert cases == check_reversibility(program, want).cases
+    assert [case.label for case in cases] == [f"preload[{index}]" for index in range(5)]
+
+
 # --- protocol checker ----------------------------------------------------------------------
 
 def _event(seq, channel, op, value):
@@ -501,6 +520,13 @@ def test_sweep_small_ranges_all_pass():
         recursive = eval_recursive(make_scheme(case.delta, case.base, case.step), case.x0)
         assert case.split_y == case.sequential_y == recursive
         assert case.emissions_ok and case.residuals_ok and case.protocol_ok
+
+
+def test_sweep_cases_walk_a_huge_range_lazily():
+    started = time.perf_counter()
+    cases = list(islice(sweep_cases(range(10**18), [-1], [("x", "x+y")]), 3))
+    assert time.perf_counter() - started < 1.0
+    assert [(case.x0, case.ok) for case in cases] == [(0, True), (1, True), (2, True)]
 
 
 def test_sweep_empty_ranges():
