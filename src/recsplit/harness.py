@@ -416,6 +416,8 @@ def sweep_cases(x_values, deltas, pairs, timeout: float = DEFAULT_TIMEOUT):
     checks emission conformity, residual conformity, and the channel
     protocol. Failures are recorded in the case, not raised.
     """
+    if iter(x_values) is x_values or iter(deltas) is deltas:
+        raise TypeError("x_values and deltas must be ranges or sequences, not iterators")
     for base_text, step_text in pairs:
         for delta in deltas:
             scheme = make_scheme(delta, base_text, step_text)

@@ -534,6 +534,13 @@ def test_sweep_empty_ranges():
     assert sweep([0, 1], [], [("x", "x+y")]).cases == []
 
 
+def test_sweep_refuses_one_pass_iterators():
+    # each block walks x_values again, so a generator would drop every later block
+    for x_values, deltas in ((iter([0, 1]), [-1, -2]), ([0, 1], (d for d in (-1, -2)))):
+        with pytest.raises(TypeError, match="ranges or sequences"):
+            sweep(x_values, deltas, [("x", "x+y")])
+
+
 def test_sweep_table_format():
     report = sweep(range(0, 3), [-1], [("x", "x+y")])
     table = report.format_table()
