@@ -35,6 +35,7 @@ EXIT_DEADLOCK = 3
 EXIT_BROKEN_PIPE = 128 + 13   # as a shell reports a process killed by SIGPIPE
 
 DEFAULT_PAIRS = (("x", "x+y"), ("x+1", "x*y+1"))
+DEFAULT_DELTAS = range(-5, 0)
 
 
 class UsageError(Exception):
@@ -100,7 +101,8 @@ def _build_parser():
     sweep_parser = sub.add_parser("sweep", help="sweep ranges of inputs and displacements")
     _add_scheme_arguments(sweep_parser)
     sweep_parser.add_argument("--x-range", default="0:50", metavar="LO:HI", help="inclusive input range")
-    sweep_parser.add_argument("--delta-range", default="-5:-1", metavar="LO:HI", help="inclusive displacement range")
+    sweep_parser.add_argument("--delta-range", metavar="LO:HI",
+                              help="inclusive displacement range (default: -5:-1, or the delta given)")
     sweep_parser.set_defaults(func=_cmd_sweep)
     for command_parser in (run_parser, check_parser, sweep_parser):
         command_parser.add_argument(
@@ -124,7 +126,8 @@ def _scheme_fields(args) -> dict:
     fields = {}
     if args.scheme:
         with _usage_errors((OSError, UnicodeDecodeError), "cannot read scheme file: "):
-            with open(args.scheme, encoding="utf-8") as handle:
+            # utf-8-sig: a byte-order mark some editors write is not part of the first key
+            with open(args.scheme, encoding="utf-8-sig") as handle:
                 text = handle.read()
         with _usage_errors():
             fields = parse_scheme_text(text)
@@ -142,13 +145,13 @@ def _resolve_scheme(args) -> RecursionScheme:
         return scheme_from_fields(_scheme_fields(args))
 
 
-def _resolve_schemes(args, default_deltas):
+def _resolve_schemes(args, deltas):
     """For check/sweep: (pairs, deltas) in sweep order, the deltas as ints.
 
-    An explicit base/step pair or delta narrows the defaults; default_deltas()
-    is only called without a delta, and gives an ascending range. A base
-    without a step, or the reverse, is a usage error, and so is the first
-    scheme in sweep order that fails to build.
+    An explicit base/step pair narrows the default pairs, and an explicit
+    delta narrows deltas, an ascending range, to itself. A base without a
+    step, or the reverse, is a usage error, and so is the first scheme in
+    sweep order that fails to build.
     """
     fields = _scheme_fields(args)
     if "base" in fields and "step" in fields:
@@ -157,7 +160,7 @@ def _resolve_schemes(args, default_deltas):
         raise UsageError("give base and step together, or neither for the default pairs")
     else:
         pairs = list(DEFAULT_PAIRS)
-    deltas = [fields["delta"]] if "delta" in fields else default_deltas()
+    deltas = [fields["delta"]] if "delta" in fields else deltas
     with _usage_errors():
         for base, step in pairs:
             first = scheme_from_fields({"delta": deltas[0], "base": base, "step": step}).pred.delta
@@ -226,7 +229,7 @@ def _tally(cases):
 
 
 def _cmd_check(args) -> int:
-    pairs, deltas = _resolve_schemes(args, lambda: range(-5, 0))
+    pairs, deltas = _resolve_schemes(args, DEFAULT_DELTAS)
     if args.x_max < 0:
         raise UsageError(f"--x-max must be non-negative, got {args.x_max}")
     if args.x_max >= sys.maxsize:
@@ -243,7 +246,7 @@ def _cmd_check(args) -> int:
             count, failures = _tally(harness.reversibility_cases(program, preloads))
             status = "FAILED" if failures else "ok"
             print(f"reversibility delta={delta} base={base_text} step={step_text}: "
-                  f"{harness.restored_summary(count - len(failures), count)} [{status}]")
+                  f"{count - len(failures)}/{count} preloads restored [{status}]")
             for case in failures:
                 print(f"  {case.label}: {case.problem}")
             failed = failed or bool(failures)
@@ -255,9 +258,10 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    pairs, deltas = _resolve_schemes(
-        args, lambda: _parse_span(args.delta_range, "--delta-range")
-    )
+    span = DEFAULT_DELTAS if args.delta_range is None else _parse_span(args.delta_range, "--delta-range")
+    pairs, deltas = _resolve_schemes(args, span)
+    if args.delta_range is not None and deltas[0] not in span:
+        raise UsageError(f"delta {deltas[0]} lies outside --delta-range {args.delta_range}")
     x_span = _parse_span(args.x_range, "--x-range")
     if x_span.start < 0:
         raise UsageError("--x-range must be non-negative")

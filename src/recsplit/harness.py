@@ -223,19 +223,9 @@ class CaseReport(Record):
         return [case for case in self.cases if not case.ok]
 
 
-class ReversibilityReport(CaseReport):
-    def summary(self) -> str:
-        return restored_summary(sum(case.ok for case in self.cases), len(self.cases))
-
-
-def restored_summary(restored: int, count: int) -> str:
-    """The one line that says how many of count preloads a reversibility check restored."""
-    return f"{restored}/{count} preloads restored"
-
-
-def check_reversibility(program: RevProgram, preloads) -> ReversibilityReport:
+def check_reversibility(program: RevProgram, preloads) -> CaseReport:
     """Every case of reversibility_cases, in one report."""
-    return ReversibilityReport(list(reversibility_cases(program, preloads)))
+    return CaseReport(list(reversibility_cases(program, preloads)))
 
 
 def reversibility_cases(program: RevProgram, preloads):
@@ -374,13 +364,6 @@ def table_summary(count: int, failures: int) -> str:
     return f"{count} cases, {failures} failures"
 
 
-class SweepReport(CaseReport):
-    def format_table(self) -> str:
-        """Flat text table, one row per case."""
-        rows = [case.row() for case in self.cases]
-        return "\n".join([TABLE_HEADER, *rows, table_summary(len(self.cases), len(self.failures))])
-
-
 # a y this large has more digits than str() converts by default (4300), and
 # converting it costs time quadratic in its length: the table shows its digit count
 _SHOWN_BELOW = 10 ** 4300
@@ -400,9 +383,9 @@ def _show(y: int, width: int = 32) -> str:
     return text if len(text) <= width else text[: width - 3] + "..."
 
 
-def sweep(x_values, deltas, pairs, timeout: float = DEFAULT_TIMEOUT) -> SweepReport:
+def sweep(x_values, deltas, pairs, timeout: float = DEFAULT_TIMEOUT) -> CaseReport:
     """Every case of sweep_cases, in one report."""
-    return SweepReport(list(sweep_cases(x_values, deltas, pairs, timeout)))
+    return CaseReport(list(sweep_cases(x_values, deltas, pairs, timeout)))
 
 
 def sweep_cases(x_values, deltas, pairs, timeout: float = DEFAULT_TIMEOUT):

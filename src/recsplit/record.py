@@ -3,8 +3,10 @@
 A record class names its constructor's fields, in order, in _fields, and
 its own __init__ stores them with _set. Records compare field by field
 within one class only, and show their fields in a dataclass-style repr.
-A FrozenRecord is also hashable and refuses assignment; a fact derived
-from one is a cached_slot, computed on first read and kept in a slot.
+A FrozenRecord is also hashable and refuses assignment; a class that
+keeps a fact derived from its fields adds a "__dict__" slot and makes the
+fact a functools.cached_property, which equality, hash, copies and
+pickles all ignore.
 
 These stand in for dataclasses, whose import loads inspect and whose every
 class runs exec once per generated method: together most of a cold start.
@@ -56,28 +58,3 @@ class FrozenRecord(Record):
         # rebuilt through the constructor, which takes the fields in order
         return type(self), self._values()
 
-
-class cached_slot:
-    """functools.cached_property for a FrozenRecord: the value is computed on
-    first read and kept in the slot named after the property plus "_".
-
-    Every read calls __get__, so a loop reads the value once, before it starts.
-    """
-
-    def __init__(self, compute):
-        self._compute = compute
-        self.__doc__ = compute.__doc__
-
-    def __set_name__(self, owner, name):
-        self._slot = owner.__dict__[name + "_"]
-
-    def __get__(self, record, owner=None):
-        if record is None:
-            return self
-        try:
-            return self._slot.__get__(record, owner)
-        except AttributeError:   # not computed yet
-            pass
-        value = self._compute(record)
-        self._slot.__set__(record, value)
-        return value

@@ -17,10 +17,13 @@ and are their own inverse.
 
 The module holds no state. Instructions and programs are immutable records
 (record.FrozenRecord): two nodes are equal only when they are of one kind
-with equal fields. A fact derived from a node lives in a slot of the node:
-a For records at construction whether its body writes its count, and a
-For's inverted body or a RevProgram's inverse is built on first use and
-kept (record.cached_slot).
+with equal fields. A fact derived from a node lives on the node: a For
+records at construction whether its body writes its count, and a For's
+inverted body or a RevProgram's inverse is built on first use and kept
+(functools.cached_property).
+
+The register file, Store, is a dict in which a register never written
+reads as 0; only its non-zero registers count when stores are compared.
 
 One walk, _names, finds the registers a block references and can write and
 its ports and cells; every name check reads it, and it rejects a
@@ -30,9 +33,10 @@ constructor's check that it declares each name its body uses.
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import Callable, Mapping, Union
 
-from .record import FrozenRecord, Record, cached_slot
+from .record import FrozenRecord, Record
 
 RegisterId = str
 
@@ -95,14 +99,14 @@ class For(FrozenRecord):
     _fields = ("count", "body")
     # writes_count is checked when the loop is reached, so building such a
     # loop is no error
-    __slots__ = _fields + ("writes_count", "inverted_body_")
+    __slots__ = _fields + ("writes_count", "__dict__")
 
     def __init__(self, count: RegisterId, body: tuple):
         body = tuple(body)
         self._set(count, body)
         object.__setattr__(self, "writes_count", count in written_registers(body))
 
-    @cached_slot
+    @cached_property
     def inverted_body(self) -> tuple:
         """invert_block(body), built on first use and kept on the node."""
         return invert_block(self.body)
@@ -170,16 +174,16 @@ class RevProgram(FrozenRecord):
     """An instruction sequence plus the names it is allowed to touch."""
 
     _fields = ("body", "registers", "ports", "cells")
-    __slots__ = _fields + ("_inverse_",)
+    __slots__ = _fields + ("__dict__",)
 
     def __init__(self, body: tuple, registers: frozenset = frozenset(),
                  ports: frozenset = frozenset(), cells: frozenset = frozenset()):
         body = tuple(body)
         registers, ports, cells = frozenset(registers), frozenset(ports), frozenset(cells)
-        used_regs, used_ports, used_cells = set(), set(), set()
-        _names(body, used_regs, set(), used_ports, used_cells)
+        used_registers, used_ports, used_cells = set(), set(), set()
+        _names(body, used_registers, set(), used_ports, used_cells)
         for kind, used, declared in (
-            ("register", used_regs, registers),
+            ("register", used_registers, registers),
             ("port", used_ports, ports),
             ("cell", used_cells, cells),
         ):
@@ -188,7 +192,7 @@ class RevProgram(FrozenRecord):
                 raise UndeclaredNameError(f"undeclared {kind}(s): {sorted(undeclared)}")
         self._set(body, registers, ports, cells)
 
-    @cached_slot
+    @cached_property
     def _inverse(self) -> RevProgram:
         return RevProgram(invert_block(self.body), self.registers, self.ports, self.cells)
 
@@ -239,46 +243,38 @@ def written_registers(block: tuple) -> frozenset:
 
 # --- state and execution ------------------------------------------------------
 
-class Store:
+class Store(dict):
     """Total register file: any register reads as 0 until written.
 
-    Zero-valued entries are dropped, so a store whose registers were all
-    returned to 0 compares equal to a fresh one.
+    Only the non-zero registers count: as_dict, equality and repr drop the
+    zero ones, so a store whose registers were all returned to 0 compares
+    equal to a fresh one.
     """
 
-    __slots__ = ("_regs",)
+    __slots__ = ()
 
-    def __init__(self, values: Mapping[RegisterId, int] | None = None):
-        self._regs = {}
-        if values:
-            for reg, value in values.items():
-                self[reg] = value
-
-    def __getitem__(self, reg: RegisterId) -> int:
-        return self._regs.get(reg, 0)
-
-    def __setitem__(self, reg: RegisterId, value: int):
-        if value == 0:
-            self._regs.pop(reg, None)
-        else:
-            self._regs[reg] = value
+    def __missing__(self, reg: RegisterId) -> int:
+        return 0
 
     def copy(self) -> "Store":
-        fresh = Store()
-        fresh._regs = dict(self._regs)
-        return fresh
+        return Store(self)
 
     def as_dict(self) -> dict:
         """Non-zero registers only."""
-        return dict(self._regs)
+        return {reg: value for reg, value in self.items() if value}
 
     def __eq__(self, other):
         if not isinstance(other, Store):
             return NotImplemented
-        return self._regs == other._regs
+        return self.as_dict() == other.as_dict()
+
+    def __ne__(self, other):
+        # dict's own != would count the zero registers
+        equal = self.__eq__(other)
+        return equal if equal is NotImplemented else not equal
 
     def __repr__(self):
-        inside = ", ".join(f"{k}={v}" for k, v in sorted(self._regs.items()))
+        inside = ", ".join(f"{k}={v}" for k, v in sorted(self.as_dict().items()))
         return f"Store({inside})"
 
 

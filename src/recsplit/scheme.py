@@ -15,9 +15,10 @@ All arithmetic is on Python integers, so results never wrap or truncate.
 from __future__ import annotations
 
 import re
+from functools import cached_property
 from typing import NamedTuple, Union
 
-from .record import FrozenRecord, cached_slot
+from .record import FrozenRecord
 
 
 class SchemeError(Exception):
@@ -57,9 +58,9 @@ class SchemeFileError(SchemeError):
 class _Node(FrozenRecord):
     """Shared base of the expression nodes; facts derived from a node live on it."""
 
-    __slots__ = ("function_",)
+    __slots__ = ("__dict__",)
 
-    @cached_slot
+    @cached_property
     def function(self):
         """This expression as a Python function f(x, y=None), generated on
         first use and kept on the node."""

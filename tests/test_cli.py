@@ -150,6 +150,14 @@ def test_non_utf8_scheme_file_is_usage_error(tmp_path, capsys):
     assert "cannot read scheme file" in capsys.readouterr().err
 
 
+def test_scheme_file_with_byte_order_mark(tmp_path, capsys):
+    path = tmp_path / "scheme.txt"
+    path.write_text("delta = -2\nbase = x\nstep = x+y\n", encoding="utf-8-sig")
+    assert path.read_bytes().startswith(b"\xef\xbb\xbf")
+    assert main(["run", "--scheme", str(path), "--input", "3"]) == 0
+    assert capsys.readouterr().out == "y = 3\n"
+
+
 def test_emit_ir_dumps_program(capsys):
     assert main(["emit-ir", *SCHEME_FLAGS]) == 0
     out = capsys.readouterr().out
@@ -200,6 +208,10 @@ def test_sweep_subcommand(capsys):
     assert code == 0
     out = capsys.readouterr().out
     assert "14 cases, 0 failures" in out
+    # a delta inside the range narrows the sweep to itself
+    assert main(["sweep", "--x-range", "0:6", "--delta-range", "-2:-1", *SCHEME_FLAGS]) == 0
+    rows = capsys.readouterr().out.splitlines()[2:-1]
+    assert [row.split()[2] for row in rows] == ["-1"] * 7
 
 
 def test_sweep_rejects_negative_inputs(capsys):
@@ -277,6 +289,25 @@ def test_first_bad_scheme_in_sweep_order_is_the_usage_error(flags, error, capsys
     assert captured.err == f"usage error: {error}\n"
 
 
+@pytest.mark.parametrize(
+    "flags, error",
+    [
+        (["--delta", "-2", "--delta-range", "garbage"], "--delta-range must look like LO:HI, got 'garbage'"),
+        (["--delta", "-2", "--delta-range", "-5:-3"], "delta -2 lies outside --delta-range -5:-3"),
+        (["--scheme", "FILE", "--delta-range", "-4:-3"], "delta -2 lies outside --delta-range -4:-3"),
+    ],
+    ids=["malformed", "excludes-flag-delta", "excludes-file-delta"],
+)
+def test_explicit_delta_range_is_checked_against_the_delta(flags, error, tmp_path, capsys):
+    path = tmp_path / "scheme.txt"
+    path.write_text("delta = -2\n")
+    flags = [str(path) if flag == "FILE" else flag for flag in flags]
+    assert main(["sweep", "--x-range", "0:1", "--base", "x", "--step", "x+y", *flags]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"usage error: {error}\n"
+
+
 class _Stop(Exception):
     pass
 
@@ -306,8 +337,10 @@ def test_huge_delta_range_builds_schemes_as_its_blocks_start(monkeypatch, capsys
 
 def test_sweep_prints_the_table_of_harness_sweep(capsys):
     assert main(["sweep", "--x-range", "0:6", "--delta-range", "-3:-1"]) == 0
-    table = harness.sweep(range(0, 7), range(-3, 0), cli.DEFAULT_PAIRS).format_table()
-    assert capsys.readouterr().out == table + "\n"
+    report = harness.sweep(range(0, 7), range(-3, 0), cli.DEFAULT_PAIRS)
+    rows = [case.row() for case in report.cases]
+    summary = harness.table_summary(len(report.cases), len(report.failures))
+    assert capsys.readouterr().out == "\n".join([harness.TABLE_HEADER, *rows, summary]) + "\n"
 
 
 def test_sweep_prints_each_row_as_its_case_ends():

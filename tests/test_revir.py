@@ -1,5 +1,6 @@
 import copy
 import gc
+import pickle
 import weakref
 
 import pytest
@@ -287,8 +288,19 @@ def test_loop_count_mutation_is_structural():
 
 
 def test_invert_is_built_once_per_program():
-    program = RevProgram.from_body((AddConst("n", 2), For("n", (AddConst("a", 1),))))
+    loop = For("n", (AddConst("a", 1),))
+    program = RevProgram.from_body((AddConst("n", 2), loop))
     assert invert(program) is invert(program)
+    assert loop.inverted_body is loop.inverted_body
+
+
+def test_copies_carry_no_kept_fact():
+    # a kept inverse is no field: copies and pickles rebuild the program from its fields
+    program = RevProgram.from_body((AddConst("n", 2), For("n", (AddConst("a", 1),))))
+    assert vars(program) == {"_inverse": invert(program)}
+    for twin in (copy.copy(program), pickle.loads(pickle.dumps(program))):
+        assert twin == program and hash(twin) == hash(program)
+        assert vars(twin) == {}
 
 
 def test_invert_keeps_unused_declarations():
@@ -458,6 +470,10 @@ def test_store_drops_zero_entries():
     store["a"] = 0
     assert store == Store()
     assert store.as_dict() == {}
+    # != is the negation of ==, not dict's comparison of every key
+    assert (Store({"a": 1}) != Store()) is True
+    assert (Store({"a": 0}) != Store()) is False
+    assert repr(Store({"a": 0, "b": 2})) == "Store(b=2)"
 
 
 def test_store_copy_is_independent():
@@ -465,6 +481,8 @@ def test_store_copy_is_independent():
     other = store.copy()
     other["a"] = 2
     assert store["a"] == 1
+    assert type(other) is Store
+    assert type(run(RevProgram.from_body((AddConst("a", 5),)), store)) is Store
 
 
 # --- dump --------------------------------------------------------------------------------

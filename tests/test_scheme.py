@@ -272,7 +272,7 @@ def test_eval_recursive_descends_past_sys_maxsize():
 
     for delta, base_arg in ((-1, 0), (-3, -2)):
         scheme = make_scheme(delta, "x", "x+y")
-        object.__setattr__(scheme.step, "function_", stop)   # the slot the cached function is kept in
+        scheme.step.__dict__["function"] = stop   # where the cached function is kept
         with pytest.raises(StepReached) as reached:
             eval_recursive(scheme, 2**64)
         assert reached.value.args == (1, base_arg)
