@@ -9,11 +9,11 @@ gets, whatever the values are.
 
 from __future__ import annotations
 
-from .record import FrozenRecord
+from .record import Record
 from .scheme import Expression, RecursionScheme, check_input, check_variables
 
 
-class ConsumerConfig(FrozenRecord):
+class ConsumerConfig(Record):
     __slots__ = _fields = ("base", "step", "x0")
 
     def __init__(self, base: Expression, step: Expression, x0: int):

@@ -209,10 +209,10 @@ class ReversibilityCase(NamedTuple):
 class CaseReport(Record):
     """A list of cases, each with an ok flag."""
 
-    _fields = ("cases",)
+    __slots__ = _fields = ("cases",)
 
     def __init__(self, cases: list):
-        self.cases = cases
+        self._set(cases)
 
     @property
     def all_ok(self) -> bool:
@@ -326,9 +326,9 @@ def write_trace_jsonl(events, handle):
 # --- sweeps -------------------------------------------------------------------------
 
 class SweepCase(Record):
-    _fields = ("base", "step", "delta", "x0", "error", "split_y", "sequential_y",
-               "emissions_ok", "residuals_ok", "protocol_ok", "handshakes", "wall_time",
-               "problems")
+    __slots__ = _fields = ("base", "step", "delta", "x0", "error", "split_y", "sequential_y",
+                           "emissions_ok", "residuals_ok", "protocol_ok", "handshakes",
+                           "wall_time", "problems")
 
     def __init__(self, base: str, step: str, delta: int, x0: int,
                  error: str | None = None, split_y: int | None = None,
@@ -406,36 +406,34 @@ def sweep_cases(x_values, deltas, pairs, timeout: float = DEFAULT_TIMEOUT):
             scheme = make_scheme(delta, base_text, step_text)
             program = compile_producer(scheme)
             for x0 in x_values:
-                case = SweepCase(base=base_text, step=step_text, delta=delta, x0=x0)
                 try:
                     report = run_split(scheme, x0, timeout=timeout, program=program)
                 except (HarnessError, RevirError, NegativeInputError) as exc:
-                    case.error = f"{type(exc).__name__}: {exc}"
-                    yield case
+                    yield SweepCase(base_text, step_text, delta, x0, error=f"{type(exc).__name__}: {exc}")
                     continue
-                case.split_y = report.y
-                case.wall_time = report.wall_time
-                case.sequential_y = run_sequential(scheme, x0)[0]
-                if case.sequential_y != report.y:
-                    case.problems.append(
-                        f"sequential y {case.sequential_y} != recursive {report.y}"
+                problems = []
+                sequential_y = run_sequential(scheme, x0)[0]
+                if sequential_y != report.y:
+                    problems.append(
+                        f"sequential y {sequential_y} != recursive {report.y}"
                     )
                 plan = expected_emissions(scheme, x0)
                 expected = [plan.iterations, plan.base_arg, *plan.h_args]
-                case.emissions_ok = report.emissions == expected
-                if not case.emissions_ok:
-                    case.problems.append(
+                emissions_ok = report.emissions == expected
+                if not emissions_ok:
+                    problems.append(
                         f"emissions {report.emissions} != {expected}"
                     )
-                case.residuals_ok = report.residuals == expected_residuals(x0, delta)
-                if not case.residuals_ok:
-                    case.problems.append(f"residuals {report.residuals} off profile")
+                residuals_ok = report.residuals == expected_residuals(x0, delta)
+                if not residuals_ok:
+                    problems.append(f"residuals {report.residuals} off profile")
                 protocol = channel_protocol_problems(report.channel_log)
-                case.protocol_ok = not protocol
-                case.problems.extend(protocol)
-                case.handshakes = len(report.emissions)
-                if case.handshakes != plan.iterations + 2:
-                    case.problems.append(
-                        f"{case.handshakes} handshakes, expected {plan.iterations + 2}"
+                problems.extend(protocol)
+                handshakes = len(report.emissions)
+                if handshakes != plan.iterations + 2:
+                    problems.append(
+                        f"{handshakes} handshakes, expected {plan.iterations + 2}"
                     )
-                yield case
+                yield SweepCase(base_text, step_text, delta, x0, None, report.y, sequential_y,
+                                emissions_ok, residuals_ok, not protocol, handshakes,
+                                report.wall_time, problems)

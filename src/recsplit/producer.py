@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .record import FrozenRecord
+from .record import Record
 from .revir import (
     AddConst,
     AddReg,
@@ -55,7 +55,7 @@ def phase_a_counters(x0: int, delta: int) -> PhaseACounters:
     return PhaseACounters(g, e, s, x_final)
 
 
-class ResidualReport(FrozenRecord):
+class ResidualReport(Record):
     """Register leftovers after a full run: the run's cleanliness fingerprint.
 
     z only exists in the classical executor; temps and inject_cell only in
@@ -199,7 +199,7 @@ def _phase_a(delta):
 
 def compile_phase_a(scheme: RecursionScheme) -> RevProgram:
     """Just compile_producer's counting prologue: w := w + x, then classify the trajectory."""
-    return RevProgram.from_body(_phase_a(scheme.pred.delta))
+    return RevProgram(_phase_a(scheme.pred.delta))
 
 
 def compile_producer(scheme: RecursionScheme) -> RevProgram:
@@ -257,7 +257,7 @@ def compile_producer(scheme: RecursionScheme) -> RevProgram:
         AddReg("w", "x", -1),
         SwapCell(INJECT_CELL, "x"),
     )
-    return RevProgram.from_body(body)
+    return RevProgram(body)
 
 
 def residuals_from_store(

@@ -1,12 +1,13 @@
-"""Record classes for the package's nodes, configs and mutable reports.
+"""The one record base for the package's nodes, configs and reports.
 
 A record class names its constructor's fields, in order, in _fields, and
-its own __init__ stores them with _set. Records compare field by field
-within one class only, and show their fields in a dataclass-style repr.
-A FrozenRecord is also hashable and refuses assignment; a class that
-keeps a fact derived from its fields adds a "__dict__" slot and makes the
-fact a functools.cached_property, which equality, hash, copies and
-pickles all ignore.
+its own __init__ stores them with _set. A record is read-only: assignment
+and deletion raise AttributeError. Records compare and hash field by field
+within one class only, pickle and copy through their constructor, and show
+their fields in a dataclass-style repr; a record holding a list is not
+hashable. A class that keeps a fact derived from its fields adds a
+"__dict__" slot and makes the fact a functools.cached_property, which
+equality, hash, copies and pickles all ignore.
 
 These stand in for dataclasses, whose import loads inspect and whose every
 class runs exec once per generated method: together most of a cold start.
@@ -16,7 +17,9 @@ from __future__ import annotations
 
 
 class Record:
-    """Fields in _fields; equality and repr by field, no hash."""
+    """Read-only fields in _fields; equality, hash and repr by field.
+
+    Subclasses declare __slots__."""
 
     __slots__ = ("__weakref__",)
     _fields = ()
@@ -33,18 +36,6 @@ class Record:
             return NotImplemented
         return self._values() == other._values()
 
-    __hash__ = None
-
-    def __repr__(self):
-        inside = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
-        return f"{type(self).__qualname__}({inside})"
-
-
-class FrozenRecord(Record):
-    """A Record that is hashable and refuses assignment; subclasses declare __slots__."""
-
-    __slots__ = ()
-
     def __hash__(self):
         return hash(self._values())
 
@@ -58,3 +49,6 @@ class FrozenRecord(Record):
         # rebuilt through the constructor, which takes the fields in order
         return type(self), self._values()
 
+    def __repr__(self):
+        inside = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({inside})"

@@ -15,9 +15,9 @@ to a port and inverts to itself, so inverse runs are checked against a
 discarding sink. Cell swaps exchange a register with named external state
 and are their own inverse.
 
-The module holds no state. Instructions and programs are immutable records
-(record.FrozenRecord): two nodes are equal only when they are of one kind
-with equal fields. A fact derived from a node lives on the node: a For
+The module holds no state. Instructions and programs are read-only records
+(record.Record): two nodes are equal only when they are of one kind with
+equal fields. A fact derived from a node lives on the node: a For
 records at construction whether its body writes its count, and a For's
 inverted body or a RevProgram's inverse is built on first use and kept
 (functools.cached_property).
@@ -27,8 +27,10 @@ reads as 0; only its non-zero registers count when stores are compared.
 
 One walk, _names, finds the registers a block references and can write and
 its ports and cells; every name check reads it, and it rejects a
-non-instruction with TypeError. Every program, an inverse too, passes the
-constructor's check that it declares each name its body uses.
+non-instruction with TypeError. RevProgram(body) walks its body once:
+a name set left out declares exactly the names of that kind the body uses,
+and a name set given must cover them. Every program, an inverse too, is
+built by that one constructor.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from __future__ import annotations
 from functools import cached_property
 from typing import Callable, Mapping, Union
 
-from .record import FrozenRecord, Record
+from .record import Record
 
 RegisterId = str
 
@@ -59,7 +61,7 @@ class UndeclaredNameError(RevirError):
 
 # --- instructions -----------------------------------------------------------
 
-class AddConst(FrozenRecord):
+class AddConst(Record):
     """reg := reg + amount."""
 
     __slots__ = _fields = ("reg", "amount")
@@ -68,7 +70,7 @@ class AddConst(FrozenRecord):
         self._set(reg, amount)
 
 
-class AddReg(FrozenRecord):
+class AddReg(Record):
     """dest := dest + sign * src; the registers must differ."""
 
     __slots__ = _fields = ("dest", "src", "sign")
@@ -81,7 +83,7 @@ class AddReg(FrozenRecord):
         self._set(dest, src, sign)
 
 
-class SubFrom(FrozenRecord):
+class SubFrom(Record):
     """dest := src - dest (self-inverse); the registers must differ."""
 
     __slots__ = _fields = ("dest", "src")
@@ -92,7 +94,7 @@ class SubFrom(FrozenRecord):
         self._set(dest, src)
 
 
-class For(FrozenRecord):
+class For(Record):
     """Run body count-register-value times; a negative count runs the
     inverted body that many times. The body must not write the count."""
 
@@ -112,7 +114,7 @@ class For(FrozenRecord):
         return invert_block(self.body)
 
 
-class IfSign(FrozenRecord):
+class IfSign(Record):
     """Dispatch on the sign of reg; the chosen branch must preserve it."""
 
     __slots__ = _fields = ("reg", "pos", "zero", "neg")
@@ -121,7 +123,7 @@ class IfSign(FrozenRecord):
         self._set(reg, tuple(pos), tuple(zero), tuple(neg))
 
 
-class Emit(FrozenRecord):
+class Emit(Record):
     """Send a copy of reg to a port; registers are untouched."""
 
     __slots__ = _fields = ("port", "reg")
@@ -130,7 +132,7 @@ class Emit(FrozenRecord):
         self._set(port, reg)
 
 
-class SwapCell(FrozenRecord):
+class SwapCell(Record):
     """Exchange reg with the named external cell."""
 
     __slots__ = _fields = ("cell", "reg")
@@ -170,39 +172,32 @@ def _names(block, regs, written, ports, cells):
             raise TypeError(f"not an instruction: {inst!r}")
 
 
-class RevProgram(FrozenRecord):
-    """An instruction sequence plus the names it is allowed to touch."""
+class RevProgram(Record):
+    """An instruction sequence plus the names it is allowed to touch.
+
+    A name set left out (None) declares exactly the names of that kind the
+    body uses; one given must include them, or UndeclaredNameError.
+    """
 
     _fields = ("body", "registers", "ports", "cells")
     __slots__ = _fields + ("__dict__",)
 
-    def __init__(self, body: tuple, registers: frozenset = frozenset(),
-                 ports: frozenset = frozenset(), cells: frozenset = frozenset()):
+    def __init__(self, body: tuple, registers: frozenset | None = None,
+                 ports: frozenset | None = None, cells: frozenset | None = None):
         body = tuple(body)
-        registers, ports, cells = frozenset(registers), frozenset(ports), frozenset(cells)
-        used_registers, used_ports, used_cells = set(), set(), set()
-        _names(body, used_registers, set(), used_ports, used_cells)
-        for kind, used, declared in (
-            ("register", used_registers, registers),
-            ("port", used_ports, ports),
-            ("cell", used_cells, cells),
-        ):
-            undeclared = used - declared
+        used = (set(), set(), set())   # registers, ports, cells
+        _names(body, used[0], set(), used[1], used[2])
+        declared = [frozenset(found if names is None else names)
+                    for found, names in zip(used, (registers, ports, cells))]
+        for kind, found, names in zip(("register", "port", "cell"), used, declared):
+            undeclared = found - names
             if undeclared:
                 raise UndeclaredNameError(f"undeclared {kind}(s): {sorted(undeclared)}")
-        self._set(body, registers, ports, cells)
+        self._set(body, *declared)
 
     @cached_property
     def _inverse(self) -> RevProgram:
         return RevProgram(invert_block(self.body), self.registers, self.ports, self.cells)
-
-    @classmethod
-    def from_body(cls, body) -> "RevProgram":
-        """Declare exactly the names the body references."""
-        body = tuple(body)
-        regs, ports, cells = set(), set(), set()
-        _names(body, regs, set(), ports, cells)
-        return cls(body, regs, ports, cells)
 
 
 # --- inversion ---------------------------------------------------------------
@@ -300,12 +295,12 @@ def discard(value: int) -> None:
 
 
 class RecordingSink(Record):
-    """Sink that keeps every emitted value in order."""
+    """Sink that keeps every emitted value in order, in its values list."""
 
-    _fields = ("values",)
+    __slots__ = _fields = ("values",)
 
     def __init__(self, values: list | None = None):
-        self.values = [] if values is None else values
+        self._set([] if values is None else values)
 
     def __call__(self, value: int):
         self.values.append(value)

@@ -4,10 +4,12 @@ This module owns the object being compiled: a base expression b(x), a step
 expression h(x, y), and a predecessor that moves x by a fixed negative
 displacement. Every expression node compiles to a Python function of
 (x, y) on first use and keeps it (`function`), so the classical half
-evaluates b and h without walking the tree. The module also provides the
-two reference computations the rest of the toolkit is validated against:
-direct evaluation of the recursion and the closed-form prediction of the
-values the producer must emit.
+evaluates b and h without walking the tree. One operator table, _BINARY,
+is the only statement of precedence: the parser climbs it and rendering
+parenthesises by it. The module also provides the two reference
+computations the rest of the toolkit is validated against: direct
+evaluation of the recursion and the closed-form prediction of the values
+the producer must emit.
 
 All arithmetic is on Python integers, so results never wrap or truncate.
 """
@@ -18,7 +20,7 @@ import re
 from functools import cached_property
 from typing import NamedTuple, Union
 
-from .record import FrozenRecord
+from .record import Record
 
 
 class SchemeError(Exception):
@@ -55,7 +57,7 @@ class SchemeFileError(SchemeError):
 
 # --- expression AST ---------------------------------------------------------
 
-class _Node(FrozenRecord):
+class _Node(Record):
     """Shared base of the expression nodes; facts derived from a node live on it."""
 
     __slots__ = ("__dict__",)
@@ -109,6 +111,12 @@ class Neg(_Node):
 
 Expression = Union[Const, Var, Add, Sub, Mul, Neg]
 
+# each binary operator's node class and precedence, higher binding tighter,
+# each left-associative; unary minus binds tighter than all of them
+_BINARY = {"+": (Add, 1), "-": (Sub, 1), "*": (Mul, 2)}
+_SYMBOL = {node: (op, precedence) for op, (node, precedence) in _BINARY.items()}
+_NEG_PRECEDENCE = 1 + max(precedence for _, precedence in _BINARY.values())
+
 
 _TOKEN_RE = re.compile(
     r"(?P<int>\d+)|(?P<name>[A-Za-z_]\w*)|(?P<op>[+\-*()])|(?P<ws>\s+)|(?P<bad>.)"
@@ -142,7 +150,8 @@ def _level(depth, pos):
 
 
 class _Parser:
-    """Recursive descent; precedence: unary minus > * > binary +/-; +,-,* left-associative.
+    """Precedence climbing over the operator table _BINARY, with unary minus
+    and parentheses in the operand rule.
 
     Each rule returns (node, depth in operators); open_levels counts the
     parentheses and minuses around it, so a deep nest is refused before it
@@ -162,34 +171,25 @@ class _Parser:
         self._pos += 1
         return token
 
-    def expression(self, open_levels=0):
-        node, depth = self.term(open_levels)
-        while self._peek()[0] == "op" and self._peek()[1] in "+-":
-            _, op, pos = self._advance()
-            right, right_depth = self.term(open_levels)
-            node = Add(node, right) if op == "+" else Sub(node, right)
-            depth = _level(max(depth, right_depth), pos)
-        return node, depth
-
-    def term(self, open_levels):
-        node, depth = self.factor(open_levels)
-        while self._peek()[0] == "op" and self._peek()[1] == "*":
-            pos = self._advance()[2]
-            right, right_depth = self.factor(open_levels)
-            node = Mul(node, right)
-            depth = _level(max(depth, right_depth), pos)
-        return node, depth
-
-    def factor(self, open_levels):
-        kind, text, pos = self._peek()
-        if kind == "op" and text == "-":
+    def expression(self, open_levels=0, floor=0):
+        """Operands joined by the binary operators of precedence floor or above."""
+        node, depth = self.operand(open_levels)
+        # only an operator token's text can be a key of _BINARY
+        _, op, pos = self._peek()
+        while op in _BINARY and _BINARY[op][1] >= floor:
             self._advance()
-            operand, depth = self.factor(_level(open_levels, pos))
-            return Neg(operand), _level(depth, pos)
-        return self.atom(open_levels)
+            node_class, precedence = _BINARY[op]
+            right, right_depth = self.expression(open_levels, precedence + 1)
+            node = node_class(node, right)
+            depth = _level(max(depth, right_depth), pos)
+            _, op, pos = self._peek()
+        return node, depth
 
-    def atom(self, open_levels):
+    def operand(self, open_levels):
         kind, text, pos = self._advance()
+        if kind == "op" and text == "-":
+            inner, depth = self.operand(_level(open_levels, pos))
+            return Neg(inner), _level(depth, pos)
         if kind == "int":
             try:
                 return Const(int(text)), 0
@@ -226,7 +226,7 @@ def parse_expr(text: str, allowed_vars) -> Expression:
 
 def pretty(expr: Expression) -> str:
     """Render with minimal parentheses; parse_expr(pretty(e)) rebuilds e."""
-    return _render(expr, 1, _leaf_text)
+    return _render(expr, 0, _leaf_text)
 
 
 def _leaf_text(leaf):
@@ -234,21 +234,17 @@ def _leaf_text(leaf):
 
 
 def _render(expr, context, leaf_text):
-    """Text of expr in the precedence this language shares with Python
-    (unary minus > * > binary +/-, each left-associative); leaf_text gives
-    the text of a Const or a Var."""
+    """Text of expr inside an operand slot of precedence context (0 at the
+    top), parenthesised as the operator table _BINARY, which this language
+    shares with Python, requires; leaf_text gives the text of a Const or a Var."""
     if isinstance(expr, (Const, Var)):
         return leaf_text(expr)
-    if isinstance(expr, Add):
-        mine, text = 1, f"{_render(expr.left, 1, leaf_text)} + {_render(expr.right, 2, leaf_text)}"
-    elif isinstance(expr, Sub):
-        mine, text = 1, f"{_render(expr.left, 1, leaf_text)} - {_render(expr.right, 2, leaf_text)}"
-    elif isinstance(expr, Mul):
-        mine, text = 2, f"{_render(expr.left, 2, leaf_text)} * {_render(expr.right, 3, leaf_text)}"
-    elif isinstance(expr, Neg):
-        mine, text = 3, f"-{_render(expr.operand, 3, leaf_text)}"
-    else:
+    if isinstance(expr, Neg):   # binds tightest, so is never parenthesised
+        return f"-{_render(expr.operand, _NEG_PRECEDENCE, leaf_text)}"
+    if type(expr) not in _SYMBOL:
         raise TypeError(f"not an expression node: {expr!r}")
+    op, mine = _SYMBOL[type(expr)]
+    text = f"{_render(expr.left, mine, leaf_text)} {op} {_render(expr.right, mine + 1, leaf_text)}"
     return f"({text})" if mine < context else text
 
 
@@ -272,7 +268,7 @@ def _generate(expr: Expression):
         consts[name] = leaf.value
         return name
 
-    text = _render(expr, 1, leaf_text)
+    text = _render(expr, 0, leaf_text)
     return eval(compile(f"lambda x, y=None: {text}", "<expression>", "eval"),
                 {"__builtins__": {}, **consts})
 
@@ -305,7 +301,7 @@ def check_input(x0: int):
         raise NegativeInputError(f"input must be non-negative, got {x0}")
 
 
-class PredecessorSpec(FrozenRecord):
+class PredecessorSpec(Record):
     """Constant-displacement predecessor: pred(x) = x + delta, delta <= -1."""
 
     __slots__ = _fields = ("delta",)
@@ -322,7 +318,7 @@ class PredecessorSpec(FrozenRecord):
         return x - self.delta
 
 
-class RecursionScheme(FrozenRecord):
+class RecursionScheme(Record):
     """base over {x}, step over {x, y}, base case taken whenever x <= 0."""
 
     __slots__ = _fields = ("pred", "base", "step")

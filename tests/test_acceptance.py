@@ -174,10 +174,10 @@ def test_criterion_7_channel_protocol(full_sweep):
 
 
 def test_criterion_8_discipline_enforcement():
-    sign_flipper = RevProgram.from_body(
+    sign_flipper = RevProgram(
         (AddConst("a", 1), IfSign("a", pos=(AddConst("a", -2),)),)
     )
-    count_writer = RevProgram.from_body(
+    count_writer = RevProgram(
         (AddConst("n", 2), For("n", (AddConst("n", 1),)),)
     )
     caught_sign = caught_count = False

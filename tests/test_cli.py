@@ -228,6 +228,14 @@ def test_check_subcommand(capsys):
     assert "0 failures" in out
 
 
+def test_check_runs_one_reversibility_suite_per_delta(capsys):
+    # every default pair compiles to one producer per delta
+    assert main(["check", "--x-max", "0", "--preloads", "1"]) == 0
+    lines = [line for line in capsys.readouterr().out.splitlines() if line.startswith("reversibility")]
+    assert lines == [f"reversibility delta={delta}: 1/1 preloads restored [ok]"
+                     for delta in cli.DEFAULT_DELTAS]
+
+
 def test_bad_timeout_is_usage_error(capsys):
     commands = (
         ["run", *SCHEME_FLAGS, "--input", "3"],

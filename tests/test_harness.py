@@ -1,3 +1,4 @@
+import copy
 import functools
 import json
 import math
@@ -39,6 +40,7 @@ from recsplit.revir import (
     Emit,
     For,
     IfSign,
+    RecordingSink,
     RevProgram,
     SwapCell,
     run,
@@ -126,7 +128,7 @@ def _spin():
     count = 1000
     while True:
         started = time.perf_counter()
-        run(RevProgram.from_body(_spin_loop(count)))
+        run(RevProgram(_spin_loop(count)))
         elapsed = time.perf_counter() - started
         if elapsed >= _SPIN_TIMEOUT / 2:
             break
@@ -139,7 +141,7 @@ def test_computing_agent_is_not_a_stall():
     # after its final swap the producer computes far past the timeout while
     # the consumer has finished: no agent waits, so the run is not stalled
     scheme = make_scheme(-1, "x", "x+y")
-    program = RevProgram.from_body(compile_producer(scheme).body + _spin())
+    program = RevProgram(compile_producer(scheme).body + _spin())
     before = threading.active_count()
     report = run_split(scheme, 3, timeout=_SPIN_TIMEOUT, program=program)
     assert report.y == 6
@@ -225,14 +227,14 @@ def test_concurrent_split_runs_under_preemption():
 
 def _silent_producer():
     # swaps the input in and back out without ever emitting
-    return RevProgram.from_body(
+    return RevProgram(
         (SwapCell("inject", "x"), SwapCell("inject", "x"))
     )
 
 
 def _chatty_producer():
     # emits more values than the consumer will ever get
-    return RevProgram.from_body(
+    return RevProgram(
         (SwapCell("inject", "x"),)
         + (Emit("probe", "g"),) * 4
         + (SwapCell("inject", "x"),)
@@ -260,7 +262,7 @@ def test_deadlock_reports_stuck_producer():
 
 def test_result_mismatch_is_raised():
     # a producer that reports zero iterations and hands base the raw input
-    program = RevProgram.from_body(
+    program = RevProgram(
         (
             SwapCell("inject", "x"),
             Emit("probe", "g"),
@@ -274,7 +276,7 @@ def test_result_mismatch_is_raised():
 
 def _sign_flipping_producer():
     # a branch that flips its discriminator's sign aborts the producer
-    return RevProgram.from_body(
+    return RevProgram(
         (
             SwapCell("inject", "x"),
             IfSign("x", pos=(AddConst("x", -100),)),
@@ -313,7 +315,7 @@ def test_stall_waits_for_a_computing_agent():
     before = threading.active_count()
     with pytest.raises(DeadlockTimeout, match="producer finished; consumer blocked in probe.get"):
         run_split(make_scheme(-1, "x", "x+y"), 3, timeout=_SPIN_TIMEOUT,
-                  program=RevProgram.from_body((SwapCell("inject", "x"),) + _spin()))
+                  program=RevProgram((SwapCell("inject", "x"),) + _spin()))
     assert threading.active_count() == before
 
 
@@ -374,7 +376,7 @@ def test_check_reversibility_full_producer():
 
 
 def test_check_reversibility_reports_discipline_violation():
-    program = RevProgram.from_body((IfSign("a", pos=(AddConst("a", -100),)),))
+    program = RevProgram((IfSign("a", pos=(AddConst("a", -100),)),))
     report = check_reversibility(program, [({"a": 3}, {})])
     assert not report.all_ok
     assert "BranchSignViolation" in report.failures[0].problem
@@ -571,3 +573,17 @@ def test_sweep_report_accounts_failures():
     two = SweepCase(base="x", step="x+y", delta=-1, x0=3, problems=["a", "b"])
     assert two.detail == "a; b"
     assert two.row().endswith(" NO   a; b")
+
+
+def test_cases_reports_and_sinks_are_read_only_records():
+    case = SweepCase(base="x", step="x+y", delta=-1, x0=3, split_y=6)
+    sink = RecordingSink()
+    sink(4)
+    sink(-5)
+    assert sink.values == [4, -5]
+    for record, field in ((case, "error"), (CaseReport([case]), "cases"), (sink, "values")):
+        with pytest.raises(AttributeError):
+            setattr(record, field, None)
+        assert copy.copy(record) == record
+        with pytest.raises(TypeError):   # each holds a list
+            hash(record)

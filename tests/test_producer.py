@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from recsplit.cli import DEFAULT_PAIRS
 from recsplit.producer import (
     TEMP_REGISTERS,
     ResidualReport,
@@ -21,6 +22,7 @@ from recsplit.revir import (
     Store,
     SwapCell,
     discard,
+    dump,
     invert,
     run,
 )
@@ -133,6 +135,15 @@ def test_compiled_producer_declarations():
         assert program.registers == registers
         assert program.ports == {"probe"}
         assert program.cells == {"inject"}
+
+
+@pytest.mark.parametrize("delta", range(-7, 0))
+def test_producer_depends_only_on_the_displacement(delta):
+    # check runs one reversibility suite per delta on this fact
+    pairs = (*DEFAULT_PAIRS, ("-x", "y*y-x"))
+    programs = [compile_producer(make_scheme(delta, base, step)) for base, step in pairs]
+    assert all(program == programs[0] for program in programs)
+    assert len({dump(program) for program in programs}) == 1
 
 
 def _count_instructions(block, predicate):

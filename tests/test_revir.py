@@ -6,6 +6,7 @@ import weakref
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from recsplit import revir
 from recsplit.revir import (
     AddConst,
     AddReg,
@@ -28,7 +29,8 @@ from recsplit.revir import (
     run,
     written_registers,
 )
-from recsplit.scheme import Add, Const, Var
+from recsplit.producer import compile_producer
+from recsplit.scheme import Add, Const, Var, make_scheme
 
 from oracles import names_by_fields
 
@@ -56,13 +58,13 @@ def test_program_rejects_undeclared_names():
     with pytest.raises(UndeclaredNameError):
         RevProgram((AddConst("a", 1),), registers=frozenset())
     with pytest.raises(UndeclaredNameError):
-        RevProgram((Emit("out", "a"),), registers=frozenset({"a"}))
+        RevProgram((Emit("out", "a"),), registers=frozenset({"a"}), ports=frozenset())
     with pytest.raises(UndeclaredNameError):
-        RevProgram((SwapCell("cell", "a"),), registers=frozenset({"a"}))
+        RevProgram((SwapCell("cell", "a"),), registers=frozenset({"a"}), cells=frozenset())
 
 
-def test_from_body_declares_exactly_what_is_used():
-    program = RevProgram.from_body(
+def test_constructor_declares_exactly_what_is_used():
+    program = RevProgram(
         (For("n", (IfSign("a", pos=(Emit("out", "b"),)),)), SwapCell("cell", "c"))
     )
     assert program.registers == {"n", "a", "b", "c"}
@@ -70,9 +72,25 @@ def test_from_body_declares_exactly_what_is_used():
     assert program.cells == {"cell"}
 
 
-def test_from_body_is_the_constructor_with_the_names_it_finds():
+def test_constructor_without_names_declares_the_names_it_finds():
     body = (For("n", (IfSign("a", pos=(Emit("out", "b"),)),)), SwapCell("cell", "c"))
-    assert RevProgram.from_body(body) == RevProgram(body, {"n", "a", "b", "c"}, {"out"}, {"cell"})
+    assert RevProgram(body) == RevProgram(body, {"n", "a", "b", "c"}, {"out"}, {"cell"})
+
+
+def test_a_program_walks_its_body_once(monkeypatch):
+    walks = []   # every block _names is called on, nested ones too
+    real_names = revir._names
+
+    def names(block, *sets):
+        walks.append(block)
+        real_names(block, *sets)
+
+    monkeypatch.setattr(revir, "_names", names)
+    body = (For("n", (IfSign("a", pos=(Emit("out", "b"),)),)), SwapCell("cell", "c"))
+    for build in (lambda: RevProgram(body), lambda: compile_producer(make_scheme(-3, "x", "x+y"))):
+        walks.clear()
+        program = build()
+        assert sum(block is program.body for block in walks) == 1
 
 
 # --- inversion ----------------------------------------------------------------------
@@ -151,7 +169,7 @@ def _instructions(draw, depth, forbidden, regs):
 
 
 def _programs():
-    return _blocks(depth=2, forbidden=frozenset()).map(RevProgram.from_body)
+    return _blocks(depth=2, forbidden=frozenset()).map(RevProgram)
 
 
 def _stores():
@@ -202,7 +220,7 @@ def test_emissions_never_change_state(program, preload, cell_value):
         )
     except BranchSignViolation:
         assume(False)
-    stripped = RevProgram.from_body(strip(program.body))
+    stripped = RevProgram(strip(program.body))
     without_emits = run(
         stripped, Store(preload), sinks={"out": discard}, cells={"cell": cell_b}
     )
@@ -224,13 +242,13 @@ def test_for_negation_duality(body, count, preload, cell_value):
     store_b = Store(dict(preload, n=count))
     try:
         final_a = run(
-            RevProgram.from_body((For("n", body),)),
+            RevProgram((For("n", body),)),
             store_a, sinks={"out": discard}, cells={"cell": cell_a},
         )
     except BranchSignViolation:
         assume(False)
     final_b = run(
-        RevProgram.from_body((For("n", invert_block(body)),)),
+        RevProgram((For("n", invert_block(body)),)),
         store_b, sinks={"out": discard}, cells={"cell": cell_b},
     )
     assert {r: final_a[r] for r in REGS if r != "n"} == {
@@ -242,13 +260,13 @@ def test_for_negation_duality(body, count, preload, cell_value):
 # --- interpreter basics -------------------------------------------------------------------
 
 def test_run_addconst():
-    final = run(RevProgram.from_body((AddConst("a", 5),)))
+    final = run(RevProgram((AddConst("a", 5),)))
     assert final["a"] == 5
 
 
 def test_run_loop_unrolls():
     final = run(
-        RevProgram.from_body((AddConst("n", 3), For("n", (AddConst("b", 2),))))
+        RevProgram((AddConst("n", 3), For("n", (AddConst("b", 2),))))
     )
     assert final["b"] == 6
     assert final["n"] == 3
@@ -256,7 +274,7 @@ def test_run_loop_unrolls():
 
 def test_run_negative_count_runs_inverted_body():
     final = run(
-        RevProgram.from_body((AddConst("n", -2), For("n", (AddConst("b", 1),))))
+        RevProgram((AddConst("n", -2), For("n", (AddConst("b", 1),))))
     )
     assert final["b"] == -2
 
@@ -264,7 +282,7 @@ def test_run_negative_count_runs_inverted_body():
 def test_for_reads_count_once():
     # the body may write a different loop's count without affecting this one
     final = run(
-        RevProgram.from_body(
+        RevProgram(
             (AddConst("n", 3), For("n", (AddConst("m", 1),)), For("m", (AddConst("a", 1),)))
         )
     )
@@ -273,14 +291,14 @@ def test_for_reads_count_once():
 
 
 def test_loop_count_mutation_aborts():
-    program = RevProgram.from_body((AddConst("n", 2), For("n", (AddConst("n", 1),))))
+    program = RevProgram((AddConst("n", 2), For("n", (AddConst("n", 1),))))
     with pytest.raises(LoopCountMutation):
         run(program)
 
 
 def test_loop_count_mutation_is_structural():
     # even a branch that would not run at this store counts as a write
-    program = RevProgram.from_body(
+    program = RevProgram(
         (AddConst("n", 1), For("n", (IfSign("a", pos=(AddConst("n", 1),)),)))
     )
     with pytest.raises(LoopCountMutation):
@@ -289,14 +307,14 @@ def test_loop_count_mutation_is_structural():
 
 def test_invert_is_built_once_per_program():
     loop = For("n", (AddConst("a", 1),))
-    program = RevProgram.from_body((AddConst("n", 2), loop))
+    program = RevProgram((AddConst("n", 2), loop))
     assert invert(program) is invert(program)
     assert loop.inverted_body is loop.inverted_body
 
 
 def test_copies_carry_no_kept_fact():
     # a kept inverse is no field: copies and pickles rebuild the program from its fields
-    program = RevProgram.from_body((AddConst("n", 2), For("n", (AddConst("a", 1),))))
+    program = RevProgram((AddConst("n", 2), For("n", (AddConst("a", 1),))))
     assert vars(program) == {"_inverse": invert(program)}
     for twin in (copy.copy(program), pickle.loads(pickle.dumps(program))):
         assert twin == program and hash(twin) == hash(program)
@@ -313,7 +331,7 @@ def test_invert_keeps_unused_declarations():
 def test_loop_facts_are_freed_with_the_program():
     # a loop's count check and inverted body live on the loop, in no module cache
     inst = AddConst("a", 104_729)
-    program = RevProgram.from_body((AddConst("n", -2), For("n", (inst, AddReg("b", "a")))))
+    program = RevProgram((AddConst("n", -2), For("n", (inst, AddReg("b", "a")))))
     assert run(invert(program), run(program)) == Store()
     freed = weakref.ref(inst)
     del inst, program
@@ -330,7 +348,7 @@ _SAME_FIELDS = (SubFrom("a", "b"), Emit("a", "b"), SwapCell("a", "b"))
         *_SAME_FIELDS,
         For("n", (AddConst("a", 1),)),
         Add(Var("x"), Const(1)),
-        RevProgram.from_body((AddConst("a", 1),)),
+        RevProgram((AddConst("a", 1),)),
     ],
     ids=lambda record: type(record).__name__,
 )
@@ -381,8 +399,8 @@ def test_names_match_a_walk_over_every_field(program):
 
 @pytest.mark.parametrize(
     "build",
-    [RevProgram, RevProgram.from_body, lambda body: For("n", body), written_registers],
-    ids=["RevProgram", "from_body", "For", "written_registers"],
+    [RevProgram, lambda body: For("n", body), written_registers],
+    ids=["RevProgram", "For", "written_registers"],
 )
 def test_every_name_check_rejects_a_non_instruction(build):
     with pytest.raises(TypeError, match="not an instruction"):
@@ -393,25 +411,25 @@ def test_ifsign_dispatch():
     body = (
         IfSign("a", pos=(AddConst("b", 1),), zero=(AddConst("c", 1),), neg=(AddConst("b", -1),)),
     )
-    assert run(RevProgram.from_body(body), Store({"a": 5}))["b"] == 1
-    assert run(RevProgram.from_body(body), Store({"a": 0}))["c"] == 1
-    assert run(RevProgram.from_body(body), Store({"a": -5}))["b"] == -1
+    assert run(RevProgram(body), Store({"a": 5}))["b"] == 1
+    assert run(RevProgram(body), Store({"a": 0}))["c"] == 1
+    assert run(RevProgram(body), Store({"a": -5}))["b"] == -1
 
 
 def test_ifsign_sign_flip_aborts():
-    program = RevProgram.from_body((IfSign("a", pos=(AddConst("a", -10),)),))
+    program = RevProgram((IfSign("a", pos=(AddConst("a", -10),)),))
     with pytest.raises(BranchSignViolation):
         run(program, Store({"a": 3}))
 
 
 def test_ifsign_allows_value_change_with_same_sign():
-    program = RevProgram.from_body((IfSign("a", pos=(AddConst("a", 7),)),))
+    program = RevProgram((IfSign("a", pos=(AddConst("a", 7),)),))
     assert run(program, Store({"a": 3}))["a"] == 10
 
 
 def test_ifsign_allows_temporary_moves():
     # the value may cross zero mid-branch as long as it is restored
-    program = RevProgram.from_body(
+    program = RevProgram(
         (IfSign("a", pos=(AddConst("a", -5), Emit("out", "a"), AddConst("a", 5))),)
     )
     sink = RecordingSink()
@@ -422,7 +440,7 @@ def test_ifsign_allows_temporary_moves():
 
 def test_emit_sends_copies_in_order():
     sink = RecordingSink()
-    program = RevProgram.from_body(
+    program = RevProgram(
         (AddConst("a", 4), Emit("out", "a"), AddConst("a", -1), Emit("out", "a"))
     )
     run(program, sinks={"out": sink})
@@ -431,12 +449,12 @@ def test_emit_sends_copies_in_order():
 
 def test_swapcell_exchanges_and_is_self_inverse():
     cell = PlainCell(9)
-    program = RevProgram.from_body((AddConst("a", 2), SwapCell("cell", "a")))
+    program = RevProgram((AddConst("a", 2), SwapCell("cell", "a")))
     final = run(program, cells={"cell": cell})
     assert final["a"] == 9
     assert cell.value == 2
     # swapping twice restores both sides
-    twice = RevProgram.from_body((SwapCell("cell", "a"), SwapCell("cell", "a")))
+    twice = RevProgram((SwapCell("cell", "a"), SwapCell("cell", "a")))
     cell = PlainCell(7)
     final = run(twice, Store({"a": 1}), cells={"cell": cell})
     assert final["a"] == 1
@@ -445,15 +463,15 @@ def test_swapcell_exchanges_and_is_self_inverse():
 
 def test_run_does_not_mutate_input_store():
     store = Store({"a": 1})
-    run(RevProgram.from_body((AddConst("a", 5),)), store)
+    run(RevProgram((AddConst("a", 5),)), store)
     assert store["a"] == 1
 
 
 def test_run_requires_bindings():
-    program = RevProgram.from_body((Emit("out", "a"),))
+    program = RevProgram((Emit("out", "a"),))
     with pytest.raises(ValueError):
         run(program)
-    program = RevProgram.from_body((SwapCell("cell", "a"),))
+    program = RevProgram((SwapCell("cell", "a"),))
     with pytest.raises(ValueError):
         run(program)
 
@@ -482,13 +500,13 @@ def test_store_copy_is_independent():
     other["a"] = 2
     assert store["a"] == 1
     assert type(other) is Store
-    assert type(run(RevProgram.from_body((AddConst("a", 5),)), store)) is Store
+    assert type(run(RevProgram((AddConst("a", 5),)), store)) is Store
 
 
 # --- dump --------------------------------------------------------------------------------
 
 def test_dump_format():
-    program = RevProgram.from_body(
+    program = RevProgram(
         (
             AddConst("x", -1),
             For("t", (Emit("probe", "g"),)),
