@@ -209,8 +209,15 @@ def _cmd_run(args) -> int:
                     trace.close()   # a full disk may only show when the buffer is flushed
     print(f"y = {y}")
     if args.verbose and residuals is not None:
-        print(residuals.to_text())
+        print(_residual_text(residuals))
     return EXIT_OK
+
+
+def _residual_text(residuals: dict) -> str:
+    """One `name = value` line per residual, a bool shown as yes or no."""
+    # by identity, not by value: 1 == True, and predDivX = 1 is a count
+    return "\n".join(f"{name} = {'yes' if value is True else 'no' if value is False else value}"
+                     for name, value in residuals.items())
 
 
 def _cmd_emit_ir(args) -> int:

@@ -32,7 +32,8 @@ from typing import NamedTuple
 from .chan import FINAL, PROTOCOL, START, EventLog, InjectChannel, ProbeChannel
 from .consumer import ConsumerConfig, run_consumer
 from .producer import (
-    ResidualReport,
+    INJECT_CELL,
+    PROBE_PORT,
     compile_producer,
     expected_residuals,
     residuals_from_store,
@@ -78,7 +79,7 @@ def check_timeout(timeout: float) -> float:
 class RunReport(NamedTuple):
     y: int   # equal to eval_recursive's value, or run_split raises ResultMismatch
     emissions: list
-    residuals: ResidualReport
+    residuals: dict   # residuals_from_store's, with the inject cell
     channel_log: list
     wall_time: float
 
@@ -160,7 +161,7 @@ def run_split(
         channel.watch("producer", watch)
     try:
         try:
-            results["producer"] = run(program, Store(), sinks={"probe": probe.put}, cells={"inject": inject})
+            results["producer"] = run(program, Store(), sinks={PROBE_PORT: probe.put}, cells={INJECT_CELL: inject})
             watch(joined)
         except Exception as exc:
             errors.append(exc)
@@ -424,9 +425,12 @@ def sweep_cases(x_values, deltas, pairs, timeout: float = DEFAULT_TIMEOUT):
                     problems.append(
                         f"emissions {report.emissions} != {expected}"
                     )
-                residuals_ok = report.residuals == expected_residuals(x0, delta)
+                want = expected_residuals(x0, delta)
+                residuals_ok = report.residuals == want
                 if not residuals_ok:
-                    problems.append(f"residuals {report.residuals} off profile")
+                    off = [f"{name} {report.residuals[name]} != {value}"
+                           for name, value in want.items() if report.residuals[name] != value]
+                    problems.append(f"residuals off profile: {', '.join(off)}")
                 protocol = channel_protocol_problems(report.channel_log)
                 problems.extend(protocol)
                 handshakes = len(report.emissions)

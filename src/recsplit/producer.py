@@ -7,13 +7,16 @@ trajectory back up, emitting the argument values the consumer needs: first
 the iteration count, then the base argument, then each step argument in
 ascending order. Input and leftover x travel through the inject cell via the
 two swaps at the very start and very end.
+
+A run's residual fingerprint is its final registers: the values it leaves
+in RESIDUAL_REGISTERS and the temps, with the inject cell's. A correct run
+leaves the expected final store that expected_residuals reads them from.
 """
 
 from __future__ import annotations
 
 from typing import NamedTuple
 
-from .record import Record
 from .revir import (
     AddConst,
     AddReg,
@@ -30,6 +33,8 @@ from .scheme import PredecessorSpec, RecursionScheme, check_input
 PROBE_PORT = "probe"
 INJECT_CELL = "inject"
 TEMP_REGISTERS = ("t0", "t1", "t2")
+# the run's fingerprint, in print order: these registers' final values
+RESIDUAL_REGISTERS = ("s", "e", "g", "w", "x", "predDivX", "predNotDivX")
 
 
 class PhaseACounters(NamedTuple):
@@ -55,45 +60,9 @@ def phase_a_counters(x0: int, delta: int) -> PhaseACounters:
     return PhaseACounters(g, e, s, x_final)
 
 
-class ResidualReport(Record):
-    """Register leftovers after a full run: the run's cleanliness fingerprint.
-
-    z only exists in the classical executor; temps and inject_cell only in
-    compiled runs.
-    """
-
-    __slots__ = _fields = ("s", "e", "g", "w", "x", "pred_div_x", "pred_not_div_x",
-                           "divisible", "z", "temps", "inject_cell")
-
-    def __init__(self, s: int, e: int, g: int, w: int, x: int, pred_div_x: int,
-                 pred_not_div_x: int, divisible: bool, z: int | None = None,
-                 temps: dict | None = None, inject_cell: int | None = None):
-        self._set(s, e, g, w, x, pred_div_x, pred_not_div_x, divisible, z,
-                  {} if temps is None else temps, inject_cell)
-
-    def to_text(self) -> str:
-        """Flat `key = value` block."""
-        lines = [
-            f"s = {self.s}",
-            f"e = {self.e}",
-            f"g = {self.g}",
-            f"w = {self.w}",
-            f"x = {self.x}",
-            f"predDivX = {self.pred_div_x}",
-            f"predNotDivX = {self.pred_not_div_x}",
-            f"divisible = {'yes' if self.divisible else 'no'}",
-        ]
-        if self.z is not None:
-            lines.append(f"z = {self.z}")
-        for name in sorted(self.temps):
-            lines.append(f"{name} = {self.temps[name]}")
-        if self.inject_cell is not None:
-            lines.append(f"inject = {self.inject_cell}")
-        return "\n".join(lines)
-
-
 def run_sequential(scheme: RecursionScheme, x0: int):
-    """One-piece classical executor; returns (y, residuals).
+    """One-piece classical executor; returns (y, residuals): the final
+    registers, then divisible and z.
 
     This transcribes the iterative algorithm directly, including the z
     bookkeeping the non-divisible branch uses to decide between base and
@@ -107,7 +76,7 @@ def run_sequential(scheme: RecursionScheme, x0: int):
     base, step = scheme.base.function, scheme.step.function
     s = e = g = w = 0
     z = 0
-    pred_div_x, pred_not_div_x = 0, 1
+    div_x, not_div_x = 0, 1
     x = x0
     y = 0
     w = w + x
@@ -120,9 +89,9 @@ def run_sequential(scheme: RecursionScheme, x0: int):
             s += 1
         x = scheme.pred.pred(x)
     for _ in range(e):
-        pred_div_x = pred_div_x + pred_not_div_x
-        pred_not_div_x = pred_div_x - pred_not_div_x
-    for _ in range(pred_div_x):
+        div_x = div_x + not_div_x
+        not_div_x = div_x - not_div_x
+    for _ in range(div_x):
         for _ in range(w + 1):
             x = scheme.pred.pred_inv(x)
             if x > 0:
@@ -133,7 +102,7 @@ def run_sequential(scheme: RecursionScheme, x0: int):
                 y = base(x)
             else:
                 s -= 1
-    for _ in range(pred_not_div_x):
+    for _ in range(not_div_x):
         w += 1
         for _ in range(w + 1):
             x = scheme.pred.pred_inv(x)
@@ -153,20 +122,11 @@ def run_sequential(scheme: RecursionScheme, x0: int):
             else:
                 s -= 1
         w -= 1
-    for _ in range(pred_not_div_x):
+    for _ in range(not_div_x):
         z -= 1
     w = w - x
-    residuals = ResidualReport(
-        s=s,
-        e=e,
-        g=g,
-        w=w,
-        x=x,
-        pred_div_x=pred_div_x,
-        pred_not_div_x=pred_not_div_x,
-        divisible=x0 % delta == 0,
-        z=z,
-    )
+    residuals = dict(zip(RESIDUAL_REGISTERS, (s, e, g, w, x, div_x, not_div_x)),
+                     divisible=x0 % delta == 0, z=z)
     return y, residuals
 
 
@@ -262,38 +222,26 @@ def compile_producer(scheme: RecursionScheme) -> RevProgram:
 
 def residuals_from_store(
     store: Store, x0: int, delta: int, inject_cell: int | None = None
-) -> ResidualReport:
-    """Read the compiled producer's leftovers out of its final store."""
-    return ResidualReport(
-        s=store["s"],
-        e=store["e"],
-        g=store["g"],
-        w=store["w"],
-        x=store["x"],
-        pred_div_x=store["predDivX"],
-        pred_not_div_x=store["predNotDivX"],
-        divisible=x0 % delta == 0,
-        temps={name: store[name] for name in TEMP_REGISTERS},
-        inject_cell=inject_cell,
-    )
+) -> dict:
+    """The compiled producer's leftovers: the residual registers of its final
+    store, whether delta divides x0, the temps, and the inject cell's value
+    when one is given."""
+    residuals = {name: store[name] for name in RESIDUAL_REGISTERS}
+    residuals["divisible"] = x0 % delta == 0
+    residuals.update((name, store[name]) for name in TEMP_REGISTERS)
+    if inject_cell is not None:
+        residuals[INJECT_CELL] = inject_cell
+    return residuals
 
 
-def expected_residuals(x0: int, delta: int) -> ResidualReport:
-    """The leftovers a correct compiled run must show.
+def expected_residuals(x0: int, delta: int) -> dict:
+    """The leftovers of the final store a correct compiled run must leave.
 
     Divisible runs are fully clean and export the input through the cell;
     the rest leave the fixed fingerprint g = -1, w = delta and export
     x0 - delta.
     """
-    temps = {name: 0 for name in TEMP_REGISTERS}
     if x0 % delta == 0:
-        return ResidualReport(
-            s=0, e=0, g=0, w=0, x=0,
-            pred_div_x=1, pred_not_div_x=0,
-            divisible=True, temps=temps, inject_cell=x0,
-        )
-    return ResidualReport(
-        s=0, e=0, g=-1, w=delta, x=0,
-        pred_div_x=0, pred_not_div_x=1,
-        divisible=False, temps=temps, inject_cell=x0 - delta,
-    )
+        return residuals_from_store(Store({"predDivX": 1}), x0, delta, inject_cell=x0)
+    final = Store({"g": -1, "w": delta, "predNotDivX": 1})
+    return residuals_from_store(final, x0, delta, inject_cell=x0 - delta)

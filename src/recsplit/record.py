@@ -1,4 +1,7 @@
-"""The one record base for the package's nodes, configs and reports.
+"""The one record base for the package's nodes, configs and check reports.
+
+A run's residuals are no record: they are a plain dict of its final
+registers (producer.residuals_from_store).
 
 A record class names its constructor's fields, in order, in _fields, and
 its own __init__ stores them with _set. A record is read-only: assignment

@@ -144,11 +144,11 @@ def test_criterion_6_residual_conformity(full_sweep):
             if x0 % delta == 0:
                 want = {"s": 0, "e": 0, "g": 0, "w": 0, "x": 0,
                         "predDivX": 1, "predNotDivX": 0}
-                frozen_ok &= model == want and cell == x0 == expected.inject_cell
+                frozen_ok &= model == want and cell == x0 == expected["inject"]
             else:
                 want = {"s": 0, "e": 0, "g": -1, "w": delta, "x": 0,
                         "predDivX": 0, "predNotDivX": 1}
-                frozen_ok &= model == want and cell == x0 - delta == expected.inject_cell
+                frozen_ok &= model == want and cell == x0 - delta == expected["inject"]
     passed = not bad and frozen_ok
     _report(6, "divisible runs are clean; the rest leave g=-1, w=delta", passed)
     assert not bad, bad[:5]

@@ -80,12 +80,59 @@ def test_huge_results_print(capsys):
         assert sys.get_int_max_str_digits() == limit
 
 
+VERBOSE_BLOCKS = {
+    # divisible: the registers come back clean and the input goes out
+    ("-1", "split"): """\
+y = 6
+s = 0
+e = 0
+g = 0
+w = 0
+x = 0
+predDivX = 1
+predNotDivX = 0
+divisible = yes
+t0 = 0
+t1 = 0
+t2 = 0
+inject = 3
+""",
+    ("-2", "split"): """\
+y = 3
+s = 0
+e = 0
+g = -1
+w = -2
+x = 0
+predDivX = 0
+predNotDivX = 1
+divisible = no
+t0 = 0
+t1 = 0
+t2 = 0
+inject = 5
+""",
+    # the classical executor keeps x and z, and has no temps or cell
+    ("-2", "sequential"): """\
+y = 3
+s = 0
+e = 0
+g = -1
+w = -2
+x = 5
+predDivX = 0
+predNotDivX = 1
+divisible = no
+z = 0
+""",
+}
+
+
 def test_run_verbose_prints_residuals(capsys):
-    assert main(["run", *SCHEME_FLAGS, "--input", "3", "--verbose"]) == 0
-    out = capsys.readouterr().out
-    assert "y = 6" in out
-    assert "predDivX = 1" in out
-    assert "inject = 3" in out
+    for (delta, mode), block in VERBOSE_BLOCKS.items():
+        flags = ["--delta", delta, "--base", "x", "--step", "x+y", "--input", "3", "--mode", mode]
+        assert main(["run", *flags, "--verbose"]) == 0
+        assert capsys.readouterr() == (block, ""), (delta, mode)
 
 
 def test_run_negative_input_is_usage_error(capsys):

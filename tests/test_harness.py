@@ -56,7 +56,7 @@ def test_split_one_wide_divisible():
     report = run_split(make_scheme(-1, "x", "x+y"), 3)
     assert report.y == 6 == recursion_by_definition(-1, lambda x: x, lambda x, y: x + y, 3)
     assert report.emissions == [3, 0, 1, 2, 3]
-    assert report.residuals.inject_cell == 3
+    assert report.residuals["inject"] == 3
     assert report.residuals == expected_residuals(3, -1)
     assert report.wall_time < 5.0
 
@@ -65,7 +65,7 @@ def test_split_two_wide_non_divisible():
     report = run_split(make_scheme(-2, "x", "x+y"), 3)
     assert report.y == 3
     assert report.emissions == [2, -1, 1, 3]
-    assert report.residuals.inject_cell == 5
+    assert report.residuals["inject"] == 5
     assert report.residuals == expected_residuals(3, -2)
 
 
@@ -524,6 +524,18 @@ def test_sweep_small_ranges_all_pass():
         recursive = eval_recursive(make_scheme(case.delta, case.base, case.step), case.x0)
         assert case.split_y == case.sequential_y == recursive
         assert case.emissions_ok and case.residuals_ok and case.protocol_ok
+
+
+def test_sweep_names_the_residuals_that_differ(monkeypatch):
+    # a producer that leaves s at 1 and is otherwise correct
+    monkeypatch.setattr(harness, "compile_producer",
+                        lambda scheme: RevProgram((*compile_producer(scheme).body, AddConst("s", 1))))
+    report = sweep(range(3), [-1], [("x", "x+y")])
+    assert len(report.cases) == 3
+    for case in report.cases:
+        assert case.problems == ["residuals off profile: s 1 != 0"]
+        assert not case.residuals_ok
+        assert case.emissions_ok and case.protocol_ok
 
 
 def test_sweep_cases_walk_a_huge_range_lazily():

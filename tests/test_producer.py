@@ -5,7 +5,6 @@ import pytest
 from recsplit.cli import DEFAULT_PAIRS
 from recsplit.producer import (
     TEMP_REGISTERS,
-    ResidualReport,
     compile_phase_a,
     compile_producer,
     expected_residuals,
@@ -78,29 +77,29 @@ def test_phase_a_execution_agrees_with_closed_form():
 def test_run_sequential_divisible_case():
     y, residuals = run_sequential(make_scheme(-1, "x", "x+y"), 3)
     assert y == 6
-    assert residuals == ResidualReport(
-        s=0, e=0, g=0, w=0, x=3, pred_div_x=1, pred_not_div_x=0,
-        divisible=True, z=0,
-    )
+    assert residuals == {
+        "s": 0, "e": 0, "g": 0, "w": 0, "x": 3, "predDivX": 1, "predNotDivX": 0,
+        "divisible": True, "z": 0,
+    }
 
 
 def test_run_sequential_non_divisible_case():
     y, residuals = run_sequential(make_scheme(-2, "x", "x+y"), 3)
     assert y == 3
-    assert residuals == ResidualReport(
-        s=0, e=0, g=-1, w=-2, x=5, pred_div_x=0, pred_not_div_x=1,
-        divisible=False, z=0,
-    )
+    assert residuals == {
+        "s": 0, "e": 0, "g": -1, "w": -2, "x": 5, "predDivX": 0, "predNotDivX": 1,
+        "divisible": False, "z": 0,
+    }
 
 
 def test_run_sequential_base_case():
     scheme = make_scheme(-3, "x+1", "x*y+1")
     y, residuals = run_sequential(scheme, 0)
     assert y == scheme.base.function(0)
-    assert residuals.divisible
-    assert (residuals.s, residuals.e, residuals.g, residuals.w) == (0, 0, 0, 0)
-    assert residuals.x == 0
-    assert (residuals.pred_div_x, residuals.pred_not_div_x) == (1, 0)
+    assert residuals["divisible"] is True
+    assert (residuals["s"], residuals["e"], residuals["g"], residuals["w"]) == (0, 0, 0, 0)
+    assert residuals["x"] == 0
+    assert (residuals["predDivX"], residuals["predNotDivX"]) == (1, 0)
 
 
 def test_run_sequential_rejects_negative():
@@ -114,15 +113,6 @@ def test_run_sequential_matches_recursion():
             scheme = make_scheme(delta, base, step)
             for x0 in range(0, 120):
                 assert run_sequential(scheme, x0)[0] == eval_recursive(scheme, x0)
-
-
-def test_residual_report_to_text():
-    _, residuals = run_sequential(make_scheme(-2, "x", "x+y"), 3)
-    text = residuals.to_text()
-    assert "g = -1" in text
-    assert "w = -2" in text
-    assert "divisible = no" in text
-    assert "z = 0" in text
 
 
 # --- compiled producer: structure ------------------------------------------------------
@@ -223,20 +213,20 @@ def test_non_divisible_runs_leave_known_residuals():
             _, final, cell = _run_compiled(delta, x0)
             report = residuals_from_store(final, x0, delta, inject_cell=cell)
             assert report == expected_residuals(x0, delta)
-            assert report.g == -1
-            assert report.w == delta
-            assert report.x == 0
+            assert report["g"] == -1
+            assert report["w"] == delta
+            assert report["x"] == 0
             assert cell == x0 - delta
 
 
 def test_expected_residuals_shapes():
     divisible = expected_residuals(6, -3)
-    assert divisible.divisible
-    assert divisible.inject_cell == 6
+    assert divisible["divisible"] is True
+    assert divisible["inject"] == 6
     odd = expected_residuals(7, -3)
-    assert not odd.divisible
-    assert odd.inject_cell == 10
-    assert (odd.g, odd.w) == (-1, -3)
+    assert odd["divisible"] is False
+    assert odd["inject"] == 10
+    assert (odd["g"], odd["w"]) == (-1, -3)
 
 
 # --- reversibility ------------------------------------------------------------------------
