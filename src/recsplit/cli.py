@@ -298,33 +298,34 @@ def _unlimited_int_digits():
 
 def main(argv=None) -> int:
     parser = _build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except SystemExit as exc:  # argparse --help
-        return int(exc.code or 0)
-    try:
-        with _unlimited_int_digits():
+    # argparse converts --delta and --input with int, so it parses unlimited too
+    with _unlimited_int_digits():
+        try:
+            args = parser.parse_args(argv)
+        except UsageError as exc:
+            print(f"usage error: {exc}", file=sys.stderr)
+            return EXIT_USAGE
+        except SystemExit as exc:  # argparse --help
+            return int(exc.code or 0)
+        try:
             status = args.func(args)
-        sys.stdout.flush()   # a reader that left shows here, not at exit
-        return status
-    except BrokenPipeError:
-        # point stdout at devnull so that the flush at exit stays quiet too
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
-        os.close(devnull)
-        return EXIT_BROKEN_PIPE
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except harness.DeadlockTimeout as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DEADLOCK
-    except (harness.HarnessError, RevirError, SchemeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CHECK_FAILED
+            sys.stdout.flush()   # a reader that left shows here, not at exit
+            return status
+        except BrokenPipeError:
+            # point stdout at devnull so that the flush at exit stays quiet too
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+            return EXIT_BROKEN_PIPE
+        except UsageError as exc:
+            print(f"usage error: {exc}", file=sys.stderr)
+            return EXIT_USAGE
+        except harness.DeadlockTimeout as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_DEADLOCK
+        except (harness.HarnessError, RevirError, SchemeError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_CHECK_FAILED
 
 
 def main_entry():

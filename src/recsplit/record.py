@@ -18,6 +18,8 @@ class runs exec once per generated method: together most of a cold start.
 
 from __future__ import annotations
 
+from operator import attrgetter
+
 
 class Record:
     """Read-only fields in _fields; equality, hash and repr by field.
@@ -31,16 +33,22 @@ class Record:
         for name, value in zip(self._fields, values):
             object.__setattr__(self, name, value)
 
-    def _values(self) -> tuple:
-        return tuple(map(self.__getattribute__, self._fields))
+    def __init_subclass__(cls):
+        # _values, the fields' tuple, is read in C: attrgetter of one name
+        # gives the bare value, though, and of none is an error
+        fields = cls._fields
+        if len(fields) < 2:
+            cls._values = property(lambda self: tuple(getattr(self, name) for name in fields))
+        else:
+            cls._values = property(attrgetter(*fields))
 
     def __eq__(self, other):
         if type(other) is not type(self):
             return NotImplemented
-        return self._values() == other._values()
+        return self._values == other._values
 
     def __hash__(self):
-        return hash(self._values())
+        return hash(self._values)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -50,7 +58,7 @@ class Record:
 
     def __reduce__(self):
         # rebuilt through the constructor, which takes the fields in order
-        return type(self), self._values()
+        return type(self), self._values
 
     def __repr__(self):
         inside = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)

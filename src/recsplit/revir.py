@@ -25,8 +25,12 @@ inverted body or a RevProgram's inverse is built on first use and kept
 The register file, Store, is a dict in which a register never written
 reads as 0; only its non-zero registers count when stores are compared.
 
-One walk, _names, finds the registers a block references and can write and
-its ports and cells; every name check reads it, and it rejects a
+Each instruction class holds its kind's rules, next to its fields: the
+names it references and can write (_names), its inverse (_inverse, itself
+unless the kind overrides it), its effect on a store (_run) and its text
+(_dump). The walks over a block only loop over its instructions. One walk,
+_names, finds the registers a block references and can write and its ports
+and cells; every name check reads it, and it alone rejects a
 non-instruction with TypeError. RevProgram(body) walks its body once:
 a name set left out declares exactly the names of that kind the body uses,
 and a name set given must cover them. Every program, an inverse too, is
@@ -36,7 +40,7 @@ built by that one constructor.
 from __future__ import annotations
 
 from functools import cached_property
-from typing import Callable, Mapping, Union
+from typing import Callable, Mapping
 
 from .record import Record
 
@@ -61,7 +65,19 @@ class UndeclaredNameError(RevirError):
 
 # --- instructions -----------------------------------------------------------
 
-class AddConst(Record):
+class Instruction(Record):
+    """One instruction. Each kind states its own rules here: the names it
+    adds to the sets (_names), its syntactic inverse (_inverse), its effect
+    on a store (_run) and its lines of text (_dump)."""
+
+    __slots__ = ()
+
+    def _inverse(self) -> Instruction:
+        # SubFrom, Emit and SwapCell are their own inverses
+        return self
+
+
+class AddConst(Instruction):
     """reg := reg + amount."""
 
     __slots__ = _fields = ("reg", "amount")
@@ -69,8 +85,21 @@ class AddConst(Record):
     def __init__(self, reg: RegisterId, amount: int):
         self._set(reg, amount)
 
+    def _names(self, regs, written, ports, cells):
+        regs.add(self.reg)
+        written.add(self.reg)
 
-class AddReg(Record):
+    def _inverse(self):
+        return AddConst(self.reg, -self.amount)
+
+    def _run(self, store, sinks, cells):
+        store[self.reg] += self.amount
+
+    def _dump(self, indent):
+        return [f"{indent}add {self.reg}, {self.amount}"]
+
+
+class AddReg(Instruction):
     """dest := dest + sign * src; the registers must differ."""
 
     __slots__ = _fields = ("dest", "src", "sign")
@@ -82,8 +111,23 @@ class AddReg(Record):
             raise ValueError(f"sign must be +1 or -1, got {sign}")
         self._set(dest, src, sign)
 
+    def _names(self, regs, written, ports, cells):
+        regs.add(self.dest)
+        regs.add(self.src)
+        written.add(self.dest)
 
-class SubFrom(Record):
+    def _inverse(self):
+        return AddReg(self.dest, self.src, -self.sign)
+
+    def _run(self, store, sinks, cells):
+        store[self.dest] += self.sign * store[self.src]
+
+    def _dump(self, indent):
+        sign = "+" if self.sign > 0 else "-"
+        return [f"{indent}addreg {self.dest}, {self.src}, {sign}"]
+
+
+class SubFrom(Instruction):
     """dest := src - dest (self-inverse); the registers must differ."""
 
     __slots__ = _fields = ("dest", "src")
@@ -93,8 +137,19 @@ class SubFrom(Record):
             raise ValueError(f"SubFrom needs distinct registers, got {dest!r} twice")
         self._set(dest, src)
 
+    def _names(self, regs, written, ports, cells):
+        regs.add(self.dest)
+        regs.add(self.src)
+        written.add(self.dest)
 
-class For(Record):
+    def _run(self, store, sinks, cells):
+        store[self.dest] = store[self.src] - store[self.dest]
+
+    def _dump(self, indent):
+        return [f"{indent}subfrom {self.dest}, {self.src}"]
+
+
+class For(Instruction):
     """Run body count-register-value times; a negative count runs the
     inverted body that many times. The body must not write the count."""
 
@@ -113,8 +168,27 @@ class For(Record):
         """invert_block(body), built on first use and kept on the node."""
         return invert_block(self.body)
 
+    def _names(self, regs, written, ports, cells):
+        regs.add(self.count)
+        _names(self.body, regs, written, ports, cells)
 
-class IfSign(Record):
+    def _inverse(self):
+        return For(self.count, self.inverted_body)
+
+    def _run(self, store, sinks, cells):
+        if self.writes_count:
+            raise LoopCountMutation(f"loop body writes its count register {self.count!r}")
+        count = store[self.count]
+        body = self.body if count >= 0 else self.inverted_body
+        for _ in range(abs(count)):
+            for inst in body:
+                inst._run(store, sinks, cells)
+
+    def _dump(self, indent):
+        return [f"{indent}for {self.count} {{", *_dump_block(self.body, indent + "  "), f"{indent}}}"]
+
+
+class IfSign(Instruction):
     """Dispatch on the sign of reg; the chosen branch must preserve it."""
 
     __slots__ = _fields = ("reg", "pos", "zero", "neg")
@@ -122,8 +196,31 @@ class IfSign(Record):
     def __init__(self, reg: RegisterId, pos: tuple = (), zero: tuple = (), neg: tuple = ()):
         self._set(reg, tuple(pos), tuple(zero), tuple(neg))
 
+    def _names(self, regs, written, ports, cells):
+        regs.add(self.reg)
+        for branch in (self.pos, self.zero, self.neg):
+            _names(branch, regs, written, ports, cells)
 
-class Emit(Record):
+    def _inverse(self):
+        return IfSign(self.reg, *(invert_block(branch) for branch in (self.pos, self.zero, self.neg)))
+
+    def _run(self, store, sinks, cells):
+        before = _sign(store[self.reg])
+        branch = self.pos if before > 0 else self.zero if before == 0 else self.neg
+        for inst in branch:
+            inst._run(store, sinks, cells)
+        after = _sign(store[self.reg])
+        if after != before:
+            raise BranchSignViolation(f"branch changed sign of {self.reg!r} ({before} -> {after})")
+
+    def _dump(self, indent):
+        lines = [f"{indent}ifsign {self.reg} {{"]
+        for label, branch in (("pos", self.pos), ("zero", self.zero), ("neg", self.neg)):
+            lines += [f"{indent}  {label} {{", *_dump_block(branch, indent + "    "), f"{indent}  }}"]
+        return [*lines, f"{indent}}}"]
+
+
+class Emit(Instruction):
     """Send a copy of reg to a port; registers are untouched."""
 
     __slots__ = _fields = ("port", "reg")
@@ -131,8 +228,18 @@ class Emit(Record):
     def __init__(self, port: str, reg: RegisterId):
         self._set(port, reg)
 
+    def _names(self, regs, written, ports, cells):
+        ports.add(self.port)
+        regs.add(self.reg)
 
-class SwapCell(Record):
+    def _run(self, store, sinks, cells):
+        sinks[self.port](store[self.reg])
+
+    def _dump(self, indent):
+        return [f"{indent}emit {self.port}, {self.reg}"]
+
+
+class SwapCell(Instruction):
     """Exchange reg with the named external cell."""
 
     __slots__ = _fields = ("cell", "reg")
@@ -140,36 +247,24 @@ class SwapCell(Record):
     def __init__(self, cell: str, reg: RegisterId):
         self._set(cell, reg)
 
+    def _names(self, regs, written, ports, cells):
+        cells.add(self.cell)
+        regs.add(self.reg)
+        written.add(self.reg)
 
-Instruction = Union[AddConst, AddReg, SubFrom, For, IfSign, Emit, SwapCell]
+    def _run(self, store, sinks, cells):
+        store[self.reg] = cells[self.cell].swap(store[self.reg])
+
+    def _dump(self, indent):
+        return [f"{indent}swapcell {self.cell}, {self.reg}"]
 
 
 def _names(block, regs, written, ports, cells):
     # fills the sets from block and every block nested in it
     for inst in block:
-        if isinstance(inst, AddConst):
-            regs.add(inst.reg)
-            written.add(inst.reg)
-        elif isinstance(inst, (AddReg, SubFrom)):
-            regs.add(inst.dest)
-            regs.add(inst.src)
-            written.add(inst.dest)
-        elif isinstance(inst, For):
-            regs.add(inst.count)
-            _names(inst.body, regs, written, ports, cells)
-        elif isinstance(inst, IfSign):
-            regs.add(inst.reg)
-            for branch in (inst.pos, inst.zero, inst.neg):
-                _names(branch, regs, written, ports, cells)
-        elif isinstance(inst, Emit):
-            ports.add(inst.port)
-            regs.add(inst.reg)
-        elif isinstance(inst, SwapCell):
-            cells.add(inst.cell)
-            regs.add(inst.reg)
-            written.add(inst.reg)
-        else:
+        if not isinstance(inst, Instruction):
             raise TypeError(f"not an instruction: {inst!r}")
+        inst._names(regs, written, ports, cells)
 
 
 class RevProgram(Record):
@@ -202,26 +297,8 @@ class RevProgram(Record):
 
 # --- inversion ---------------------------------------------------------------
 
-def invert_instruction(inst: Instruction) -> Instruction:
-    if isinstance(inst, AddConst):
-        return AddConst(inst.reg, -inst.amount)
-    if isinstance(inst, AddReg):
-        return AddReg(inst.dest, inst.src, -inst.sign)
-    if isinstance(inst, For):
-        return For(inst.count, inst.inverted_body)
-    if isinstance(inst, IfSign):
-        return IfSign(
-            inst.reg,
-            invert_block(inst.pos),
-            invert_block(inst.zero),
-            invert_block(inst.neg),
-        )
-    # SubFrom, Emit, SwapCell are their own inverses
-    return inst
-
-
 def invert_block(block: tuple) -> tuple:
-    return tuple(invert_instruction(inst) for inst in reversed(block))
+    return tuple(inst._inverse() for inst in reversed(block))
 
 
 def invert(program: RevProgram) -> RevProgram:
@@ -328,47 +405,9 @@ def run(
     missing = program.cells - cells.keys()
     if missing:
         raise ValueError(f"no binding for cell(s): {sorted(missing)}")
-    _run_block(program.body, work, sinks, cells)
+    for inst in program.body:
+        inst._run(work, sinks, cells)
     return work
-
-
-def _run_block(block, store, sinks, cells):
-    for inst in block:
-        if isinstance(inst, AddConst):
-            store[inst.reg] = store[inst.reg] + inst.amount
-        elif isinstance(inst, AddReg):
-            store[inst.dest] = store[inst.dest] + inst.sign * store[inst.src]
-        elif isinstance(inst, SubFrom):
-            store[inst.dest] = store[inst.src] - store[inst.dest]
-        elif isinstance(inst, For):
-            if inst.writes_count:
-                raise LoopCountMutation(
-                    f"loop body writes its count register {inst.count!r}"
-                )
-            count = store[inst.count]
-            body = inst.body if count >= 0 else inst.inverted_body
-            for _ in range(abs(count)):
-                _run_block(body, store, sinks, cells)
-        elif isinstance(inst, IfSign):
-            before = _sign(store[inst.reg])
-            if before > 0:
-                branch = inst.pos
-            elif before == 0:
-                branch = inst.zero
-            else:
-                branch = inst.neg
-            _run_block(branch, store, sinks, cells)
-            if _sign(store[inst.reg]) != before:
-                raise BranchSignViolation(
-                    f"branch changed sign of {inst.reg!r} "
-                    f"({before} -> {_sign(store[inst.reg])})"
-                )
-        elif isinstance(inst, Emit):
-            sinks[inst.port](store[inst.reg])
-        elif isinstance(inst, SwapCell):
-            store[inst.reg] = cells[inst.cell].swap(store[inst.reg])
-        else:
-            raise TypeError(f"not an instruction: {inst!r}")
 
 
 def _sign(value: int) -> int:
@@ -383,28 +422,4 @@ def dump(program: RevProgram) -> str:
 
 
 def _dump_block(block, indent):
-    lines = []
-    for inst in block:
-        if isinstance(inst, AddConst):
-            lines.append(f"{indent}add {inst.reg}, {inst.amount}")
-        elif isinstance(inst, AddReg):
-            sign = "+" if inst.sign > 0 else "-"
-            lines.append(f"{indent}addreg {inst.dest}, {inst.src}, {sign}")
-        elif isinstance(inst, SubFrom):
-            lines.append(f"{indent}subfrom {inst.dest}, {inst.src}")
-        elif isinstance(inst, For):
-            lines.append(f"{indent}for {inst.count} {{")
-            lines.extend(_dump_block(inst.body, indent + "  "))
-            lines.append(f"{indent}}}")
-        elif isinstance(inst, IfSign):
-            lines.append(f"{indent}ifsign {inst.reg} {{")
-            for label, branch in (("pos", inst.pos), ("zero", inst.zero), ("neg", inst.neg)):
-                lines.append(f"{indent}  {label} {{")
-                lines.extend(_dump_block(branch, indent + "    "))
-                lines.append(f"{indent}  }}")
-            lines.append(f"{indent}}}")
-        elif isinstance(inst, Emit):
-            lines.append(f"{indent}emit {inst.port}, {inst.reg}")
-        elif isinstance(inst, SwapCell):
-            lines.append(f"{indent}swapcell {inst.cell}, {inst.reg}")
-    return lines
+    return [line for inst in block for line in inst._dump(indent)]

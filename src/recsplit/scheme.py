@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import re
 from functools import cached_property
-from typing import NamedTuple, Union
+from typing import NamedTuple
 
 from .record import Record
 
@@ -109,7 +109,7 @@ class Neg(_Node):
         self._set(operand)
 
 
-Expression = Union[Const, Var, Add, Sub, Mul, Neg]
+Expression = Const | Var | Add | Sub | Mul | Neg
 
 # each binary operator's node class and precedence, higher binding tighter,
 # each left-associative; unary minus binds tighter than all of them

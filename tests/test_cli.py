@@ -205,6 +205,19 @@ def test_scheme_file_with_byte_order_mark(tmp_path, capsys):
     assert capsys.readouterr().out == "y = 3\n"
 
 
+def test_huge_delta_flag_reads_as_its_scheme_file(tmp_path, capsys):
+    # 5000 digits, past the interpreter's int/str limit of 4300, which argparse meets first
+    delta = "-" + "9" * 5000
+    path = tmp_path / "scheme.txt"
+    path.write_text(f"delta = {delta}\nbase = x\nstep = x+y\n")
+    assert main(["run", "--scheme", str(path), "--input", "3", "--mode", "recursive"]) == 0
+    from_file = capsys.readouterr().out
+    assert main(["run", "--delta", delta, "--base", "x", "--step", "x+y",
+                 "--input", "3", "--mode", "recursive"]) == 0
+    assert capsys.readouterr().out == from_file
+    assert len(from_file) > 5000
+
+
 def test_emit_ir_dumps_program(capsys):
     assert main(["emit-ir", *SCHEME_FLAGS]) == 0
     out = capsys.readouterr().out

@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -134,6 +135,24 @@ def test_producer_depends_only_on_the_displacement(delta):
     programs = [compile_producer(make_scheme(delta, base, step)) for base, step in pairs]
     assert all(program == programs[0] for program in programs)
     assert len({dump(program) for program in programs}) == 1
+
+
+# sha256 of dump(compile_producer(make_scheme(delta, "x", "x+y"))), delta -7..-1
+_DUMP_SHA256 = {
+    -7: "6cfeb62dadcd793926100c97c8d3028ee6399a4731f86a0c64c14038f58a4a44",
+    -6: "ce59d4f4ed9855c368846bb52b09161df754b33d7c02ef4ecdce9d847552592e",
+    -5: "35490229bcbe785c06b9efe9b9894acb8acde843cd1d6fcfc9cde67e49fd1e2c",
+    -4: "8feb70757a9243209073fde92a35b80b955bfe6fc045f5474bfb0e5fc9c05f99",
+    -3: "1ad49ed6d1cf2b33d2af195e14bd03d3da6ad30101101e2da536e402d1df2a19",
+    -2: "83cc593918452fc2596c8f400e934485fbc8795a2211f46529d09a3df6d90e0a",
+    -1: "b144cada5995be1b9c3ed60dd7a0844ea0a32e243b36735860cb2dc43de4ea5a",
+}
+
+
+@pytest.mark.parametrize("delta", sorted(_DUMP_SHA256))
+def test_producer_dump_is_pinned(delta):
+    text = dump(compile_producer(make_scheme(delta, "x", "x+y")))
+    assert hashlib.sha256(text.encode()).hexdigest() == _DUMP_SHA256[delta]
 
 
 def _count_instructions(block, predicate):

@@ -14,6 +14,7 @@ from recsplit.revir import (
     Emit,
     For,
     IfSign,
+    Instruction,
     LoopCountMutation,
     PlainCell,
     RecordingSink,
@@ -30,7 +31,7 @@ from recsplit.revir import (
     written_registers,
 )
 from recsplit.producer import compile_producer
-from recsplit.scheme import Add, Const, Var, make_scheme
+from recsplit.scheme import Add, Const, PredecessorSpec, Var, make_scheme
 
 from oracles import names_by_fields
 
@@ -349,6 +350,8 @@ _SAME_FIELDS = (SubFrom("a", "b"), Emit("a", "b"), SwapCell("a", "b"))
         For("n", (AddConst("a", 1),)),
         Add(Var("x"), Const(1)),
         RevProgram((AddConst("a", 1),)),
+        Const(3),
+        PredecessorSpec(-2),
     ],
     ids=lambda record: type(record).__name__,
 )
@@ -356,8 +359,8 @@ def test_records_are_read_only_and_equal_within_one_kind(record):
     field = record._fields[0]
     with pytest.raises(AttributeError):
         setattr(record, field, getattr(record, field))
-    twin = copy.copy(record)
-    assert twin == record and hash(twin) == hash(record)
+    for twin in (copy.copy(record), pickle.loads(pickle.dumps(record))):
+        assert twin == record and hash(twin) == hash(record)
     # kinds with equal fields stay apart, in a set too
     assert len(set(_SAME_FIELDS)) == 3
     assert [type(other) for other in _SAME_FIELDS if other == record] == [
@@ -366,6 +369,14 @@ def test_records_are_read_only_and_equal_within_one_kind(record):
     shown = repr(record)
     assert shown.startswith(f"{type(record).__name__}({field}=")
     assert "writes_count" not in shown
+
+
+def test_each_kind_states_its_own_rules():
+    kinds = set(Instruction.__subclasses__())
+    assert kinds == {AddConst, AddReg, SubFrom, For, IfSign, Emit, SwapCell}
+    for kind in kinds:
+        assert {"_names", "_run", "_dump"} <= vars(kind).keys(), kind
+    assert {kind for kind in kinds if "_inverse" not in vars(kind)} == {SubFrom, Emit, SwapCell}
 
 
 def test_written_registers_sees_through_nesting():
