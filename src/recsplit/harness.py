@@ -3,21 +3,26 @@ equivalence / reversibility / protocol check suites.
 
 A split run runs the compiled producer (under the IR interpreter, with its
 probe port and inject cell bound to real channels) on the calling thread
-and the classical consumer on one new thread, and assembles a report. An
-agent that fails records its error and closes both channels, which wakes a
-blocked peer with ChannelClosed, so a failed run ends at once with the
-first error. The calling thread is also the watchdog, in the two places it
-can wait: in a producer take that finds no token, through the semaphore's
-watch hook, and in joining the consumer once the producer has ended. Both
-waits run one loop, which raises DeadlockTimeout when the run stalls:
-timeout seconds pass with no completed channel operation while every live
-agent waits on one. A computing agent never stalls, as every IR program and
-the fold end; the error says, from the channels, which operation each agent
-waits in. However the run ends, both channels are then closed and the
-consumer joined with a bounded wait. That holds for an interrupt too: on
-the main thread it lands in the producer or in one of the waits, and only
-a consumer that is still computing outlives the run, until its next
-channel operation raises ChannelClosed.
+and the classical consumer on a consumer thread, and assembles a report. A
+consumer thread is a daemon thread that runs consumer bodies one at a time,
+handed over through two locks: run_split starts one that exits after its
+one body, and a sweep starts one per (pair, delta) block and runs every
+case of the block on it. An agent that fails records its error and closes
+both channels, which wakes a blocked peer with ChannelClosed, so a failed
+run ends at once with the first error. The calling thread is also the
+watchdog, in the two places it can wait: in a producer take that finds no
+token, through the semaphore's watch hook, and in waiting for the consumer
+body to return once the producer has ended. Both waits run one loop, which
+raises DeadlockTimeout when the run stalls: timeout seconds pass with no
+completed channel operation while every live agent waits on one; the
+consumer is live while its thread runs this run's body. A computing agent
+never stalls, as every IR program and the fold end; the error says, from
+the channels, which operation each agent waits in. However the run ends,
+both channels are then closed and the consumer body waited for with a
+bounded wait. That holds for an interrupt too: on the main thread it lands
+in the producer or in one of the waits, and only a consumer that is still
+computing outlives the run, until its next channel operation raises
+ChannelClosed; its thread is never handed another body.
 """
 
 from __future__ import annotations
@@ -93,14 +98,78 @@ def run_split(
     """Run the producer on the calling thread and the consumer on a new one.
 
     The calling thread is also the watchdog: it watches while the producer
-    waits for a token and, once the producer has ended, while it joins the
-    consumer. The run stalls when timeout seconds pass with no completed
+    waits for a token and, once the producer has ended, while it waits for
+    the consumer. The run stalls when timeout seconds pass with no completed
     channel operation and every live agent waiting on one. Asserts the
     consumer's result against the recursive value and returns the full
     report. The optional program argument substitutes the producer program:
     tests pass fault programs, and sweep passes one compiled producer to
     every input of a block; by default the scheme is compiled.
     """
+    # the thread ends with the consumer body, and the run joins it
+    return _run_split(scheme, x0, timeout=timeout, program=program, consumer=_ConsumerThread(once=True))
+
+
+class _ConsumerThread:
+    """One daemon thread that runs consumer bodies one at a time.
+
+    Two locks, each held while it has nothing to say, carry the hand-off
+    without a file descriptor: the thread takes _go to get the next body and
+    gives _done once that body has returned. A body catches its own errors.
+    With once, the thread runs one body and exits, and wait joins it: a lock
+    given just before the exit would wake the owner only to wait again, and
+    the thread needs no stop.
+    """
+
+    def __init__(self, once: bool = False):
+        self._go, self._done = threading.Lock(), threading.Lock()
+        self._go.acquire()
+        self._done.acquire()
+        self._body = None
+        self._once = once
+        self._pending = False   # a body was handed and its return not yet seen
+        # started with the first body, which it then takes without a wait
+        self._thread = threading.Thread(target=self._serve, daemon=True)
+
+    def _serve(self):
+        while True:
+            self._go.acquire()
+            if self._body is None:
+                return
+            self._body()
+            # dropped before the owner hears of the return: the body holds its run's channels
+            self._body = None
+            if self._once:
+                return
+            self._done.release()
+
+    def run(self, body):
+        """Hand body to the thread; the previous body must have returned."""
+        self._body, self._pending = body, True
+        self._go.release()
+        if self._thread.ident is None:
+            self._thread.start()
+
+    def wait(self, seconds: float) -> bool:
+        """Whether the body handed last has returned, waiting up to seconds for it."""
+        if self._once:
+            self._thread.join(seconds)
+            self._pending = self._thread.is_alive()
+        elif self._pending and self._done.acquire(timeout=seconds):
+            self._pending = False
+        return not self._pending
+
+    def stop(self):
+        """Let the thread exit once it has no body; join it if it has none now."""
+        self._body = None
+        self._go.release()
+        if self._thread.ident is not None and self.wait(0):
+            self._thread.join(JOIN_TIMEOUT)
+
+
+def _run_split(scheme: RecursionScheme, x0: int, *, timeout: float, program: RevProgram | None,
+               consumer: _ConsumerThread) -> RunReport:
+    """run_split, with the consumer run on consumer, whose last body must have returned."""
     check_input(x0)
     check_timeout(timeout)
     if program is None:
@@ -124,11 +193,9 @@ def run_split(
             for channel in channels:
                 channel.close()
 
-    consumer = threading.Thread(target=consume, daemon=True)
-
     def stall(latest):
         """What each agent waits in, if the run has stalled since latest, else None."""
-        running = {"producer": "producer" not in results, "consumer": consumer.is_alive()}
+        running = {"producer": "producer" not in results, "consumer": not consumer.wait(0)}
         live = {agent for agent, alive in running.items() if alive}
         blocked = {PROTOCOL[name][op].agent: f"{name}.{op}" for name, op in probe.waiting() + inject.waiting()}
         # a record since latest may have woken an agent still marked waiting
@@ -151,18 +218,14 @@ def run_split(
             if ready(timeout - idle):
                 return
 
-    def joined(seconds):
-        consumer.join(seconds)
-        return not consumer.is_alive()
-
     started = time.perf_counter()
-    consumer.start()
+    consumer.run(consume)
     for channel in channels:
         channel.watch("producer", watch)
     try:
         try:
             results["producer"] = run(program, Store(), sinks={PROBE_PORT: probe.put}, cells={INJECT_CELL: inject})
-            watch(joined)
+            watch(consumer.wait)
         except Exception as exc:
             errors.append(exc)
         wall_time = time.perf_counter() - started
@@ -172,7 +235,7 @@ def run_split(
         for channel in channels:
             channel.watch("producer", None)
             channel.close()
-        consumer.join(JOIN_TIMEOUT)
+        consumer.wait(JOIN_TIMEOUT)
     if errors:
         try:
             raise errors[0]
@@ -395,8 +458,13 @@ def sweep_cases(x_values, deltas, pairs, timeout: float = DEFAULT_TIMEOUT):
 
     Each (pair, delta) block builds its scheme and producer when it starts
     and walks x_values again, as each pair walks deltas again: both must be
-    ranges or sequences, not one-pass iterators. Each case does a split run,
-    the one-piece classical run, and the direct recursive evaluation, then
+    ranges or sequences, not one-pass iterators. Each block also starts one
+    consumer thread and runs the consumer of each of its cases on it; the
+    thread is stopped when the block ends, raises, or is closed early. A
+    consumer still running JOIN_TIMEOUT after its case ended is never handed
+    the next case: its thread is stopped, to exit at its next channel
+    operation, and a fresh one takes over. Each case does a split run, the
+    one-piece classical run, and the direct recursive evaluation, then
     checks emission conformity, residual conformity, and the channel
     protocol. Failures are recorded in the case, not raised.
     """
@@ -406,38 +474,39 @@ def sweep_cases(x_values, deltas, pairs, timeout: float = DEFAULT_TIMEOUT):
         for delta in deltas:
             scheme = make_scheme(delta, base_text, step_text)
             program = compile_producer(scheme)
-            for x0 in x_values:
-                try:
-                    report = run_split(scheme, x0, timeout=timeout, program=program)
-                except (HarnessError, RevirError, NegativeInputError) as exc:
-                    yield SweepCase(base_text, step_text, delta, x0, error=f"{type(exc).__name__}: {exc}")
-                    continue
-                problems = []
-                sequential_y = run_sequential(scheme, x0)[0]
-                if sequential_y != report.y:
-                    problems.append(
-                        f"sequential y {sequential_y} != recursive {report.y}"
-                    )
-                plan = expected_emissions(scheme, x0)
-                expected = [plan.iterations, plan.base_arg, *plan.h_args]
-                emissions_ok = report.emissions == expected
-                if not emissions_ok:
-                    problems.append(
-                        f"emissions {report.emissions} != {expected}"
-                    )
-                want = expected_residuals(x0, delta)
-                residuals_ok = report.residuals == want
-                if not residuals_ok:
-                    off = [f"{name} {report.residuals[name]} != {value}"
-                           for name, value in want.items() if report.residuals[name] != value]
-                    problems.append(f"residuals off profile: {', '.join(off)}")
-                protocol = channel_protocol_problems(report.channel_log)
-                problems.extend(protocol)
-                handshakes = len(report.emissions)
-                if handshakes != plan.iterations + 2:
-                    problems.append(
-                        f"{handshakes} handshakes, expected {plan.iterations + 2}"
-                    )
-                yield SweepCase(base_text, step_text, delta, x0, None, report.y, sequential_y,
-                                emissions_ok, residuals_ok, not protocol, handshakes,
-                                report.wall_time, problems)
+            consumer = _ConsumerThread()
+            try:
+                for x0 in x_values:
+                    if not consumer.wait(0):
+                        consumer.stop()
+                        consumer = _ConsumerThread()
+                    try:
+                        report = _run_split(scheme, x0, timeout=timeout, program=program, consumer=consumer)
+                    except (HarnessError, RevirError, NegativeInputError) as exc:
+                        yield SweepCase(base_text, step_text, delta, x0, error=f"{type(exc).__name__}: {exc}")
+                        continue
+                    problems = []
+                    sequential_y = run_sequential(scheme, x0)[0]
+                    if sequential_y != report.y:
+                        problems.append(f"sequential y {sequential_y} != recursive {report.y}")
+                    plan = expected_emissions(scheme, x0)
+                    expected = [plan.iterations, plan.base_arg, *plan.h_args]
+                    emissions_ok = report.emissions == expected
+                    if not emissions_ok:
+                        problems.append(f"emissions {report.emissions} != {expected}")
+                    want = expected_residuals(x0, delta)
+                    residuals_ok = report.residuals == want
+                    if not residuals_ok:
+                        off = [f"{name} {report.residuals[name]} != {value}"
+                               for name, value in want.items() if report.residuals[name] != value]
+                        problems.append(f"residuals off profile: {', '.join(off)}")
+                    protocol = channel_protocol_problems(report.channel_log)
+                    problems.extend(protocol)
+                    handshakes = len(report.emissions)
+                    if handshakes != plan.iterations + 2:
+                        problems.append(f"{handshakes} handshakes, expected {plan.iterations + 2}")
+                    yield SweepCase(base_text, step_text, delta, x0, None, report.y, sequential_y,
+                                    emissions_ok, residuals_ok, not protocol, handshakes,
+                                    report.wall_time, problems)
+            finally:
+                consumer.stop()

@@ -396,7 +396,7 @@ def test_huge_delta_range_builds_schemes_as_its_blocks_start(monkeypatch, capsys
 
     monkeypatch.setattr(cli, "scheme_from_fields", counted(cli.scheme_from_fields))
     monkeypatch.setattr(harness, "make_scheme", counted(harness.make_scheme))
-    monkeypatch.setattr(harness, "run_split", first_run)
+    monkeypatch.setattr(harness, "_run_split", first_run)
     with pytest.raises(_Stop, match="first run"):
         main(["sweep", "--x-range", "0:0", "--delta-range", f"-{10 ** 18}:-1"])
     assert len(built) <= 2 * len(cli.DEFAULT_PAIRS)
@@ -433,7 +433,7 @@ def test_sweep_prints_each_row_as_its_case_ends():
 def test_check_keeps_only_failing_sweep_cases(monkeypatch, capsys):
     cases = []   # a weak reference to each SweepCase: records are not hashable
     kept = []
-    real_init, real_run_split = harness.SweepCase.__init__, harness.run_split
+    real_init, real_run_split = harness.SweepCase.__init__, harness._run_split
 
     def init(self, *args, **kwargs):
         real_init(self, *args, **kwargs)
@@ -451,7 +451,7 @@ def test_check_keeps_only_failing_sweep_cases(monkeypatch, capsys):
         builtins.print(*args, **kwargs)
 
     monkeypatch.setattr(harness.SweepCase, "__init__", init)
-    monkeypatch.setattr(harness, "run_split", run_split)
+    monkeypatch.setattr(harness, "_run_split", run_split)
     monkeypatch.setattr(cli, "print", print_, raising=False)
     assert main(["check", *SCHEME_FLAGS, "--x-max", "7", "--preloads", "1"]) == 1
     assert kept == [1]

@@ -538,6 +538,90 @@ def test_sweep_names_the_residuals_that_differ(monkeypatch):
         assert case.emissions_ok and case.protocol_ok
 
 
+def _recording_consumers(monkeypatch, before=None):
+    """Patch run_consumer to note each case's x0 and thread, after calling before(x0, probe)."""
+    ran = []
+    run_consumer = harness.run_consumer
+
+    def recording(config, inject, probe):
+        # the thread object, not get_ident(): the OS reuses an ended thread's ident
+        ran.append((config.x0, threading.current_thread()))
+        if before is not None:
+            before(config.x0, probe)
+        return run_consumer(config, inject, probe)
+
+    monkeypatch.setattr(harness, "run_consumer", recording)
+    return ran
+
+
+def test_sweep_runs_a_blocks_consumers_on_one_thread(monkeypatch):
+    ran = _recording_consumers(monkeypatch)
+    assert sweep(range(4), [-1, -2], [("x", "x+y")]).all_ok
+    threads = [thread for _, thread in ran]
+    assert len(threads) == 8
+    assert threads[:4] == [threads[0]] * 4 and threads[4:] == [threads[4]] * 4
+    assert threads[0] is not threads[4]
+    assert threading.current_thread() not in threads
+
+
+def test_sweep_leaves_no_thread():
+    before = threading.active_count()
+    assert sweep(range(3), [-1, -2], [("x", "x+y")]).all_ok
+    assert threading.active_count() == before
+
+
+def test_closed_sweep_stops_its_consumer_thread():
+    before = threading.active_count()
+    cases = sweep_cases(range(10), [-1], [("x", "x+y")])
+    assert next(cases).ok
+    assert threading.active_count() == before + 1
+    cases.close()
+    assert threading.active_count() == before
+
+
+def test_sweep_records_a_stall_and_leaves_no_thread(monkeypatch):
+    # the consumer of x0 = 1 waits for a value before it puts the input the
+    # producer waits for; the next case runs on the same thread
+    def stall_at_one(x0, probe):
+        if x0 == 1:
+            probe.get()
+
+    ran = _recording_consumers(monkeypatch, stall_at_one)
+    before = threading.active_count()
+    cases = sweep(range(3), [-1], [("x", "x+y")], timeout=0.05).cases
+    assert threading.active_count() == before
+    assert [case.ok for case in cases] == [True, False, True]
+    assert cases[1].error == ("DeadlockTimeout: no channel operation completed for 0.05s: "
+                              "producer blocked in inject.swap_in; consumer blocked in probe.get")
+    assert len({thread for _, thread in ran}) == 1
+
+
+def test_consumer_outliving_its_run_gets_no_next_case(monkeypatch):
+    # the producer of x0 = 1 fails while its consumer still computes, past
+    # JOIN_TIMEOUT: the next case runs on a fresh thread, and passes
+    monkeypatch.setattr(harness, "JOIN_TIMEOUT", 0.05)
+    ran = _recording_consumers(monkeypatch, lambda x0, probe: x0 == 1 and time.sleep(0.5))
+    calls = []
+    real_run = harness.run
+
+    def run(*args, **kwargs):
+        calls.append(args)
+        if len(calls) == 2:
+            raise harness.RevirError("producer fault")
+        return real_run(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "run", run)
+    before = threading.active_count()
+    cases = sweep(range(3), [-1], [("x", "x+y")]).cases
+    assert [(case.x0, case.ok) for case in cases] == [(0, True), (1, False), (2, True)]
+    assert cases[1].error == "RevirError: producer fault"
+    (_, first), (_, outlived), (_, fresh) = ran
+    assert outlived is first and fresh is not first
+    # the outlived body ends at its next channel operation, and its thread with it
+    first.join(5.0)
+    assert threading.active_count() == before
+
+
 def test_sweep_cases_walk_a_huge_range_lazily():
     started = time.perf_counter()
     cases = list(islice(sweep_cases(range(10**18), [-1], [("x", "x+y")]), 3))

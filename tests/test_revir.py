@@ -169,8 +169,50 @@ def _instructions(draw, depth, forbidden, regs):
     )
 
 
+# the most instructions a generated block may run from a store of _stores():
+# a loop counting on a register that an earlier loop doubled every pass
+# would otherwise run for hours
+_MAX_STEPS = 2000
+
+
+def _steps_left(block, bounds, budget):
+    """Lower bound of budget less the instructions block runs, from registers
+    and the cell (key None) no larger in magnitude than bounds, which it
+    raises to the magnitudes block may leave; negative once past budget."""
+    for inst in block:
+        budget -= 1
+        if budget < 0:
+            return budget
+        if isinstance(inst, AddConst):
+            bounds[inst.reg] += abs(inst.amount)
+        elif isinstance(inst, (AddReg, SubFrom)):
+            bounds[inst.dest] += bounds[inst.src]
+        elif isinstance(inst, SwapCell):
+            bounds[inst.reg], bounds[None] = bounds[None], bounds[inst.reg]
+        elif isinstance(inst, For):
+            # each pass is a step, an empty one too; a negative count runs
+            # the inverted body, which moves values as far
+            for _ in range(bounds[inst.count]):
+                budget = _steps_left(inst.body, bounds, budget - 1)
+                if budget < 0:
+                    return budget
+        elif isinstance(inst, IfSign):
+            branches = [dict(bounds) for _ in range(3)]
+            budget = min(_steps_left(branch, out, budget)
+                         for branch, out in zip((inst.pos, inst.zero, inst.neg), branches))
+            bounds.update({key: max(out[key] for out in branches) for key in bounds})
+    return budget
+
+
+def _bounded(block, **bounds):
+    """Whether block runs at most _MAX_STEPS instructions from registers and a
+    cell of magnitude 3 at most, or as given in bounds."""
+    start = {**dict.fromkeys(REGS, 3), None: 3, **bounds}
+    return _steps_left(block, start, _MAX_STEPS) >= 0
+
+
 def _programs():
-    return _blocks(depth=2, forbidden=frozenset()).map(RevProgram)
+    return _blocks(depth=2, forbidden=frozenset()).filter(_bounded).map(RevProgram)
 
 
 def _stores():
@@ -187,15 +229,16 @@ def test_invert_is_an_involution(program):
 def test_forward_then_inverse_restores_state(program, preload, cell_value):
     initial = Store(preload)
     cell = PlainCell(cell_value)
+    forward, inverse = RecordingSink(), RecordingSink()
     try:
-        middle = run(
-            program, initial, sinks={"out": RecordingSink()}, cells={"cell": cell}
-        )
+        middle = run(program, initial, sinks={"out": forward}, cells={"cell": cell})
     except BranchSignViolation:
         assume(False)
-    final = run(invert(program), middle, sinks={"out": discard}, cells={"cell": cell})
+    final = run(invert(program), middle, sinks={"out": inverse}, cells={"cell": cell})
     assert final == initial
     assert cell.value == cell_value
+    # the inverse passes each point of the forward run, in reverse order
+    assert inverse.values == forward.values[::-1]
 
 
 @given(program=_programs(), preload=_stores(), cell_value=st.integers(-3, 3))
@@ -230,7 +273,8 @@ def test_emissions_never_change_state(program, preload, cell_value):
 
 
 @given(
-    body=_blocks(depth=1, forbidden=frozenset(), regs=("a", "b", "c", "m")),
+    body=_blocks(depth=1, forbidden=frozenset(), regs=("a", "b", "c", "m")).filter(
+        lambda body: _bounded((For("n", body),), n=4)),
     count=st.integers(-4, 4),
     preload=_stores(),
     cell_value=st.integers(-3, 3),
