@@ -5,9 +5,9 @@ A split run runs the compiled producer (under the IR interpreter, with its
 probe port and inject cell bound to real channels) on the calling thread
 and the classical consumer on a consumer thread, and assembles a report. A
 consumer thread is a daemon thread that runs consumer bodies one at a time,
-handed over through two locks: run_split starts one that exits after its
-one body, and a sweep starts one per (pair, delta) block and runs every
-case of the block on it. An agent that fails records its error and closes
+handed over through two locks: run_split starts and stops one for its
+run, and a sweep starts one per (pair, delta) block and runs every case of
+the block on it. An agent that fails records its error and closes
 both channels, which wakes a blocked peer with ChannelClosed, so a failed
 run ends at once with the first error. The calling thread is also the
 watchdog, in the two places it can wait: in a producer take that finds no
@@ -106,8 +106,11 @@ def run_split(
     tests pass fault programs, and sweep passes one compiled producer to
     every input of a block; by default the scheme is compiled.
     """
-    # the thread ends with the consumer body, and the run joins it
-    return _run_split(scheme, x0, timeout=timeout, program=program, consumer=_ConsumerThread(once=True))
+    consumer = _ConsumerThread()
+    try:
+        return _run_split(scheme, x0, timeout=timeout, program=program, consumer=consumer)
+    finally:
+        consumer.stop()
 
 
 class _ConsumerThread:
@@ -116,53 +119,51 @@ class _ConsumerThread:
     Two locks, each held while it has nothing to say, carry the hand-off
     without a file descriptor: the thread takes _go to get the next body and
     gives _done once that body has returned. A body catches its own errors.
-    With once, the thread runs one body and exits, and wait joins it: a lock
-    given just before the exit would wake the owner only to wait again, and
-    the thread needs no stop.
+    Only the owner gives _go, and only the thread takes it.
     """
 
-    def __init__(self, once: bool = False):
+    def __init__(self):
         self._go, self._done = threading.Lock(), threading.Lock()
         self._go.acquire()
         self._done.acquire()
         self._body = None
-        self._once = once
         self._pending = False   # a body was handed and its return not yet seen
-        # started with the first body, which it then takes without a wait
         self._thread = threading.Thread(target=self._serve, daemon=True)
 
     def _serve(self):
         while True:
             self._go.acquire()
-            if self._body is None:
+            body, self._body = self._body, None
+            if body is None:
                 return
-            self._body()
+            body()
             # dropped before the owner hears of the return: the body holds its run's channels
-            self._body = None
-            if self._once:
-                return
+            del body
             self._done.release()
 
     def run(self, body):
         """Hand body to the thread; the previous body must have returned."""
         self._body, self._pending = body, True
         self._go.release()
+        # started after the first hand-off, which it then takes without a wait
         if self._thread.ident is None:
             self._thread.start()
 
     def wait(self, seconds: float) -> bool:
         """Whether the body handed last has returned, waiting up to seconds for it."""
-        if self._once:
-            self._thread.join(seconds)
-            self._pending = self._thread.is_alive()
-        elif self._pending and self._done.acquire(timeout=seconds):
+        if self._pending and self._done.acquire(timeout=seconds):
             self._pending = False
         return not self._pending
 
     def stop(self):
-        """Let the thread exit once it has no body; join it if it has none now."""
+        """Let the thread exit once it has no body; join it if it has none now.
+
+        A body handed but not yet taken is withdrawn, and _go, still given
+        for it, then wakes the thread to exit.
+        """
         self._body = None
-        self._go.release()
+        if self._go.locked():
+            self._go.release()
         if self._thread.ident is not None and self.wait(0):
             self._thread.join(JOIN_TIMEOUT)
 

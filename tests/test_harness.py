@@ -570,6 +570,33 @@ def test_sweep_leaves_no_thread():
     assert threading.active_count() == before
 
 
+@pytest.mark.parametrize("split", [
+    lambda scheme: run_split(scheme, 3),
+    lambda scheme: sweep(range(3), [-1], [("x", "x+y")]),
+])
+def test_failed_thread_start_raises_its_own_error(monkeypatch, split):
+    def start(self):
+        raise RuntimeError("can't start new thread")
+
+    monkeypatch.setattr(threading.Thread, "start", start)
+    with pytest.raises(RuntimeError, match="can't start new thread"):
+        split(make_scheme(-1, "x", "x+y"))
+
+
+def test_stop_withdraws_a_body_the_thread_has_not_taken(monkeypatch):
+    # the thread starts only after stop: it finds no body and exits
+    consumer = harness._ConsumerThread()
+    monkeypatch.setattr(consumer._thread, "start", lambda: None)
+    ran = []
+    consumer.run(lambda: ran.append(True))
+    consumer.stop()
+    monkeypatch.undo()
+    consumer._thread.start()
+    consumer._thread.join(5.0)
+    assert not consumer._thread.is_alive()
+    assert ran == []
+
+
 def test_closed_sweep_stops_its_consumer_thread():
     before = threading.active_count()
     cases = sweep_cases(range(10), [-1], [("x", "x+y")])
