@@ -4,8 +4,9 @@ Each channel holds at most one value and is shared by exactly two agents.
 PROTOCOL is their protocol, written down once, and the channels run from
 it: per channel and op, the agent that performs the op, the slot state it
 needs and the state it leaves. A slot starts in START; a completed run
-leaves it in FINAL, and no op runs from ``done``. Deadline handling
-belongs to the harness, through a semaphore's watch hook.
+leaves it in FINAL, and no op runs from ``done``. reopen() takes a slot
+from FINAL back to START for the next run, so one channel serves many.
+Deadline handling belongs to the harness, through a semaphore's watch hook.
 
 Each state an op may wait for has a counting semaphore, an OS pipe in
 which a byte is a token: ``empty`` starts with one, ``full`` with none.
@@ -23,8 +24,9 @@ CPython releases the GIL inside the write that gives a token and the read
 that takes one, so the woken peer finds the GIL free and runs at once. A
 lock released under the GIL wakes a peer that cannot take it, sleeps
 again and is woken a second time: about 4.4 context switches per handshake
-against 2.0 here. The pipes are closed when the channel is freed; a
-blocked call's frame holds its channel, so they outlive every call.
+against 2.0 here. The pipes are closed when the channel is freed, not by
+close() or by a run's end: a blocked call's frame holds its channel, so
+they outlive every call, and a reopened channel keeps its pipes.
 
 An optional shared EventLog receives one record per *completed* operation:
 an op from the state a put leaves records the value it took, any other op
@@ -51,7 +53,8 @@ producer, whose takes are probe.put and inject.swap_in.
 close() gives one token to each semaphore, which wakes every waiter on a
 channel; a woken call gives its token back, so the next taker wakes too,
 and it and every later call raise ChannelClosed. The harness closes both
-channels when a run ends, so no agent stays blocked after it.
+channels when a run does not end cleanly, so no agent stays blocked after
+it, and reopens them after a run that does.
 """
 
 from __future__ import annotations
@@ -77,6 +80,8 @@ PROTOCOL = {
 }
 START = "empty"
 FINAL = {"probe": "empty", "inject": "done"}
+# reopen: FINAL -> START, refused from any other state; the one token goes to
+# START's semaphore, where FINAL has none (each FINAL is START or has none)
 
 
 class ChannelClosed(Exception):
@@ -198,6 +203,19 @@ class _Slot:
 
     def put(self, value: int):
         self._step("put", value)
+
+    def reopen(self, trace: EventLog | None = None):
+        """Move the slot from FINAL back to START, emptied and recording to
+        trace, for a new run; from any other state, or once closed, raise
+        and change nothing."""
+        final = FINAL[self._name]
+        if self._closed:
+            raise ChannelClosed(f"{self._name}.reopen on a closed channel")
+        if self.state != final:
+            raise ProtocolError(f"{self._name}.reopen needs state {final}, not {self.state}")
+        if final not in self._tokens:
+            self._tokens[START].give()
+        self._slot, self.state, self._trace = 0, START, trace
 
     def watch(self, agent: str, hook):
         """Set hook, or clear it with None, on each semaphore an op of agent takes."""

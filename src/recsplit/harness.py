@@ -5,24 +5,29 @@ A split run runs the compiled producer (under the IR interpreter, with its
 probe port and inject cell bound to real channels) on the calling thread
 and the classical consumer on a consumer thread, and assembles a report. A
 consumer thread is a daemon thread that runs consumer bodies one at a time,
-handed over through two locks: run_split starts and stops one for its
-run, and a sweep starts one per (pair, delta) block and runs every case of
-the block on it. An agent that fails records its error and closes
-both channels, which wakes a blocked peer with ChannelClosed, so a failed
-run ends at once with the first error. The calling thread is also the
-watchdog, in the two places it can wait: in a producer take that finds no
-token, through the semaphore's watch hook, and in waiting for the consumer
-body to return once the producer has ended. Both waits run one loop, which
-raises DeadlockTimeout when the run stalls: timeout seconds pass with no
-completed channel operation while every live agent waits on one; the
-consumer is live while its thread runs this run's body. A computing agent
-never stalls, as every IR program and the fold end; the error says, from
-the channels, which operation each agent waits in. However the run ends,
-both channels are then closed and the consumer body waited for with a
-bounded wait. That holds for an interrupt too: on the main thread it lands
-in the producer or in one of the waits, and only a consumer that is still
-computing outlives the run, until its next channel operation raises
-ChannelClosed; its thread is never handed another body.
+handed over through two locks, and holds the channel pair its runs share:
+run_split starts and stops one for its run, and a sweep starts one per
+(pair, delta) block and runs every case of the block on it, each on the
+pair reopened with the case's own EventLog. An agent that fails records
+its error and closes both channels, which wakes a blocked peer with
+ChannelClosed, so a failed run ends at once with the first error. The
+calling thread is also the watchdog, in the two places it can wait: in a
+producer take that finds no token, through the semaphore's watch hook,
+and in waiting for the consumer body to return once the producer has
+ended. Both waits run one loop, which raises DeadlockTimeout when the run
+stalls: timeout seconds pass with no completed channel operation while
+every live agent waits on one; the consumer is live while its thread runs
+this run's body. A computing agent never stalls, as every IR program and
+the fold end; the error says, from the channels, which operation each
+agent waits in. A run that ends
+cleanly, with no error, both agents returned and both channels in FINAL,
+leaves the pair for the next run to reopen. Any other end closes both
+channels and waits for the consumer body with a bounded wait, and the
+thread's next run opens a fresh pair. That holds for an interrupt too: on
+the main thread it lands in the producer or in one of the waits, and only
+a consumer that is still computing outlives the run, until its next
+channel operation raises ChannelClosed; its thread is never handed another
+body.
 """
 
 from __future__ import annotations
@@ -114,12 +119,17 @@ def run_split(
 
 
 class _ConsumerThread:
-    """One daemon thread that runs consumer bodies one at a time.
+    """One daemon thread that runs consumer bodies one at a time, and the
+    channel pair its runs share.
 
     Two locks, each held while it has nothing to say, carry the hand-off
     without a file descriptor: the thread takes _go to get the next body and
     gives _done once that body has returned. A body catches its own errors.
-    Only the owner gives _go, and only the thread takes it.
+    Only the owner gives _go, and only the thread takes it. Each run takes
+    the pair from channels(), reopened from FINAL with the run's log. A run
+    that does not end cleanly drops it with close_channels(), and the next
+    run gets a fresh pair; stop() drops the pair too, so its pipes are freed
+    once the last run's frames are.
     """
 
     def __init__(self):
@@ -128,7 +138,24 @@ class _ConsumerThread:
         self._done.acquire()
         self._body = None
         self._pending = False   # a body was handed and its return not yet seen
+        self._channels = None   # (probe, inject), left in FINAL by the last run
         self._thread = threading.Thread(target=self._serve, daemon=True)
+
+    def channels(self, trace: EventLog) -> tuple:
+        """(probe, inject) at START, recording to trace: the pair reopened, or a fresh one."""
+        if self._channels is None:
+            self._channels = (ProbeChannel(trace), InjectChannel(trace))
+        else:
+            for channel in self._channels:
+                channel.reopen(trace)
+        return self._channels
+
+    def close_channels(self):
+        """Close the pair, waking any agent blocked on it, and let the next run open a fresh one."""
+        if self._channels is not None:
+            for channel in self._channels:
+                channel.close()
+            self._channels = None
 
     def _serve(self):
         while True:
@@ -159,8 +186,9 @@ class _ConsumerThread:
         """Let the thread exit once it has no body; join it if it has none now.
 
         A body handed but not yet taken is withdrawn, and _go, still given
-        for it, then wakes the thread to exit.
+        for it, then wakes the thread to exit. The pair is closed and dropped.
         """
+        self.close_channels()
         self._body = None
         if self._go.locked():
             self._go.release()
@@ -177,9 +205,7 @@ def _run_split(scheme: RecursionScheme, x0: int, *, timeout: float, program: Rev
         program = compile_producer(scheme)
 
     trace = EventLog()
-    probe = ProbeChannel(trace)
-    inject = InjectChannel(trace)
-    channels = (probe, inject)
+    channels = probe, inject = consumer.channels(trace)
     results = {}
     # shared by both agents; the first one is the run's error
     errors = []
@@ -220,6 +246,7 @@ def _run_split(scheme: RecursionScheme, x0: int, *, timeout: float, program: Rev
                 return
 
     started = time.perf_counter()
+    clean = False
     consumer.run(consume)
     for channel in channels:
         channel.watch("producer", watch)
@@ -230,13 +257,16 @@ def _run_split(scheme: RecursionScheme, x0: int, *, timeout: float, program: Rev
         except Exception as exc:
             errors.append(exc)
         wall_time = time.perf_counter() - started
+        # both agents have returned: the next run may reopen the pair
+        clean = not errors and probe.state == FINAL["probe"] and inject.state == FINAL["inject"]
     finally:
         # the hook closes over the channels: left set, it would keep the
         # pipes open until a cyclic GC
         for channel in channels:
             channel.watch("producer", None)
-            channel.close()
-        consumer.wait(JOIN_TIMEOUT)
+        if not clean:
+            consumer.close_channels()
+            consumer.wait(JOIN_TIMEOUT)
     if errors:
         try:
             raise errors[0]
@@ -460,14 +490,17 @@ def sweep_cases(x_values, deltas, pairs, timeout: float = DEFAULT_TIMEOUT):
     Each (pair, delta) block builds its scheme and producer when it starts
     and walks x_values again, as each pair walks deltas again: both must be
     ranges or sequences, not one-pass iterators. Each block also starts one
-    consumer thread and runs the consumer of each of its cases on it; the
-    thread is stopped when the block ends, raises, or is closed early. A
-    consumer still running JOIN_TIMEOUT after its case ended is never handed
-    the next case: its thread is stopped, to exit at its next channel
-    operation, and a fresh one takes over. Each case does a split run, the
-    one-piece classical run, and the direct recursive evaluation, then
-    checks emission conformity, residual conformity, and the channel
-    protocol. Failures are recorded in the case, not raised.
+    consumer thread and runs the consumer of each of its cases on it, over
+    the thread's one channel pair, reopened for each case; a case that does
+    not end cleanly closes the pair, and the next case opens a fresh one.
+    The thread is stopped, and its pair closed, when the block ends,
+    raises, or is closed early. A consumer still running JOIN_TIMEOUT after
+    its case ended is never handed the next case: its thread is stopped, to
+    exit at its next channel operation, and a fresh one takes over. Each
+    case does a split run, the one-piece classical run, and the direct
+    recursive evaluation, then checks emission conformity, residual
+    conformity, and the channel protocol. Failures are recorded in the
+    case, not raised.
     """
     if iter(x_values) is x_values or iter(deltas) is deltas:
         raise TypeError("x_values and deltas must be ranges or sequences, not iterators")

@@ -1,10 +1,14 @@
+import array
+import fcntl
 import sys
+import termios
 import threading
 import time
 
 import pytest
 
 from recsplit.chan import (
+    FINAL,
     PROTOCOL,
     START,
     ChannelClosed,
@@ -367,14 +371,77 @@ def test_protocol_table_is_what_the_channel_does(name, make):
                 assert channel.waiting() == []   # an abandoned take is no longer marked
 
 
+# --- reopen ----------------------------------------------------------------------
+
+def tokens(channel):
+    """{state: tokens in its semaphore's pipe}, counted without taking one."""
+    counts = {}
+    for state, semaphore in channel._tokens.items():
+        count = array.array("i", [0])
+        fcntl.ioctl(semaphore._read, termios.FIONREAD, count)
+        counts[state] = count[0]
+    return counts
+
+
+def test_reopen_runs_a_pair_again_on_a_new_log():
+    first = EventLog()
+    probe, inject = ProbeChannel(first), InjectChannel(first)
+    assert scripted_run(probe, inject, [2, -1]) == [2, -1]
+    second = EventLog()
+    for channel in (probe, inject):
+        channel.reopen(second)
+        assert channel.state == START
+    assert inject.slot == 0
+    assert scripted_run(probe, inject, [4, 5, 6]) == [4, 5, 6]
+    assert len(first.events()) == 3 + 2 * 2
+    events = second.events()
+    assert [e.seq for e in events] == list(range(3 + 2 * 3))
+    assert [(e.op, e.value) for e in events if e.channel == "inject"] == [
+        ("put", 3), ("swap_in", 3), ("swap_out", 5)]
+    assert [e.value for e in events if e.channel == "probe"] == [4, 4, 5, 5, 6, 6]
+    assert inject.slot == 5
+    # the one token is on START's semaphore: put finds it, swap_in waits for a put
+    for channel in (probe, inject):
+        channel.reopen()
+        channel.watch("producer", raise_watched)
+    probe.put(7)
+    assert probe.get() == 7
+    with pytest.raises(Watched):
+        inject.swap_in(0)
+    inject.put(8)
+    assert inject.swap_in(0) == 8
+    # a reopen without a log records nowhere
+    assert second.events() == events
+
+
+@pytest.mark.parametrize("name, make", [("probe", ProbeChannel), ("inject", InjectChannel)])
+def test_reopen_runs_only_from_final_and_not_once_closed(name, make):
+    for state, path in reachable(PROTOCOL[name]).items():
+        channel = make()
+        for op in path:
+            call(channel, op)
+        before = tokens(channel)
+        if state == FINAL[name]:
+            channel.reopen(EventLog())
+            assert channel.state == START
+            assert tokens(channel) == {sem: int(sem == START) for sem in before}
+        else:
+            with pytest.raises(ProtocolError, match=f"{name}.reopen needs state {FINAL[name]}"):
+                channel.reopen(EventLog())
+            assert channel.state == state
+            assert tokens(channel) == before
+        channel.close()
+        before, state = tokens(channel), channel.state
+        with pytest.raises(ChannelClosed):
+            channel.reopen(EventLog())
+        assert channel.state == state
+        assert tokens(channel) == before
+
+
 # --- event log -------------------------------------------------------------------
 
-def test_event_log_records_completed_protocol():
-    trace = EventLog()
-    probe = ProbeChannel(trace)
-    inject = InjectChannel(trace)
-    values = [2, -1, 1, 3]
-
+def scripted_run(probe, inject, values):
+    """Put 3 in, then each of values through probe, on two threads; return what arrived."""
     def producer():
         got = inject.swap_in(0)
         for value in values:
@@ -389,7 +456,15 @@ def test_event_log_records_completed_protocol():
     consumer_thread, received = spawn(consumer)
     producer_thread.join(JOIN_TIMEOUT)
     consumer_thread.join(JOIN_TIMEOUT)
-    assert received["value"] == values
+    return received["value"]
+
+
+def test_event_log_records_completed_protocol():
+    trace = EventLog()
+    probe = ProbeChannel(trace)
+    inject = InjectChannel(trace)
+    values = [2, -1, 1, 3]
+    assert scripted_run(probe, inject, values) == values
 
     events = trace.events()
     assert [e.seq for e in events] == list(range(len(events)))

@@ -1,5 +1,6 @@
 import builtins
 import gc
+import hashlib
 import json
 import os
 import select
@@ -409,6 +410,18 @@ def test_sweep_prints_the_table_of_harness_sweep(capsys):
     rows = [case.row() for case in report.cases]
     summary = harness.table_summary(len(report.cases), len(report.failures))
     assert capsys.readouterr().out == "\n".join([harness.TABLE_HEADER, *rows, summary]) + "\n"
+
+
+@pytest.mark.parametrize("argv, digest", [
+    (["sweep", "--x-range", "0:20", "--delta-range", "-4:-1"],
+     "a7df8623d2225f3b0d1800b813816f69c5c90c58f4e54be1e90d8e2c6d3e81ba"),
+    (["check", "--x-max", "12"],
+     "4aec4bb1fe09bfe529e2adb93c485ed402f31e8445d0fa1077c2f1eacff85968"),
+])
+def test_sweep_and_check_print_pinned_output(argv, digest, capsys):
+    # the sha256 of the whole standard output, the same on Python 3.10 to 3.13
+    assert main(argv) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
 
 def test_sweep_prints_each_row_as_its_case_ends():

@@ -13,9 +13,9 @@ from itertools import islice
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from recsplit import harness
+from recsplit import chan, harness
 from recsplit import scheme as scheme_module
-from recsplit.chan import ChannelEvent
+from recsplit.chan import ChannelClosed, ChannelEvent
 from recsplit.harness import (
     DeadlockTimeout,
     ResultMismatch,
@@ -539,13 +539,14 @@ def test_sweep_names_the_residuals_that_differ(monkeypatch):
 
 
 def _recording_consumers(monkeypatch, before=None):
-    """Patch run_consumer to note each case's x0 and thread, after calling before(x0, probe)."""
+    """Patch run_consumer to note each case's x0, thread and (probe, inject),
+    after calling before(x0, probe)."""
     ran = []
     run_consumer = harness.run_consumer
 
     def recording(config, inject, probe):
         # the thread object, not get_ident(): the OS reuses an ended thread's ident
-        ran.append((config.x0, threading.current_thread()))
+        ran.append((config.x0, threading.current_thread(), (probe, inject)))
         if before is not None:
             before(config.x0, probe)
         return run_consumer(config, inject, probe)
@@ -557,7 +558,7 @@ def _recording_consumers(monkeypatch, before=None):
 def test_sweep_runs_a_blocks_consumers_on_one_thread(monkeypatch):
     ran = _recording_consumers(monkeypatch)
     assert sweep(range(4), [-1, -2], [("x", "x+y")]).all_ok
-    threads = [thread for _, thread in ran]
+    threads = [thread for _, thread, _ in ran]
     assert len(threads) == 8
     assert threads[:4] == [threads[0]] * 4 and threads[4:] == [threads[4]] * 4
     assert threads[0] is not threads[4]
@@ -620,7 +621,82 @@ def test_sweep_records_a_stall_and_leaves_no_thread(monkeypatch):
     assert [case.ok for case in cases] == [True, False, True]
     assert cases[1].error == ("DeadlockTimeout: no channel operation completed for 0.05s: "
                               "producer blocked in inject.swap_in; consumer blocked in probe.get")
-    assert len({thread for _, thread in ran}) == 1
+    assert len({thread for _, thread, _ in ran}) == 1
+    # case 1 reopened case 0's pair; its stall closed it, and case 2 opened a fresh one
+    pairs = [pair for _, _, pair in ran]
+    assert pairs[1][0] is pairs[0][0] and pairs[1][1] is pairs[0][1]
+    assert not {*pairs[2]} & {*pairs[1]}
+    for channel in pairs[1]:
+        with pytest.raises(ChannelClosed):
+            channel.reopen(None)
+
+
+def _pipe_calls(monkeypatch, after=None):
+    """Patch os.pipe, as chan calls it, to note each call; after() runs past each."""
+    calls = []
+    pipe = chan.os.pipe
+
+    def counting():
+        fds = pipe()
+        calls.append(fds)
+        if after is not None:
+            after()
+        return fds
+
+    monkeypatch.setattr(chan.os, "pipe", counting)
+    return calls
+
+
+def test_a_block_and_a_lone_run_each_open_one_pair(monkeypatch):
+    # a pair is two channels of two pipes each
+    calls = _pipe_calls(monkeypatch)
+    assert sweep(range(40), [-1], [("x", "x+y")]).all_ok
+    assert len(calls) == 4
+    calls.clear()
+    assert run_split(make_scheme(-1, "x", "x+y"), 3).y == 6
+    assert len(calls) == 4
+
+
+def test_sweep_reopens_no_pair_left_outside_final(monkeypatch):
+    # the producer of x0 = 1 drops its final SwapCell, which leaves inject held
+    ran = _recording_consumers(monkeypatch)
+    calls = []
+    real_run = harness.run
+
+    def run(program, *args, **kwargs):
+        calls.append(program)
+        if len(calls) == 2:
+            program = RevProgram(program.body[:-1])
+        return real_run(program, *args, **kwargs)
+
+    monkeypatch.setattr(harness, "run", run)
+    cases = sweep(range(3), [-1], [("x", "x+y")]).cases
+    assert [(case.x0, case.ok) for case in cases] == [(0, True), (1, False), (2, True)]
+    assert "inject ops end in held, expected done" in cases[1].problems
+    (_, first, pair), (_, same, held), (_, last, fresh) = ran
+    assert first is same is last
+    assert held[0] is pair[0] and held[1] is pair[1]
+    assert held[1].state == "held"
+    assert not {*fresh} & {*held}
+    for channel in held:
+        with pytest.raises(ChannelClosed):
+            channel.reopen(None)
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+def test_sweep_holds_one_pair_of_pipes_at_a_time(monkeypatch):
+    # each block's thread holds one pair, 8 fds, and stopping it frees them
+    def open_fds():
+        return len(os.listdir("/proc/self/fd"))
+
+    start = open_fds()
+    peaks = [start]
+    _pipe_calls(monkeypatch, lambda: peaks.append(open_fds()))
+    for case in sweep_cases(range(5), [-1, -2, -3], [("x", "x+y")]):
+        assert case.ok
+        peaks.append(open_fds())
+    assert max(peaks) - start <= 8
+    assert open_fds() == start
 
 
 def test_consumer_outliving_its_run_gets_no_next_case(monkeypatch):
@@ -642,7 +718,7 @@ def test_consumer_outliving_its_run_gets_no_next_case(monkeypatch):
     cases = sweep(range(3), [-1], [("x", "x+y")]).cases
     assert [(case.x0, case.ok) for case in cases] == [(0, True), (1, False), (2, True)]
     assert cases[1].error == "RevirError: producer fault"
-    (_, first), (_, outlived), (_, fresh) = ran
+    first, outlived, fresh = [thread for _, thread, _ in ran]
     assert outlived is first and fresh is not first
     # the outlived body ends at its next channel operation, and its thread with it
     first.join(5.0)
