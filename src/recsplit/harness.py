@@ -28,6 +28,12 @@ the main thread it lands in the producer or in one of the waits, and only
 a consumer that is still computing outlives the run, until its next
 channel operation raises ChannelClosed; its thread is never handed another
 body.
+
+A sweep runs the split run of each case, then checks it against the other
+runs and the plan it must follow: each check has one name in CASE_CHECKS.
+A case keeps one verdict, SweepCase.failed, which maps the name of each
+check that failed to its problems; whether it is ok, its error, its
+problems and its *_ok flags are all read from that map.
 """
 
 from __future__ import annotations
@@ -281,9 +287,7 @@ def _run_split(scheme: RecursionScheme, x0: int, *, timeout: float, program: Rev
     if y != oracle_y:
         raise ResultMismatch(f"consumer produced {y}, recursion says {oracle_y}")
     events, emissions = trace.events_and_puts("probe")
-    residuals = residuals_from_store(
-        final_store, x0, scheme.pred.delta, inject_cell=inject.slot
-    )
+    residuals = residuals_from_store(final_store, x0, scheme.pred.delta, inject.slot)
     return RunReport(
         y=y,
         emissions=emissions,
@@ -420,28 +424,57 @@ def write_trace_jsonl(events, handle):
 
 # --- sweeps -------------------------------------------------------------------------
 
+# the checks of a sweep case, in report order: "split" is the split run, which
+# fails when it raises, and a case whose split run failed runs no other check
+CASE_CHECKS = ("split", "sequential", "emissions", "residuals", "protocol", "handshakes")
+
+
+def _passed(check: str) -> property:
+    """A SweepCase flag: whether check ran and passed, which it did not if the split run failed."""
+    return property(lambda case: not case.failed.keys() & {"split", check})
+
+
 class SweepCase(Record):
-    __slots__ = _fields = ("base", "step", "delta", "x0", "error", "split_y", "sequential_y",
-                           "emissions_ok", "residuals_ok", "protocol_ok", "handshakes",
-                           "wall_time", "problems")
+    """One sweep case: its inputs, what its runs gave, and failed, which maps
+    the name of each check of CASE_CHECKS that failed to its problems, in
+    CASE_CHECKS order.
+
+    ok, error, problems, detail and the *_ok flags are all read from failed,
+    so they cannot disagree. A check passed only if it ran: a case whose split
+    run raised has failed == {"split": [error]}, and every flag False.
+    """
+
+    __slots__ = _fields = ("base", "step", "delta", "x0", "split_y", "sequential_y", "handshakes",
+                           "wall_time", "failed")
 
     def __init__(self, base: str, step: str, delta: int, x0: int,
-                 error: str | None = None, split_y: int | None = None,
-                 sequential_y: int | None = None, emissions_ok: bool = False,
-                 residuals_ok: bool = False, protocol_ok: bool = False,
-                 handshakes: int = 0, wall_time: float = 0.0, problems: list | None = None):
-        self._set(base, step, delta, x0, error, split_y, sequential_y, emissions_ok,
-                  residuals_ok, protocol_ok, handshakes, wall_time,
-                  [] if problems is None else problems)
+                 split_y: int | None = None, sequential_y: int | None = None,
+                 handshakes: int = 0, wall_time: float = 0.0, failed: dict | None = None):
+        self._set(base, step, delta, x0, split_y, sequential_y, handshakes, wall_time,
+                  {} if failed is None else failed)
 
     @property
     def ok(self) -> bool:
-        return self.error is None and not self.problems
+        return not self.failed
+
+    @property
+    def error(self) -> str | None:
+        """The error the split run raised, or None."""
+        return self.failed["split"][0] if "split" in self.failed else None
+
+    @property
+    def problems(self) -> list:
+        """Every failed check's problems, one list."""
+        return [problem for problems in self.failed.values() for problem in problems]
 
     @property
     def detail(self) -> str:
-        """Why the case failed: its error if it has one, else its problems."""
-        return self.error if self.error is not None else "; ".join(self.problems)
+        """Why the case failed: its problems, which are its error if it has one."""
+        return "; ".join(self.problems)
+
+    emissions_ok = _passed("emissions")
+    residuals_ok = _passed("residuals")
+    protocol_ok = _passed("protocol")
 
     def row(self) -> str:
         """The case's line in a sweep table, under TABLE_HEADER."""
@@ -496,11 +529,14 @@ def sweep_cases(x_values, deltas, pairs, timeout: float = DEFAULT_TIMEOUT):
     The thread is stopped, and its pair closed, when the block ends,
     raises, or is closed early. A consumer still running JOIN_TIMEOUT after
     its case ended is never handed the next case: its thread is stopped, to
-    exit at its next channel operation, and a fresh one takes over. Each
-    case does a split run, the one-piece classical run, and the direct
-    recursive evaluation, then checks emission conformity, residual
-    conformity, and the channel protocol. Failures are recorded in the
-    case, not raised.
+    exit at its next channel operation, and a fresh one takes over.
+
+    Each case runs the checks of CASE_CHECKS, in order: the split run, which
+    raises if its y is not the recursive value; agreement with the one-piece
+    classical run; the emission plan; the residuals; the channel protocol;
+    and iterations + 2 handshakes. A split run that raises is the "split"
+    check's one problem, and no other check runs. Each failed check's
+    problems go into the case's failed map under its name, never raised.
     """
     if iter(x_values) is x_values or iter(deltas) is deltas:
         raise TypeError("x_values and deltas must be ranges or sequences, not iterators")
@@ -517,30 +553,29 @@ def sweep_cases(x_values, deltas, pairs, timeout: float = DEFAULT_TIMEOUT):
                     try:
                         report = _run_split(scheme, x0, timeout=timeout, program=program, consumer=consumer)
                     except (HarnessError, RevirError, NegativeInputError) as exc:
-                        yield SweepCase(base_text, step_text, delta, x0, error=f"{type(exc).__name__}: {exc}")
+                        failed = {"split": [f"{type(exc).__name__}: {exc}"]}
+                        yield SweepCase(base_text, step_text, delta, x0, failed=failed)
                         continue
-                    problems = []
+                    failed = {}
                     sequential_y = run_sequential(scheme, x0)[0]
                     if sequential_y != report.y:
-                        problems.append(f"sequential y {sequential_y} != recursive {report.y}")
+                        failed["sequential"] = [f"sequential y {sequential_y} != recursive {report.y}"]
                     plan = expected_emissions(scheme, x0)
                     expected = [plan.iterations, plan.base_arg, *plan.h_args]
-                    emissions_ok = report.emissions == expected
-                    if not emissions_ok:
-                        problems.append(f"emissions {report.emissions} != {expected}")
+                    if report.emissions != expected:
+                        failed["emissions"] = [f"emissions {report.emissions} != {expected}"]
                     want = expected_residuals(x0, delta)
-                    residuals_ok = report.residuals == want
-                    if not residuals_ok:
+                    if report.residuals != want:
                         off = [f"{name} {report.residuals[name]} != {value}"
                                for name, value in want.items() if report.residuals[name] != value]
-                        problems.append(f"residuals off profile: {', '.join(off)}")
+                        failed["residuals"] = [f"residuals off profile: {', '.join(off)}"]
                     protocol = channel_protocol_problems(report.channel_log)
-                    problems.extend(protocol)
+                    if protocol:
+                        failed["protocol"] = protocol
                     handshakes = len(report.emissions)
                     if handshakes != plan.iterations + 2:
-                        problems.append(f"{handshakes} handshakes, expected {plan.iterations + 2}")
-                    yield SweepCase(base_text, step_text, delta, x0, None, report.y, sequential_y,
-                                    emissions_ok, residuals_ok, not protocol, handshakes,
-                                    report.wall_time, problems)
+                        failed["handshakes"] = [f"{handshakes} handshakes, expected {plan.iterations + 2}"]
+                    yield SweepCase(base_text, step_text, delta, x0, report.y, sequential_y, handshakes,
+                                    report.wall_time, failed)
             finally:
                 consumer.stop()

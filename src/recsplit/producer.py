@@ -220,17 +220,13 @@ def compile_producer(scheme: RecursionScheme) -> RevProgram:
     return RevProgram(body)
 
 
-def residuals_from_store(
-    store: Store, x0: int, delta: int, inject_cell: int | None = None
-) -> dict:
+def residuals_from_store(store: Store, x0: int, delta: int, inject_cell: int) -> dict:
     """The compiled producer's leftovers: the residual registers of its final
-    store, whether delta divides x0, the temps, and the inject cell's value
-    when one is given."""
+    store, whether delta divides x0, the temps, and the inject cell's value."""
     residuals = {name: store[name] for name in RESIDUAL_REGISTERS}
     residuals["divisible"] = x0 % delta == 0
     residuals.update((name, store[name]) for name in TEMP_REGISTERS)
-    if inject_cell is not None:
-        residuals[INJECT_CELL] = inject_cell
+    residuals[INJECT_CELL] = inject_cell
     return residuals
 
 

@@ -16,6 +16,7 @@ import pytest
 import recsplit
 from recsplit import cli, harness
 from recsplit.cli import main
+from recsplit.revir import AddConst
 from recsplit.scheme import MAX_EXPR_DEPTH, eval_recursive, make_scheme
 
 SCHEME_FLAGS = ["--delta", "-1", "--base", "x", "--step", "x+y"]
@@ -309,6 +310,17 @@ def test_bad_timeout_is_usage_error(capsys):
             captured = capsys.readouterr()
             assert "timeout must be in (0, " in captured.err
             assert captured.out == ""     # refused before any run
+
+
+def test_check_prints_each_preload_it_does_not_restore(monkeypatch, capsys):
+    # an inverter that keeps each AddConst's sign: the sweep, which inverts
+    # nothing, still passes
+    monkeypatch.setattr(AddConst, "_inverse", lambda self: self)
+    assert main(["check", *SCHEME_FLAGS, "--x-max", "0", "--preloads", "2"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "reversibility delta=-1: 0/2 preloads restored [FAILED]"
+    assert [line.split(": store ")[0] for line in lines[1:3]] == ["  preload[0]", "  preload[1]"]
+    assert lines[3:] == ["sweep: 1 cases, 0 failures"]
 
 
 def test_check_rejects_too_few_preloads(capsys):

@@ -17,6 +17,7 @@ from recsplit import chan, harness
 from recsplit import scheme as scheme_module
 from recsplit.chan import ChannelClosed, ChannelEvent
 from recsplit.harness import (
+    CASE_CHECKS,
     DeadlockTimeout,
     ResultMismatch,
     TABLE_HEADER,
@@ -375,6 +376,22 @@ def test_check_reversibility_full_producer():
     assert report.all_ok
 
 
+def test_check_reversibility_reports_a_store_it_does_not_restore(monkeypatch):
+    # an inverter that keeps each AddConst's sign; a program caches its inverse,
+    # so only programs built after the patch get the faulty one
+    monkeypatch.setattr(AddConst, "_inverse", lambda self: self)
+    report = check_reversibility(RevProgram((AddConst("r", 1),)), [({"r": 0}, {})])
+    assert [case.problem for case in report.failures] == ["store {'r': 2} != {}"]
+
+
+def test_check_reversibility_reports_a_cell_it_does_not_restore(monkeypatch):
+    # the faulty inverse adds 1 to r again before swapping it back into c
+    monkeypatch.setattr(AddConst, "_inverse", lambda self: self)
+    program = RevProgram((SwapCell("c", "r"), AddConst("r", 1)))
+    report = check_reversibility(program, [({"r": 2}, {"c": 5})])
+    assert [(case.label, case.problem) for case in report.failures] == [("preload[0]", "cell c 7 != 5")]
+
+
 def test_check_reversibility_reports_discipline_violation():
     program = RevProgram((IfSign("a", pos=(AddConst("a", -100),)),))
     report = check_reversibility(program, [({"a": 3}, {})])
@@ -533,9 +550,93 @@ def test_sweep_names_the_residuals_that_differ(monkeypatch):
     report = sweep(range(3), [-1], [("x", "x+y")])
     assert len(report.cases) == 3
     for case in report.cases:
-        assert case.problems == ["residuals off profile: s 1 != 0"]
+        assert case.failed == {"residuals": ["residuals off profile: s 1 != 0"]}
         assert not case.residuals_ok
         assert case.emissions_ok and case.protocol_ok
+
+
+def _case_at_three():
+    """The sweep case of (x, x+y) at delta -1 and x0 = 3: y = 6, emissions [3, 0, 1, 2, 3]."""
+    (case,) = sweep([3], [-1], [("x", "x+y")]).cases
+    return case
+
+
+def _edit_plan(monkeypatch, edit):
+    """Patch the sweep's emission plan to edit(plan)."""
+    real = harness.expected_emissions
+    monkeypatch.setattr(harness, "expected_emissions", lambda scheme, x0: edit(real(scheme, x0)))
+
+
+def test_sweep_names_a_failed_split_run(monkeypatch):
+    monkeypatch.setattr(harness, "eval_recursive", lambda scheme, x0: eval_recursive(scheme, x0) + 1)
+    case = _case_at_three()
+    assert case.failed == {"split": ["ResultMismatch: consumer produced 6, recursion says 7"]}
+    assert case.error == case.detail == "ResultMismatch: consumer produced 6, recursion says 7"
+    # a failed split run checks nothing else, so no check passed
+    assert not (case.emissions_ok or case.residuals_ok or case.protocol_ok)
+
+
+def test_sweep_names_a_sequential_disagreement(monkeypatch):
+    real = harness.run_sequential
+
+    def run_sequential(scheme, x0):
+        y, residuals = real(scheme, x0)
+        return y + 1, residuals
+
+    monkeypatch.setattr(harness, "run_sequential", run_sequential)
+    case = _case_at_three()
+    assert case.failed == {"sequential": ["sequential y 7 != recursive 6"]}
+    assert case.error is None
+    assert case.emissions_ok and case.residuals_ok and case.protocol_ok
+
+
+def test_sweep_names_emissions_off_the_plan(monkeypatch):
+    _edit_plan(monkeypatch, lambda plan: plan._replace(base_arg=plan.base_arg - 1))
+    case = _case_at_three()
+    assert case.failed == {"emissions": ["emissions [3, 0, 1, 2, 3] != [3, -1, 1, 2, 3]"]}
+    assert not case.emissions_ok
+    assert case.residuals_ok and case.protocol_ok
+
+
+def test_sweep_names_a_protocol_violation(monkeypatch):
+    # the log loses the inject put; the channels still work
+    real = chan.EventLog.record
+
+    def record(self, channel, op, value):
+        if (channel, op) != ("inject", "put"):
+            real(self, channel, op, value)
+
+    monkeypatch.setattr(chan.EventLog, "record", record)
+    case = _case_at_three()
+    assert case.failed == {"protocol": ["inject event 0 is swap_in, expected put"]}
+    assert not case.protocol_ok
+    assert case.emissions_ok and case.residuals_ok
+
+
+def test_sweep_handshake_count_fails_only_with_the_emissions(monkeypatch):
+    # the handshakes are the emissions counted, so a count off the plan's is
+    # also an emission list off it: a plan one iteration longer fails both
+    _edit_plan(monkeypatch, lambda plan: plan._replace(iterations=plan.iterations + 1,
+                                                      h_args=(*plan.h_args, plan.h_args[-1] + 1)))
+    case = _case_at_three()
+    assert case.failed == {"emissions": ["emissions [3, 0, 1, 2, 3] != [4, 0, 1, 2, 3, 4]"],
+                           "handshakes": ["5 handshakes, expected 6"]}
+    assert case.problems == [*case.failed["emissions"], *case.failed["handshakes"]]
+
+
+def test_a_case_verdict_is_read_from_its_failed_map():
+    passing = SweepCase("x", "x+y", -1, 3, split_y=6)
+    assert passing.ok and passing.error is None and passing.problems == []
+    assert passing.emissions_ok and passing.residuals_ok and passing.protocol_ok
+    for name in CASE_CHECKS:
+        case = SweepCase("x", "x+y", -1, 3, failed={name: [f"{name} off"]})
+        assert not case.ok
+        assert case.problems == [f"{name} off"] and case.detail == f"{name} off"
+        assert case.error == (f"{name} off" if name == "split" else None)
+        # a check passed only if the split run did and the check did
+        flags = {"emissions": case.emissions_ok, "residuals": case.residuals_ok,
+                 "protocol": case.protocol_ok}
+        assert flags == {check: name not in ("split", check) for check in flags}
 
 
 def _recording_consumers(monkeypatch, before=None):
@@ -763,13 +864,13 @@ def test_sweep_table_shows_huge_y_as_its_digit_count():
 
 
 def test_sweep_report_accounts_failures():
-    failing = SweepCase(base="x", step="x+y", delta=-1, x0=2, error="boom")
+    failing = SweepCase(base="x", step="x+y", delta=-1, x0=2, failed={"split": ["boom"]})
     report = CaseReport(cases=[failing])
     assert not report.all_ok
     assert report.failures == [failing]
     assert "boom" in failing.row()
     assert failing.detail == "boom"
-    two = SweepCase(base="x", step="x+y", delta=-1, x0=3, problems=["a", "b"])
+    two = SweepCase(base="x", step="x+y", delta=-1, x0=3, failed={"residuals": ["a"], "protocol": ["b"]})
     assert two.detail == "a; b"
     assert two.row().endswith(" NO   a; b")
 
@@ -780,9 +881,9 @@ def test_cases_reports_and_sinks_are_read_only_records():
     sink(4)
     sink(-5)
     assert sink.values == [4, -5]
-    for record, field in ((case, "error"), (CaseReport([case]), "cases"), (sink, "values")):
+    for record, field in ((case, "failed"), (CaseReport([case]), "cases"), (sink, "values")):
         with pytest.raises(AttributeError):
             setattr(record, field, None)
         assert copy.copy(record) == record
-        with pytest.raises(TypeError):   # each holds a list
+        with pytest.raises(TypeError):   # each holds a list or a dict
             hash(record)

@@ -13,6 +13,7 @@ from recsplit.scheme import (
     Neg,
     NegativeInputError,
     PredecessorSpec,
+    RecursionScheme,
     SchemeFileError,
     Sub,
     UndeclaredVariableError,
@@ -233,6 +234,12 @@ def test_pred_inverse_laws(z, delta):
 def test_make_scheme_validates_variables():
     with pytest.raises(UndeclaredVariableError):
         make_scheme(-1, "y", "x+y")  # base may not use y
+
+
+def test_scheme_refuses_a_step_over_more_than_x_and_y():
+    # the parser refuses such text first: only a built expression reaches this check
+    with pytest.raises(ValueError, match=r"step may only use x and y, found \['z'\]"):
+        RecursionScheme(PredecessorSpec(-1), Var("x"), Add(Var("x"), Var("z")))
 
 
 def test_scheme_base_and_step_values():
