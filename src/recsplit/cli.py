@@ -302,15 +302,11 @@ def main(argv=None) -> int:
     with _unlimited_int_digits():
         try:
             args = parser.parse_args(argv)
-        except UsageError as exc:
-            print(f"usage error: {exc}", file=sys.stderr)
-            return EXIT_USAGE
-        except SystemExit as exc:  # argparse --help
-            return int(exc.code or 0)
-        try:
             status = args.func(args)
             sys.stdout.flush()   # a reader that left shows here, not at exit
             return status
+        except SystemExit as exc:  # argparse --help
+            return int(exc.code or 0)
         except BrokenPipeError:
             # point stdout at devnull so that the flush at exit stays quiet too
             devnull = os.open(os.devnull, os.O_WRONLY)

@@ -3,31 +3,30 @@ equivalence / reversibility / protocol check suites.
 
 A split run runs the compiled producer (under the IR interpreter, with its
 probe port and inject cell bound to real channels) on the calling thread
-and the classical consumer on a consumer thread, and assembles a report. A
-consumer thread is a daemon thread that runs consumer bodies one at a time,
-handed over through two locks, and holds the channel pair its runs share:
-run_split starts and stops one for its run, and a sweep starts one per
-(pair, delta) block and runs every case of the block on it, each on the
-pair reopened with the case's own EventLog. An agent that fails records
-its error and closes both channels, which wakes a blocked peer with
-ChannelClosed, so a failed run ends at once with the first error. The
-calling thread is also the watchdog, in the two places it can wait: in a
-producer take that finds no token, through the semaphore's watch hook,
-and in waiting for the consumer body to return once the producer has
-ended. Both waits run one loop, which raises DeadlockTimeout when the run
-stalls: timeout seconds pass with no completed channel operation while
-every live agent waits on one; the consumer is live while its thread runs
-this run's body. A computing agent never stalls, as every IR program and
-the fold end; the error says, from the channels, which operation each
-agent waits in. A run that ends
-cleanly, with no error, both agents returned and both channels in FINAL,
-leaves the pair for the next run to reopen. Any other end closes both
-channels and waits for the consumer body with a bounded wait, and the
-thread's next run opens a fresh pair. That holds for an interrupt too: on
-the main thread it lands in the producer or in one of the waits, and only
-a consumer that is still computing outlives the run, until its next
-channel operation raises ChannelClosed; its thread is never handed another
-body.
+and the classical consumer on a consumer thread, and assembles a report.
+A _SplitRunner owns what one run leaves for the next: a consumer thread,
+a daemon thread that runs consumer bodies one at a time, handed over
+through two locks; one channel pair, reopened for each run with the run's
+own EventLog; and the current run's log and results. run_split makes one
+for its run, and a sweep makes one per (pair, delta) block and runs every
+case of the block on it. Leaving the runner closes the pair and stops the
+thread. An agent that fails records its error and closes both channels,
+which wakes a blocked peer with ChannelClosed, so a failed run ends at
+once with the first error. The calling thread is also the watchdog, in
+the two places it can wait: in a producer take that finds no token,
+through the semaphore's watch hook, which the runner sets when a pair
+opens and clears when it closes, and in waiting for the consumer body to
+return once the producer has ended. Both waits run one loop, which raises
+DeadlockTimeout when the run stalls: timeout seconds pass with no
+completed channel operation while every live agent waits on one; the
+consumer is live while its thread runs this run's body. A computing agent
+never stalls, as every IR program and the fold end; the error says, from
+the channels, which operation each agent waits in. What a run leaves for
+the next is decided by one rule, in _SplitRunner.split, and an interrupt
+ends a run by it too: on the main thread it lands in the producer or in
+one of the waits, and only a consumer that is still computing outlives
+the run, until its next channel operation raises ChannelClosed; its
+thread is never handed another body.
 
 A sweep runs the split run of each case, then checks it against the other
 runs and the plan it must follow: each check has one name in CASE_CHECKS.
@@ -38,6 +37,7 @@ problems and its *_ok flags are all read from that map.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import random
 import threading
@@ -117,25 +117,17 @@ def run_split(
     tests pass fault programs, and sweep passes one compiled producer to
     every input of a block; by default the scheme is compiled.
     """
-    consumer = _ConsumerThread()
-    try:
-        return _run_split(scheme, x0, timeout=timeout, program=program, consumer=consumer)
-    finally:
-        consumer.stop()
+    with _SplitRunner(timeout) as runner:
+        return runner.split(scheme, x0, program)
 
 
 class _ConsumerThread:
-    """One daemon thread that runs consumer bodies one at a time, and the
-    channel pair its runs share.
+    """One daemon thread, started at once, that runs consumer bodies one at a time.
 
     Two locks, each held while it has nothing to say, carry the hand-off
     without a file descriptor: the thread takes _go to get the next body and
     gives _done once that body has returned. A body catches its own errors.
-    Only the owner gives _go, and only the thread takes it. Each run takes
-    the pair from channels(), reopened from FINAL with the run's log. A run
-    that does not end cleanly drops it with close_channels(), and the next
-    run gets a fresh pair; stop() drops the pair too, so its pipes are freed
-    once the last run's frames are.
+    Only the owner gives _go, and only the thread takes it.
     """
 
     def __init__(self):
@@ -144,24 +136,8 @@ class _ConsumerThread:
         self._done.acquire()
         self._body = None
         self._pending = False   # a body was handed and its return not yet seen
-        self._channels = None   # (probe, inject), left in FINAL by the last run
         self._thread = threading.Thread(target=self._serve, daemon=True)
-
-    def channels(self, trace: EventLog) -> tuple:
-        """(probe, inject) at START, recording to trace: the pair reopened, or a fresh one."""
-        if self._channels is None:
-            self._channels = (ProbeChannel(trace), InjectChannel(trace))
-        else:
-            for channel in self._channels:
-                channel.reopen(trace)
-        return self._channels
-
-    def close_channels(self):
-        """Close the pair, waking any agent blocked on it, and let the next run open a fresh one."""
-        if self._channels is not None:
-            for channel in self._channels:
-                channel.close()
-            self._channels = None
+        self._thread.start()
 
     def _serve(self):
         while True:
@@ -178,9 +154,6 @@ class _ConsumerThread:
         """Hand body to the thread; the previous body must have returned."""
         self._body, self._pending = body, True
         self._go.release()
-        # started after the first hand-off, which it then takes without a wait
-        if self._thread.ident is None:
-            self._thread.start()
 
     def wait(self, seconds: float) -> bool:
         """Whether the body handed last has returned, waiting up to seconds for it."""
@@ -192,109 +165,145 @@ class _ConsumerThread:
         """Let the thread exit once it has no body; join it if it has none now.
 
         A body handed but not yet taken is withdrawn, and _go, still given
-        for it, then wakes the thread to exit. The pair is closed and dropped.
+        for it, then wakes the thread to exit.
         """
-        self.close_channels()
         self._body = None
         if self._go.locked():
             self._go.release()
-        if self._thread.ident is not None and self.wait(0):
+        if self.wait(0):
             self._thread.join(JOIN_TIMEOUT)
 
 
-def _run_split(scheme: RecursionScheme, x0: int, *, timeout: float, program: RevProgram | None,
-               consumer: _ConsumerThread) -> RunReport:
-    """run_split, with the consumer run on consumer, whose last body must have returned."""
-    check_input(x0)
-    check_timeout(timeout)
-    if program is None:
-        program = compile_producer(scheme)
+class _SplitRunner(contextlib.AbstractContextManager):
+    """Split runs, one at a time, on one consumer thread over one channel pair.
 
-    trace = EventLog()
-    channels = probe, inject = consumer.channels(trace)
-    results = {}
-    # shared by both agents; the first one is the run's error
-    errors = []
+    Leaving the runner closes the pair and stops the thread. The first run
+    opens the pair, and each later run reopens it with its own log. The
+    producer's watch hook is set when a pair opens and cleared when it
+    closes: watch() and stall() read the current run's log and results.
+    """
 
-    def consume():
-        try:
-            results["consumer"] = run_consumer(ConsumerConfig.from_scheme(scheme, x0), inject, probe)
-        except BaseException as exc:
-            # a failed consumer can never unblock the producer: closing wakes
-            # it, and its ChannelClosed lands after this error
-            errors.append(exc)
-            for channel in channels:
-                channel.close()
+    def __init__(self, timeout: float):
+        self._timeout = check_timeout(timeout)
+        self._consumer = _ConsumerThread()
+        self._channels = ()   # (probe, inject) left in FINAL by the last run, or none
+        self._trace = None    # the current run's EventLog
+        self._results = {}    # what the current run's agents returned, by agent
 
-    def stall(latest):
+    def __exit__(self, *exc_info):
+        self._close()
+        self._consumer.stop()
+
+    def _close(self):
+        """Close the pair, waking any agent blocked on it, and let the next run open a fresh one."""
+        for channel in self._channels:
+            channel.close()
+            # the hook points back at the runner: left set, it would keep the
+            # pipes open until a cyclic GC
+            channel.watch("producer", None)
+        self._channels = ()
+
+    def stall(self, latest: int) -> str | None:
         """What each agent waits in, if the run has stalled since latest, else None."""
-        running = {"producer": "producer" not in results, "consumer": not consumer.wait(0)}
+        running = {"producer": "producer" not in self._results, "consumer": not self._consumer.wait(0)}
         live = {agent for agent, alive in running.items() if alive}
-        blocked = {PROTOCOL[name][op].agent: f"{name}.{op}" for name, op in probe.waiting() + inject.waiting()}
+        blocked = {PROTOCOL[name][op].agent: f"{name}.{op}"
+                   for channel in self._channels for name, op in channel.waiting()}
         # a record since latest may have woken an agent still marked waiting
-        if live and blocked.keys() >= live and trace.latest_ns == latest:
+        if live and blocked.keys() >= live and self._trace.latest_ns == latest:
             return "; ".join(f"{agent} blocked in {blocked[agent]}" if agent in live
                              else f"{agent} finished" for agent in running)
         return None
 
-    def watch(ready):
+    def watch(self, ready):
         """Return once ready(seconds) is true; raise DeadlockTimeout if the run stalls first."""
         # re-arm after every completed channel operation, and while an agent computes
         while True:
-            latest = trace.latest_ns
+            latest = self._trace.latest_ns
             idle = (time.perf_counter_ns() - latest) / 1e9
-            if idle >= timeout:
-                blocked = stall(latest)
+            if idle >= self._timeout:
+                blocked = self.stall(latest)
                 if blocked:
-                    raise DeadlockTimeout(f"no channel operation completed for {timeout}s: {blocked}")
+                    raise DeadlockTimeout(f"no channel operation completed for {self._timeout}s: {blocked}")
                 idle = 0
-            if ready(timeout - idle):
+            if ready(self._timeout - idle):
                 return
 
-    started = time.perf_counter()
-    clean = False
-    consumer.run(consume)
-    for channel in channels:
-        channel.watch("producer", watch)
-    try:
+    def split(self, scheme: RecursionScheme, x0: int, program: RevProgram | None = None) -> RunReport:
+        """run_split's run, on this runner's thread and pair.
+
+        A run that ends cleanly, with no error, both agents returned and both
+        channels in FINAL, leaves the pair for the next run to reopen. Any
+        other end closes the pair and waits up to JOIN_TIMEOUT for the
+        consumer body. A body still running then keeps its thread, which is
+        stopped, to exit at its next channel operation; the next run gets a
+        fresh thread.
+        """
+        check_input(x0)
+        if program is None:
+            program = compile_producer(scheme)
+
+        trace = self._trace = EventLog()
+        results = self._results = {}
+        # the pair reopened, or a fresh one with the producer's hooks set
+        if not self._channels:
+            self._channels = (ProbeChannel(trace), InjectChannel(trace))
+            for channel in self._channels:
+                channel.watch("producer", self.watch)
+        else:
+            for channel in self._channels:
+                channel.reopen(trace)
+        channels = probe, inject = self._channels
+        # shared by both agents; the first one is the run's error
+        errors = []
+
+        def consume():
+            try:
+                results["consumer"] = run_consumer(ConsumerConfig.from_scheme(scheme, x0), inject, probe)
+            except BaseException as exc:
+                # a failed consumer can never unblock the producer: closing wakes
+                # it, and its ChannelClosed lands after this error
+                errors.append(exc)
+                for channel in channels:
+                    channel.close()
+
+        started = time.perf_counter()
+        self._consumer.run(consume)
         try:
             results["producer"] = run(program, Store(), sinks={PROBE_PORT: probe.put}, cells={INJECT_CELL: inject})
-            watch(consumer.wait)
+            self.watch(self._consumer.wait)
         except Exception as exc:
             errors.append(exc)
-        wall_time = time.perf_counter() - started
-        # both agents have returned: the next run may reopen the pair
-        clean = not errors and probe.state == FINAL["probe"] and inject.state == FINAL["inject"]
-    finally:
-        # the hook closes over the channels: left set, it would keep the
-        # pipes open until a cyclic GC
-        for channel in channels:
-            channel.watch("producer", None)
-        if not clean:
-            consumer.close_channels()
-            consumer.wait(JOIN_TIMEOUT)
-    if errors:
-        try:
-            raise errors[0]
         finally:
-            # the errors' tracebacks hold frames that hold this list: clearing it
-            # frees the channels' pipes now rather than at the next cyclic GC
-            errors.clear()
+            wall_time = time.perf_counter() - started
+            # the producer runs on this thread: once the consumer has returned too, a
+            # run that ends with no error and both channels in FINAL is clean
+            if errors or not self._consumer.wait(0) or {"probe": probe.state, "inject": inject.state} != FINAL:
+                self._close()
+                if not self._consumer.wait(JOIN_TIMEOUT):
+                    self._consumer.stop()
+                    self._consumer = _ConsumerThread()
+        if errors:
+            try:
+                raise errors[0]
+            finally:
+                # the errors' tracebacks hold frames that hold this list: clearing it
+                # frees the channels' pipes now rather than at the next cyclic GC
+                errors.clear()
 
-    y = results["consumer"]
-    final_store = results["producer"]
-    oracle_y = eval_recursive(scheme, x0)
-    if y != oracle_y:
-        raise ResultMismatch(f"consumer produced {y}, recursion says {oracle_y}")
-    events, emissions = trace.events_and_puts("probe")
-    residuals = residuals_from_store(final_store, x0, scheme.pred.delta, inject.slot)
-    return RunReport(
-        y=y,
-        emissions=emissions,
-        residuals=residuals,
-        channel_log=events,
-        wall_time=wall_time,
-    )
+        y = results["consumer"]
+        oracle_y = eval_recursive(scheme, x0)
+        if y != oracle_y:
+            raise ResultMismatch(f"consumer produced {y}, recursion says {oracle_y}")
+        events, emissions = trace.events_and_puts("probe")
+        residuals = residuals_from_store(results["producer"], x0, scheme.pred.delta, inject.slot)
+        return RunReport(
+            y=y,
+            emissions=emissions,
+            residuals=residuals,
+            channel_log=events,
+            wall_time=wall_time,
+        )
 
 
 # --- reversibility checks --------------------------------------------------------
@@ -522,14 +531,11 @@ def sweep_cases(x_values, deltas, pairs, timeout: float = DEFAULT_TIMEOUT):
 
     Each (pair, delta) block builds its scheme and producer when it starts
     and walks x_values again, as each pair walks deltas again: both must be
-    ranges or sequences, not one-pass iterators. Each block also starts one
-    consumer thread and runs the consumer of each of its cases on it, over
-    the thread's one channel pair, reopened for each case; a case that does
-    not end cleanly closes the pair, and the next case opens a fresh one.
-    The thread is stopped, and its pair closed, when the block ends,
-    raises, or is closed early. A consumer still running JOIN_TIMEOUT after
-    its case ended is never handed the next case: its thread is stopped, to
-    exit at its next channel operation, and a fresh one takes over.
+    ranges or sequences, not one-pass iterators. Each block also runs its
+    cases on one _SplitRunner, so on one consumer thread and one channel
+    pair, reopened for each case; the runner checks timeout as the block
+    starts, and closes its pair and stops its thread when the block ends,
+    raises, or is closed early.
 
     Each case runs the checks of CASE_CHECKS, in order: the split run, which
     raises if its y is not the recursive value; agreement with the one-piece
@@ -544,14 +550,10 @@ def sweep_cases(x_values, deltas, pairs, timeout: float = DEFAULT_TIMEOUT):
         for delta in deltas:
             scheme = make_scheme(delta, base_text, step_text)
             program = compile_producer(scheme)
-            consumer = _ConsumerThread()
-            try:
+            with _SplitRunner(timeout) as runner:
                 for x0 in x_values:
-                    if not consumer.wait(0):
-                        consumer.stop()
-                        consumer = _ConsumerThread()
                     try:
-                        report = _run_split(scheme, x0, timeout=timeout, program=program, consumer=consumer)
+                        report = runner.split(scheme, x0, program)
                     except (HarnessError, RevirError, NegativeInputError) as exc:
                         failed = {"split": [f"{type(exc).__name__}: {exc}"]}
                         yield SweepCase(base_text, step_text, delta, x0, failed=failed)
@@ -577,5 +579,3 @@ def sweep_cases(x_values, deltas, pairs, timeout: float = DEFAULT_TIMEOUT):
                         failed["handshakes"] = [f"{handshakes} handshakes, expected {plan.iterations + 2}"]
                     yield SweepCase(base_text, step_text, delta, x0, report.y, sequential_y, handshakes,
                                     report.wall_time, failed)
-            finally:
-                consumer.stop()

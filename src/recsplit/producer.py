@@ -145,6 +145,7 @@ def _loop_w_plus_one(temp, body):
 
 
 def _phase_a(delta):
+    counter, _, _ = TEMP_REGISTERS
     classify = (
         IfSign(
             "x",
@@ -154,7 +155,7 @@ def _phase_a(delta):
         ),
         AddConst("x", delta),
     )
-    return (AddReg("w", "x", 1), *_loop_w_plus_one("t0", classify))
+    return (AddReg("w", "x", 1), *_loop_w_plus_one(counter, classify))
 
 
 def compile_phase_a(scheme: RecursionScheme) -> RevProgram:
@@ -173,6 +174,7 @@ def compile_producer(scheme: RecursionScheme) -> RevProgram:
     finally the leftover x is swapped back out.
     """
     delta = scheme.pred.delta
+    _, divisible_counter, non_divisible_counter = TEMP_REGISTERS
     divisible_inner = (
         AddConst("x", -delta),
         IfSign(
@@ -203,14 +205,14 @@ def compile_producer(scheme: RecursionScheme) -> RevProgram:
         For("e", (AddReg("predDivX", "predNotDivX", 1), SubFrom("predNotDivX", "predDivX"))),
         For(
             "predDivX",
-            (Emit(PROBE_PORT, "g"), *_loop_w_plus_one("t1", divisible_inner)),
+            (Emit(PROBE_PORT, "g"), *_loop_w_plus_one(divisible_counter, divisible_inner)),
         ),
         For(
             "predNotDivX",
             (
                 Emit(PROBE_PORT, "g"),
                 AddConst("w", 1),
-                *_loop_w_plus_one("t2", non_divisible_inner),
+                *_loop_w_plus_one(non_divisible_counter, non_divisible_inner),
                 AddConst("w", -1),
             ),
         ),

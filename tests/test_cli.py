@@ -282,6 +282,35 @@ def test_sweep_rejects_negative_inputs(capsys):
                  "--base", "x", "--step", "x+y"]) == 2
 
 
+def test_inverted_x_range_is_usage_error(capsys):
+    assert main(["sweep", "--x-range", "3:1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "usage error: --x-range: 3 > 1\n"
+    assert captured.out == ""
+
+
+def test_negative_x_max_is_usage_error(capsys):
+    assert main(["check", *SCHEME_FLAGS, "--x-max", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "usage error: --x-max must be non-negative, got -1\n"
+    assert captured.out == ""
+
+
+def test_help_exits_0(capsys):
+    assert main(["run", "--help"]) == 0
+    assert capsys.readouterr().out.startswith("usage: recsplit run")
+
+
+def test_split_result_off_the_recursion_exits_1(monkeypatch, capsys):
+    # the recursion says one more than the consumer produced
+    recursive = harness.eval_recursive
+    monkeypatch.setattr(harness, "eval_recursive", lambda scheme, x0: recursive(scheme, x0) + 1)
+    assert main(["run", *SCHEME_FLAGS, "--input", "3", "--mode", "split"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: consumer produced 6, recursion says 7\n"
+    assert captured.out == ""
+
+
 def test_check_subcommand(capsys):
     code = main(["check", "--delta", "-2", "--x-max", "8", "--preloads", "10"])
     assert code == 0
@@ -409,7 +438,7 @@ def test_huge_delta_range_builds_schemes_as_its_blocks_start(monkeypatch, capsys
 
     monkeypatch.setattr(cli, "scheme_from_fields", counted(cli.scheme_from_fields))
     monkeypatch.setattr(harness, "make_scheme", counted(harness.make_scheme))
-    monkeypatch.setattr(harness, "_run_split", first_run)
+    monkeypatch.setattr(harness._SplitRunner, "split", first_run)
     with pytest.raises(_Stop, match="first run"):
         main(["sweep", "--x-range", "0:0", "--delta-range", f"-{10 ** 18}:-1"])
     assert len(built) <= 2 * len(cli.DEFAULT_PAIRS)
@@ -458,16 +487,16 @@ def test_sweep_prints_each_row_as_its_case_ends():
 def test_check_keeps_only_failing_sweep_cases(monkeypatch, capsys):
     cases = []   # a weak reference to each SweepCase: records are not hashable
     kept = []
-    real_init, real_run_split = harness.SweepCase.__init__, harness._run_split
+    real_init, real_split = harness.SweepCase.__init__, harness._SplitRunner.split
 
     def init(self, *args, **kwargs):
         real_init(self, *args, **kwargs)
         cases.append(weakref.ref(self))
 
-    def run_split(scheme, x0, **kwargs):
+    def split(runner, scheme, x0, *args):
         if x0 == 3:
             raise harness.DeadlockTimeout("stalled")
-        return real_run_split(scheme, x0, **kwargs)
+        return real_split(runner, scheme, x0, *args)
 
     def print_(*args, **kwargs):
         if str(args[0]).startswith("sweep:"):
@@ -476,7 +505,7 @@ def test_check_keeps_only_failing_sweep_cases(monkeypatch, capsys):
         builtins.print(*args, **kwargs)
 
     monkeypatch.setattr(harness.SweepCase, "__init__", init)
-    monkeypatch.setattr(harness, "_run_split", run_split)
+    monkeypatch.setattr(harness._SplitRunner, "split", split)
     monkeypatch.setattr(cli, "print", print_, raising=False)
     assert main(["check", *SCHEME_FLAGS, "--x-max", "7", "--preloads", "1"]) == 1
     assert kept == [1]

@@ -1,5 +1,6 @@
 import copy
 import functools
+import gc
 import json
 import math
 import os
@@ -8,6 +9,7 @@ import resource
 import sys
 import threading
 import time
+import weakref
 from itertools import islice
 
 import pytest
@@ -687,12 +689,12 @@ def test_failed_thread_start_raises_its_own_error(monkeypatch, split):
 
 def test_stop_withdraws_a_body_the_thread_has_not_taken(monkeypatch):
     # the thread starts only after stop: it finds no body and exits
+    monkeypatch.setattr(threading.Thread, "start", lambda self: None)
     consumer = harness._ConsumerThread()
-    monkeypatch.setattr(consumer._thread, "start", lambda: None)
+    monkeypatch.undo()
     ran = []
     consumer.run(lambda: ran.append(True))
     consumer.stop()
-    monkeypatch.undo()
     consumer._thread.start()
     consumer._thread.join(5.0)
     assert not consumer._thread.is_alive()
@@ -758,6 +760,23 @@ def test_a_block_and_a_lone_run_each_open_one_pair(monkeypatch):
     assert len(calls) == 4
 
 
+def test_a_block_and_a_lone_run_each_set_the_hooks_once(monkeypatch):
+    # the producer's hooks are set when a pair opens and cleared when it closes
+    hooks = []
+    watch = chan._Slot.watch
+
+    def noting(self, agent, hook):
+        hooks.append(hook is not None)
+        watch(self, agent, hook)
+
+    monkeypatch.setattr(chan._Slot, "watch", noting)
+    assert sweep(range(40), [-1], [("x", "x+y")]).all_ok
+    assert hooks == [True, True, False, False]
+    hooks.clear()
+    assert run_split(make_scheme(-1, "x", "x+y"), 3).y == 6
+    assert hooks == [True, True, False, False]
+
+
 def test_sweep_reopens_no_pair_left_outside_final(monkeypatch):
     # the producer of x0 = 1 drops its final SwapCell, which leaves inject held
     ran = _recording_consumers(monkeypatch)
@@ -800,6 +819,42 @@ def test_sweep_holds_one_pair_of_pipes_at_a_time(monkeypatch):
     assert open_fds() == start
 
 
+def _stalled_run():
+    with pytest.raises(DeadlockTimeout):
+        run_split(make_scheme(-1, "x", "x+y"), 3, timeout=0.05, program=_chatty_producer())
+
+
+def _sweep_closed_after_one_case():
+    cases = sweep_cases(range(10), [-1], [("x", "x+y")])
+    assert next(cases).ok
+    cases.close()
+
+
+@pytest.mark.parametrize("action", [
+    lambda: run_split(make_scheme(-1, "x", "x+y"), 3),
+    _stalled_run,
+    lambda: sweep(range(5), [-1, -2], [("x", "x+y")]),
+    _sweep_closed_after_one_case,
+], ids=["clean-run", "stalled-run", "sweep", "closed-sweep"])
+def test_runs_leave_no_cycle_that_holds_a_channel(monkeypatch, action):
+    # with the cyclic collector off, a channel in a cycle would keep its pipes open
+    slots = []
+    real_init = chan._Slot.__init__
+
+    def init(self, *args, **kwargs):
+        real_init(self, *args, **kwargs)
+        slots.append(weakref.ref(self))
+
+    monkeypatch.setattr(chan._Slot, "__init__", init)
+    gc.disable()
+    try:
+        action()
+        dead = [slot() is None for slot in slots]
+    finally:
+        gc.enable()
+    assert dead and all(dead)
+
+
 def test_consumer_outliving_its_run_gets_no_next_case(monkeypatch):
     # the producer of x0 = 1 fails while its consumer still computes, past
     # JOIN_TIMEOUT: the next case runs on a fresh thread, and passes
@@ -831,6 +886,12 @@ def test_sweep_cases_walk_a_huge_range_lazily():
     cases = list(islice(sweep_cases(range(10**18), [-1], [("x", "x+y")]), 3))
     assert time.perf_counter() - started < 1.0
     assert [(case.x0, case.ok) for case in cases] == [(0, True), (1, True), (2, True)]
+
+
+def test_sweep_checks_the_timeout_as_a_block_starts():
+    # each block's runner checks it, before any case: with no input too
+    with pytest.raises(ValueError, match="timeout must be in"):
+        list(sweep_cases([], [-1], [("x", "x+y")], timeout=0))
 
 
 def test_sweep_empty_ranges():

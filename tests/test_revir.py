@@ -403,6 +403,8 @@ def test_records_are_read_only_and_equal_within_one_kind(record):
     field = record._fields[0]
     with pytest.raises(AttributeError):
         setattr(record, field, getattr(record, field))
+    with pytest.raises(AttributeError, match="cannot delete"):
+        delattr(record, field)
     for twin in (copy.copy(record), pickle.loads(pickle.dumps(record))):
         assert twin == record and hash(twin) == hash(record)
     # kinds with equal fields stay apart, in a set too
