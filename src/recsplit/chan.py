@@ -34,8 +34,8 @@ the value it gave. An op sets its slot's state and appends its record
 while it still holds the slot, before it gives a token. The peer cannot
 complete its next operation before that, so the log order is the true
 completion order. An event's ``seq`` is its index in the log.
-The watchdog reads the log's ``latest_ns`` (the perf_counter_ns() of its
-latest record, at first of its creation) and each channel's waiting() ops.
+The watchdog reads the log's length, its count of records, and each
+channel's waiting() ops.
 A take marks its op on its semaphore (each has one possible taker), and
 waiting() lists a marked op while the slot is not in the state the op
 needs, and never once the channel is closed.
@@ -61,7 +61,6 @@ from __future__ import annotations
 
 import os
 import select
-from time import perf_counter_ns
 from typing import NamedTuple
 
 
@@ -108,11 +107,12 @@ class EventLog:
 
     def __init__(self):
         self._records = []
-        self.latest_ns = perf_counter_ns()
+
+    def __len__(self) -> int:
+        return len(self._records)
 
     def record(self, channel: str, op: str, value: int):
         self._records.append((channel, op, value))
-        self.latest_ns = perf_counter_ns()
 
     def events(self) -> list:
         return self.events_and_puts(None)[0]

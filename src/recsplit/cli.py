@@ -107,8 +107,9 @@ def _build_parser():
     for command_parser in (run_parser, check_parser, sweep_parser):
         command_parser.add_argument(
             "--timeout", type=_timeout, default=harness.DEFAULT_TIMEOUT, metavar="SECONDS",
-            help="a split run counts as stalled once every live agent waits on a channel "
-            "and no channel operation has completed for this many seconds (default: %(default)s)",
+            help="a split run stalls once every live agent waits on a channel: a stall is reported as "
+            "soon as it is seen, within this many seconds, and a run that is slow but still moving "
+            "never stalls (default: %(default)s)",
         )
     return parser
 

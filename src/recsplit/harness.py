@@ -17,11 +17,13 @@ the two places it can wait: in a producer take that finds no token,
 through the semaphore's watch hook, which the runner sets when a pair
 opens and clears when it closes, and in waiting for the consumer body to
 return once the producer has ended. Both waits run one loop, which raises
-DeadlockTimeout when the run stalls: timeout seconds pass with no
-completed channel operation while every live agent waits on one; the
-consumer is live while its thread runs this run's body. A computing agent
-never stalls, as every IR program and the fold end; the error says, from
-the channels, which operation each agent waits in. What a run leaves for
+DeadlockTimeout once it sees the run stalled: every live agent waits on a
+channel and no operation completed while it looked, so none can move
+again; the consumer is live while its thread runs this run's body. It
+looks after waits of 1 ms that double up to the timeout, which so bounds
+how long a deadlock goes unreported; a computing agent does not wait, so
+a slow run that still moves never stalls. The error says, from the
+channels, which operation each agent waits in. What a run leaves for
 the next is decided by one rule, in _SplitRunner.split, and an interrupt
 ends a run by it too: on the main thread it lands in the producer or in
 one of the waits, and only a consumer that is still computing outlives
@@ -78,7 +80,7 @@ class HarnessError(Exception):
 
 
 class DeadlockTimeout(HarnessError):
-    """No channel operation completed within the timeout, and every live agent waits on one."""
+    """A split run deadlocked: every live agent waits on a channel, and none can move again."""
 
 
 class ResultMismatch(HarnessError):
@@ -110,8 +112,8 @@ def run_split(
 
     The calling thread is also the watchdog: it watches while the producer
     waits for a token and, once the producer has ended, while it waits for
-    the consumer. The run stalls when timeout seconds pass with no completed
-    channel operation and every live agent waiting on one. Asserts the
+    the consumer. A run in which every live agent waits on a channel is
+    stalled, and raises DeadlockTimeout within timeout seconds. Asserts the
     consumer's result against the recursive value and returns the full
     report. The optional program argument substitutes the producer program:
     tests pass fault programs, and sweep passes one compiled producer to
@@ -203,31 +205,27 @@ class _SplitRunner(contextlib.AbstractContextManager):
             channel.watch("producer", None)
         self._channels = ()
 
-    def stall(self, latest: int) -> str | None:
-        """What each agent waits in, if the run has stalled since latest, else None."""
+    def stall(self, count: int) -> str | None:
+        """What each agent waits in, if every live agent waits and the log holds count records, else None."""
         running = {"producer": "producer" not in self._results, "consumer": not self._consumer.wait(0)}
         live = {agent for agent, alive in running.items() if alive}
         blocked = {PROTOCOL[name][op].agent: f"{name}.{op}"
                    for channel in self._channels for name, op in channel.waiting()}
-        # a record since latest may have woken an agent still marked waiting
-        if live and blocked.keys() >= live and self._trace.latest_ns == latest:
+        # a record since count was read may have woken an agent still marked waiting
+        if live and blocked.keys() >= live and len(self._trace) == count:
             return "; ".join(f"{agent} blocked in {blocked[agent]}" if agent in live
                              else f"{agent} finished" for agent in running)
         return None
 
     def watch(self, ready):
-        """Return once ready(seconds) is true; raise DeadlockTimeout if the run stalls first."""
-        # re-arm after every completed channel operation, and while an agent computes
-        while True:
-            latest = self._trace.latest_ns
-            idle = (time.perf_counter_ns() - latest) / 1e9
-            if idle >= self._timeout:
-                blocked = self.stall(latest)
-                if blocked:
-                    raise DeadlockTimeout(f"no channel operation completed for {self._timeout}s: {blocked}")
-                idle = 0
-            if ready(self._timeout - idle):
-                return
+        """Return once ready(seconds) is true; raise DeadlockTimeout once stall() sees
+        the run stalled, which it is asked after each wait: 1 ms, doubling up to the timeout."""
+        wait = min(0.001, self._timeout)
+        while not ready(wait):
+            blocked = self.stall(len(self._trace))
+            if blocked:
+                raise DeadlockTimeout(f"deadlock: {blocked}")
+            wait = min(2 * wait, self._timeout)
 
     def split(self, scheme: RecursionScheme, x0: int, program: RevProgram | None = None) -> RunReport:
         """run_split's run, on this runner's thread and pair.
