@@ -171,16 +171,22 @@ def _resolve_schemes(args, deltas):
     return pairs, [first] if "delta" in fields else deltas
 
 
+def _bounded(value: int, least: int, too_few: str, too_many: str):
+    """Refuse value unless least <= value < sys.maxsize, with the message of the
+    bound it breaks: len() and list() of a range of more values overflow."""
+    if value < least:
+        raise UsageError(too_few)
+    if value >= sys.maxsize:
+        raise UsageError(too_many)
+
+
 def _parse_span(text, name) -> range:
     try:
         lo_text, hi_text = text.split(":", 1)
         lo, hi = int(lo_text), int(hi_text)
     except ValueError:
         raise UsageError(f"{name} must look like LO:HI, got {text!r}") from None
-    if lo > hi:
-        raise UsageError(f"{name}: {lo} > {hi}")
-    if hi - lo >= sys.maxsize:
-        raise UsageError(f"{name} spans more than {sys.maxsize} values")
+    _bounded(hi - lo, 0, f"{name}: {lo} > {hi}", f"{name} spans more than {sys.maxsize} values")
     return range(lo, hi + 1)
 
 
@@ -208,6 +214,12 @@ def _cmd_run(args) -> int:
                 with _usage_errors(OSError, "cannot write trace file: "):
                     harness.write_trace_jsonl(report.channel_log, trace)
                     trace.close()   # a full disk may only show when the buffer is flushed
+            failed = harness.case_failures(scheme, args.input, report)[0]
+            if failed:
+                for check, problems in failed.items():
+                    for problem in problems:
+                        print(f"error: {check}: {problem}", file=sys.stderr)
+                return EXIT_CHECK_FAILED
     print(f"y = {y}")
     if args.verbose and residuals is not None:
         print(_residual_text(residuals))
@@ -238,14 +250,10 @@ def _tally(cases):
 
 def _cmd_check(args) -> int:
     pairs, deltas = _resolve_schemes(args, DEFAULT_DELTAS)
-    if args.x_max < 0:
-        raise UsageError(f"--x-max must be non-negative, got {args.x_max}")
-    if args.x_max >= sys.maxsize:
-        raise UsageError(f"--x-max must be below {sys.maxsize}, got {args.x_max}")
-    if args.preloads < 1:
-        raise UsageError(f"--preloads must be at least 1, got {args.preloads}")
-    if args.preloads >= sys.maxsize:
-        raise UsageError(f"--preloads must be below {sys.maxsize}, got {args.preloads}")
+    for option, value, least, floor in (("--x-max", args.x_max, 0, "non-negative"),
+                                        ("--preloads", args.preloads, 1, "at least 1")):
+        _bounded(value, least, f"{option} must be {floor}, got {value}",
+                 f"{option} must be below {sys.maxsize}, got {value}")
     failed = False
     # the producer depends only on the displacement: one suite per delta
     for delta in deltas:
@@ -259,7 +267,7 @@ def _cmd_check(args) -> int:
             print(f"  {case.label}: {case.problem}")
         failed = failed or bool(failures)
     count, failures = _tally(harness.sweep_cases(range(0, args.x_max + 1), deltas, pairs, timeout=args.timeout))
-    print(f"sweep: {harness.table_summary(count, len(failures))}")
+    print(f"sweep: {table_summary(count, len(failures))}")
     for case in failures:
         print(f"  delta={case.delta} x0={case.x0} base={case.base} step={case.step}: {case.detail}")
     return EXIT_CHECK_FAILED if failed or failures else EXIT_OK
@@ -273,13 +281,50 @@ def _cmd_sweep(args) -> int:
     x_span = _parse_span(args.x_range, "--x-range")
     if x_span.start < 0:
         raise UsageError("--x-range must be non-negative")
-    print(harness.TABLE_HEADER, flush=True)
+    print(TABLE_HEADER, flush=True)
     count = failures = 0
     for count, case in enumerate(harness.sweep_cases(x_span, deltas, pairs, timeout=args.timeout), 1):
-        print(case.row(), flush=True)
+        print(table_row(case), flush=True)
         failures += not case.ok
-    print(harness.table_summary(count, failures))
+    print(table_summary(count, failures))
     return EXIT_CHECK_FAILED if failures else EXIT_OK
+
+
+# --- the sweep table ---------------------------------------------------------------
+
+_COLUMNS = f"{'base':<12} {'step':<12} {'delta':>5} {'x0':>4} {'ok':<4} detail"
+TABLE_HEADER = f"{_COLUMNS}\n{'-' * len(_COLUMNS)}"
+
+
+def table_row(case: harness.SweepCase) -> str:
+    """A sweep case's line in a sweep table, under TABLE_HEADER."""
+    detail = f"y = {_show(case.split_y)}" if case.ok else case.detail
+    return (f"{case.base:<12} {case.step:<12} {case.delta:>5} {case.x0:>4} "
+            f"{'yes' if case.ok else 'NO':<4} {detail}")
+
+
+def table_summary(count: int, failures: int) -> str:
+    """The one line that closes a sweep table of count cases."""
+    return f"{count} cases, {failures} failures"
+
+
+# a y this large has more digits than str() converts by default (4300), and
+# converting it costs time quadratic in its length: the table shows its digit count
+_SHOWN_BELOW = 10 ** 4300
+
+
+def _show(y: int, width: int = 32) -> str:
+    """y in decimal clipped to width characters, or, past _SHOWN_BELOW, its digit count."""
+    magnitude = abs(y)
+    if magnitude >= _SHOWN_BELOW:
+        # 1 + (bits - 1) * log10(2), rounded down with a factor just under
+        # log10(2), is at most the digit count
+        digits = 1 + (magnitude.bit_length() - 1) * 3010299956 // 10**10
+        while magnitude >= 10 ** digits:
+            digits += 1
+        return f"{'-' if y < 0 else ''}<{digits} digits>"
+    text = str(y)
+    return text if len(text) <= width else text[: width - 3] + "..."
 
 
 @contextlib.contextmanager

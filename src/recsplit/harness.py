@@ -30,11 +30,12 @@ one of the waits, and only a consumer that is still computing outlives
 the run, until its next channel operation raises ChannelClosed; its
 thread is never handed another body.
 
-A sweep runs the split run of each case, then checks it against the other
-runs and the plan it must follow: each check has one name in CASE_CHECKS.
-A case keeps one verdict, SweepCase.failed, which maps the name of each
-check that failed to its problems; whether it is ok, its error, its
-problems and its *_ok flags are all read from that map.
+A finished split run is checked against the other runs and the plan it
+must follow by one checker, case_failures: each check has one name in
+CASE_CHECKS, and a sweep case and `recsplit run --mode split` both read
+their verdict from it. A case keeps that verdict, SweepCase.failed, which
+maps the name of each check that failed to its problems; whether it is ok,
+its error, its problems and its *_ok flags are all read from that map.
 """
 
 from __future__ import annotations
@@ -431,8 +432,8 @@ def write_trace_jsonl(events, handle):
 
 # --- sweeps -------------------------------------------------------------------------
 
-# the checks of a sweep case, in report order: "split" is the split run, which
-# fails when it raises, and a case whose split run failed runs no other check
+# the checks of a split run, in report order: "split" is the run itself, which
+# fails when it raises; case_failures runs the rest, and only on a run that ended
 CASE_CHECKS = ("split", "sequential", "emissions", "residuals", "protocol", "handshakes")
 
 
@@ -483,39 +484,49 @@ class SweepCase(Record):
     residuals_ok = _passed("residuals")
     protocol_ok = _passed("protocol")
 
-    def row(self) -> str:
-        """The case's line in a sweep table, under TABLE_HEADER."""
-        detail = f"y = {_show(self.split_y)}" if self.ok else self.detail
-        return (f"{self.base:<12} {self.step:<12} {self.delta:>5} {self.x0:>4} "
-                f"{'yes' if self.ok else 'NO':<4} {detail}")
+
+def case_failures(scheme: RecursionScheme, x0: int, report: RunReport) -> tuple[dict, int]:
+    """Check a finished split run of scheme at x0: (failed, the sequential run's y).
+
+    failed maps the name of each check of CASE_CHECKS after "split" that
+    failed to its problems, in CASE_CHECKS order: agreement with the
+    one-piece classical run; the emission plan; the residuals; the channel
+    protocol; and iterations + 2 handshakes. report.y is the recursive
+    value, which run_split has checked.
+    """
+    failed = {}
+    sequential_y = run_sequential(scheme, x0)[0]
+    if sequential_y != report.y:
+        failed["sequential"] = [f"sequential y {sequential_y} != recursive {report.y}"]
+    plan = expected_emissions(scheme, x0)
+    expected = [plan.iterations, plan.base_arg, *plan.h_args]
+    if report.emissions != expected:
+        failed["emissions"] = [_first_divergence(report.emissions, expected)]
+    want = expected_residuals(x0, scheme.pred.delta)
+    if report.residuals != want:
+        off = [f"{name} {report.residuals[name]} != {value}"
+               for name, value in want.items() if report.residuals[name] != value]
+        failed["residuals"] = [f"residuals off profile: {', '.join(off)}"]
+    protocol = channel_protocol_problems(report.channel_log)
+    if protocol:
+        failed["protocol"] = protocol
+    handshakes = len(report.emissions)
+    if handshakes != plan.iterations + 2:
+        failed["handshakes"] = [f"{handshakes} handshakes, expected {plan.iterations + 2}"]
+    return failed, sequential_y
 
 
-_COLUMNS = f"{'base':<12} {'step':<12} {'delta':>5} {'x0':>4} {'ok':<4} detail"
-TABLE_HEADER = f"{_COLUMNS}\n{'-' * len(_COLUMNS)}"
-
-
-def table_summary(count: int, failures: int) -> str:
-    """The one line that closes a sweep table of count cases."""
-    return f"{count} cases, {failures} failures"
-
-
-# a y this large has more digits than str() converts by default (4300), and
-# converting it costs time quadratic in its length: the table shows its digit count
-_SHOWN_BELOW = 10 ** 4300
-
-
-def _show(y: int, width: int = 32) -> str:
-    """y in decimal clipped to width characters, or, past _SHOWN_BELOW, its digit count."""
-    magnitude = abs(y)
-    if magnitude >= _SHOWN_BELOW:
-        # 1 + (bits - 1) * log10(2), rounded down with a factor just under
-        # log10(2), is at most the digit count
-        digits = 1 + (magnitude.bit_length() - 1) * 3010299956 // 10**10
-        while magnitude >= 10 ** digits:
-            digits += 1
-        return f"{'-' if y < 0 else ''}<{digits} digits>"
-    text = str(y)
-    return text if len(text) <= width else text[: width - 3] + "..."
+def _first_divergence(emissions: list, expected: list) -> str:
+    """Where emissions first leaves the plan [count, base argument, *step arguments]:
+    the index, its role in the plan, both values there, and both lengths."""
+    index = next((i for i, (got, want) in enumerate(zip(emissions, expected)) if got != want),
+                 min(len(emissions), len(expected)))
+    role = ("the count" if index == 0 else "the base argument" if index == 1
+            else f"step argument {index - 1} of {len(expected) - 2}" if index < len(expected)
+            else "past the plan")
+    got, want = (values[index] if index < len(values) else "none" for values in (emissions, expected))
+    return (f"emission {index}, {role}: emitted {got}, planned {want} "
+            f"({len(emissions)} emitted, {len(expected)} planned)")
 
 
 def sweep(x_values, deltas, pairs, timeout: float = DEFAULT_TIMEOUT) -> CaseReport:
@@ -536,11 +547,10 @@ def sweep_cases(x_values, deltas, pairs, timeout: float = DEFAULT_TIMEOUT):
     raises, or is closed early.
 
     Each case runs the checks of CASE_CHECKS, in order: the split run, which
-    raises if its y is not the recursive value; agreement with the one-piece
-    classical run; the emission plan; the residuals; the channel protocol;
-    and iterations + 2 handshakes. A split run that raises is the "split"
-    check's one problem, and no other check runs. Each failed check's
-    problems go into the case's failed map under its name, never raised.
+    raises if its y is not the recursive value, then case_failures. A split
+    run that raises is the "split" check's one problem, and no other check
+    runs. Each failed check's problems go into the case's failed map under
+    its name, never raised.
     """
     if iter(x_values) is x_values or iter(deltas) is deltas:
         raise TypeError("x_values and deltas must be ranges or sequences, not iterators")
@@ -556,24 +566,6 @@ def sweep_cases(x_values, deltas, pairs, timeout: float = DEFAULT_TIMEOUT):
                         failed = {"split": [f"{type(exc).__name__}: {exc}"]}
                         yield SweepCase(base_text, step_text, delta, x0, failed=failed)
                         continue
-                    failed = {}
-                    sequential_y = run_sequential(scheme, x0)[0]
-                    if sequential_y != report.y:
-                        failed["sequential"] = [f"sequential y {sequential_y} != recursive {report.y}"]
-                    plan = expected_emissions(scheme, x0)
-                    expected = [plan.iterations, plan.base_arg, *plan.h_args]
-                    if report.emissions != expected:
-                        failed["emissions"] = [f"emissions {report.emissions} != {expected}"]
-                    want = expected_residuals(x0, delta)
-                    if report.residuals != want:
-                        off = [f"{name} {report.residuals[name]} != {value}"
-                               for name, value in want.items() if report.residuals[name] != value]
-                        failed["residuals"] = [f"residuals off profile: {', '.join(off)}"]
-                    protocol = channel_protocol_problems(report.channel_log)
-                    if protocol:
-                        failed["protocol"] = protocol
-                    handshakes = len(report.emissions)
-                    if handshakes != plan.iterations + 2:
-                        failed["handshakes"] = [f"{handshakes} handshakes, expected {plan.iterations + 2}"]
-                    yield SweepCase(base_text, step_text, delta, x0, report.y, sequential_y, handshakes,
-                                    report.wall_time, failed)
+                    failed, sequential_y = case_failures(scheme, x0, report)
+                    yield SweepCase(base_text, step_text, delta, x0, report.y, sequential_y,
+                                    len(report.emissions), report.wall_time, failed)

@@ -19,6 +19,8 @@ from recsplit.cli import main
 from recsplit.revir import AddConst
 from recsplit.scheme import MAX_EXPR_DEPTH, eval_recursive, make_scheme
 
+import faults
+
 SCHEME_FLAGS = ["--delta", "-1", "--base", "x", "--step", "x+y"]
 
 
@@ -311,6 +313,20 @@ def test_split_result_off_the_recursion_exits_1(monkeypatch, capsys):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("fault", list(faults.FAULTS), ids=lambda fault: fault.__name__)
+def test_split_run_names_each_failed_check(fault, monkeypatch, capsys):
+    # the same checker as the sweep: one stderr line per problem, in CASE_CHECKS order
+    fault(monkeypatch)
+    assert main(["run", *SCHEME_FLAGS, "--input", "3", "--mode", "split"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    keys = [line.split(": ")[1] for line in captured.err.splitlines()]
+    assert list(dict.fromkeys(keys)) == faults.FAULTS[fault]
+    (case,) = harness.sweep_cases([3], [-1], [("x", "x+y")])
+    assert captured.err == "".join(f"error: {check}: {problem}\n"
+                                   for check, problems in case.failed.items() for problem in problems)
+
+
 def test_check_subcommand(capsys):
     code = main(["check", "--delta", "-2", "--x-max", "8", "--preloads", "10"])
     assert code == 0
@@ -442,15 +458,41 @@ def test_huge_delta_range_builds_schemes_as_its_blocks_start(monkeypatch, capsys
     with pytest.raises(_Stop, match="first run"):
         main(["sweep", "--x-range", "0:0", "--delta-range", f"-{10 ** 18}:-1"])
     assert len(built) <= 2 * len(cli.DEFAULT_PAIRS)
-    assert capsys.readouterr().out == harness.TABLE_HEADER + "\n"
+    assert capsys.readouterr().out == cli.TABLE_HEADER + "\n"
 
 
 def test_sweep_prints_the_table_of_harness_sweep(capsys):
     assert main(["sweep", "--x-range", "0:6", "--delta-range", "-3:-1"]) == 0
     report = harness.sweep(range(0, 7), range(-3, 0), cli.DEFAULT_PAIRS)
-    rows = [case.row() for case in report.cases]
-    summary = harness.table_summary(len(report.cases), len(report.failures))
-    assert capsys.readouterr().out == "\n".join([harness.TABLE_HEADER, *rows, summary]) + "\n"
+    rows = [cli.table_row(case) for case in report.cases]
+    summary = cli.table_summary(len(report.cases), len(report.failures))
+    assert capsys.readouterr().out == "\n".join([cli.TABLE_HEADER, *rows, summary]) + "\n"
+
+
+def test_sweep_table_format():
+    report = harness.sweep(range(0, 3), [-1], [("x", "x+y")])
+    assert cli.TABLE_HEADER.splitlines()[0].split() == ["base", "step", "delta", "x0", "ok", "detail"]
+    assert [cli.table_row(case).split() for case in report.cases] == [
+        ["x", "x+y", "-1", str(x0), "yes", "y", "=", str(y)] for x0, y in ((0, 0), (1, 1), (2, 3))
+    ]
+    assert cli.table_summary(len(report.cases), len(report.failures)) == "3 cases, 0 failures"
+
+
+def test_sweep_table_shows_huge_y_as_its_digit_count():
+    # str() of the last two would pass the interpreter's 4300-digit limit
+    widest = 10 ** 4300
+    cases = [harness.SweepCase(base="x", step="x*y+1", delta=-1, x0=0, split_y=y)
+             for y in (widest - 1, widest, -widest * 10 ** 700)]
+    details = [cli.table_row(case).split("yes  ")[1] for case in cases]
+    assert details == ["y = " + "9" * 29 + "...", "y = <4301 digits>", "y = -<5001 digits>"]
+
+
+def test_sweep_table_shows_a_failing_case_detail():
+    failing = harness.SweepCase(base="x", step="x+y", delta=-1, x0=2, failed={"split": ["boom"]})
+    assert cli.table_row(failing).endswith(" NO   boom")
+    two = harness.SweepCase(base="x", step="x+y", delta=-1, x0=3,
+                            failed={"residuals": ["a"], "protocol": ["b"]})
+    assert cli.table_row(two).endswith(" NO   a; b")
 
 
 @pytest.mark.parametrize("argv, digest", [

@@ -22,7 +22,6 @@ from recsplit.harness import (
     CASE_CHECKS,
     DeadlockTimeout,
     ResultMismatch,
-    TABLE_HEADER,
     CaseReport,
     SweepCase,
     channel_protocol_problems,
@@ -33,7 +32,6 @@ from recsplit.harness import (
     run_split,
     sweep,
     sweep_cases,
-    table_summary,
     write_trace_jsonl,
 )
 from recsplit.producer import compile_phase_a, compile_producer, expected_residuals
@@ -50,6 +48,7 @@ from recsplit.revir import (
 )
 from recsplit.scheme import NegativeInputError, eval_recursive, make_scheme, pretty
 
+import faults
 from oracles import protocol_problems_by_sequence, recursion_by_definition
 
 
@@ -604,9 +603,7 @@ def test_sweep_small_ranges_all_pass():
 
 
 def test_sweep_names_the_residuals_that_differ(monkeypatch):
-    # a producer that leaves s at 1 and is otherwise correct
-    monkeypatch.setattr(harness, "compile_producer",
-                        lambda scheme: RevProgram((*compile_producer(scheme).body, AddConst("s", 1))))
+    faults.extra_add(monkeypatch)
     report = sweep(range(3), [-1], [("x", "x+y")])
     assert len(report.cases) == 3
     for case in report.cases:
@@ -621,12 +618,6 @@ def _case_at_three():
     return case
 
 
-def _edit_plan(monkeypatch, edit):
-    """Patch the sweep's emission plan to edit(plan)."""
-    real = harness.expected_emissions
-    monkeypatch.setattr(harness, "expected_emissions", lambda scheme, x0: edit(real(scheme, x0)))
-
-
 def test_sweep_names_a_failed_split_run(monkeypatch):
     monkeypatch.setattr(harness, "eval_recursive", lambda scheme, x0: eval_recursive(scheme, x0) + 1)
     case = _case_at_three()
@@ -637,13 +628,7 @@ def test_sweep_names_a_failed_split_run(monkeypatch):
 
 
 def test_sweep_names_a_sequential_disagreement(monkeypatch):
-    real = harness.run_sequential
-
-    def run_sequential(scheme, x0):
-        y, residuals = real(scheme, x0)
-        return y + 1, residuals
-
-    monkeypatch.setattr(harness, "run_sequential", run_sequential)
+    faults.sequential_off_by_one(monkeypatch)
     case = _case_at_three()
     assert case.failed == {"sequential": ["sequential y 7 != recursive 6"]}
     assert case.error is None
@@ -651,22 +636,36 @@ def test_sweep_names_a_sequential_disagreement(monkeypatch):
 
 
 def test_sweep_names_emissions_off_the_plan(monkeypatch):
-    _edit_plan(monkeypatch, lambda plan: plan._replace(base_arg=plan.base_arg - 1))
+    faults.base_argument_off_plan(monkeypatch)
     case = _case_at_three()
-    assert case.failed == {"emissions": ["emissions [3, 0, 1, 2, 3] != [3, -1, 1, 2, 3]"]}
+    assert case.failed == {"emissions": ["emission 1, the base argument: emitted 0, planned -1 "
+                                         "(5 emitted, 5 planned)"]}
     assert not case.emissions_ok
     assert case.residuals_ok and case.protocol_ok
 
 
+@pytest.mark.parametrize("emissions, expected, line", [
+    ([3, 0, 1, 2, 3], [3, 0, 1, 5, 3],
+     "emission 3, step argument 2 of 3: emitted 2, planned 5 (5 emitted, 5 planned)"),
+    ([3, 0, 1], [3, 0, 1, 2, 3], "emission 3, step argument 2 of 3: emitted none, planned 2 (3 emitted, 5 planned)"),
+    ([2, 0, 1, 2, 9], [2, 0, 1, 2], "emission 4, past the plan: emitted 9, planned none (5 emitted, 4 planned)"),
+    ([], [0, 0], "emission 0, the count: emitted none, planned 0 (0 emitted, 2 planned)"),
+])
+def test_emissions_line_names_the_first_divergence(emissions, expected, line):
+    assert harness._first_divergence(emissions, expected) == line
+
+
+def test_emissions_line_stays_short_on_a_long_run(monkeypatch):
+    # both lists have 202 values at x0 = 200: the line names one index, not the lists
+    faults.edit_plan(monkeypatch, lambda plan: plan._replace(h_args=(*plan.h_args[:-1], plan.h_args[-1] + 1)))
+    (case,) = sweep([200], [-1], [("x", "x+y")]).cases
+    (line,) = case.failed["emissions"]
+    assert line == "emission 201, step argument 200 of 200: emitted 200, planned 201 (202 emitted, 202 planned)"
+    assert len(line) < 200
+
+
 def test_sweep_names_a_protocol_violation(monkeypatch):
-    # the log loses the inject put; the channels still work
-    real = chan.EventLog.record
-
-    def record(self, channel, op, value):
-        if (channel, op) != ("inject", "put"):
-            real(self, channel, op, value)
-
-    monkeypatch.setattr(chan.EventLog, "record", record)
+    faults.drop_inject_put(monkeypatch)
     case = _case_at_three()
     assert case.failed == {"protocol": ["inject event 0 is swap_in, expected put"]}
     assert not case.protocol_ok
@@ -674,12 +673,9 @@ def test_sweep_names_a_protocol_violation(monkeypatch):
 
 
 def test_sweep_handshake_count_fails_only_with_the_emissions(monkeypatch):
-    # the handshakes are the emissions counted, so a count off the plan's is
-    # also an emission list off it: a plan one iteration longer fails both
-    _edit_plan(monkeypatch, lambda plan: plan._replace(iterations=plan.iterations + 1,
-                                                      h_args=(*plan.h_args, plan.h_args[-1] + 1)))
+    faults.plan_one_iteration_longer(monkeypatch)
     case = _case_at_three()
-    assert case.failed == {"emissions": ["emissions [3, 0, 1, 2, 3] != [4, 0, 1, 2, 3, 4]"],
+    assert case.failed == {"emissions": ["emission 0, the count: emitted 3, planned 4 (5 emitted, 6 planned)"],
                            "handshakes": ["5 handshakes, expected 6"]}
     assert case.problems == [*case.failed["emissions"], *case.failed["handshakes"]]
 
@@ -973,34 +969,14 @@ def test_sweep_refuses_one_pass_iterators():
             sweep(x_values, deltas, [("x", "x+y")])
 
 
-def test_sweep_table_format():
-    report = sweep(range(0, 3), [-1], [("x", "x+y")])
-    assert TABLE_HEADER.splitlines()[0].split() == ["base", "step", "delta", "x0", "ok", "detail"]
-    assert [case.row().split() for case in report.cases] == [
-        ["x", "x+y", "-1", str(x0), "yes", "y", "=", str(y)] for x0, y in ((0, 0), (1, 1), (2, 3))
-    ]
-    assert table_summary(len(report.cases), len(report.failures)) == "3 cases, 0 failures"
-
-
-def test_sweep_table_shows_huge_y_as_its_digit_count():
-    # str() of the last two would pass the interpreter's 4300-digit limit
-    widest = 10 ** 4300
-    cases = [SweepCase(base="x", step="x*y+1", delta=-1, x0=0, split_y=y)
-             for y in (widest - 1, widest, -widest * 10 ** 700)]
-    details = [case.row().split("yes  ")[1] for case in cases]
-    assert details == ["y = " + "9" * 29 + "...", "y = <4301 digits>", "y = -<5001 digits>"]
-
-
 def test_sweep_report_accounts_failures():
     failing = SweepCase(base="x", step="x+y", delta=-1, x0=2, failed={"split": ["boom"]})
     report = CaseReport(cases=[failing])
     assert not report.all_ok
     assert report.failures == [failing]
-    assert "boom" in failing.row()
     assert failing.detail == "boom"
     two = SweepCase(base="x", step="x+y", delta=-1, x0=3, failed={"residuals": ["a"], "protocol": ["b"]})
     assert two.detail == "a; b"
-    assert two.row().endswith(" NO   a; b")
 
 
 def test_cases_reports_and_sinks_are_read_only_records():
