@@ -6,55 +6,60 @@ it: per channel and op, the agent that performs the op, the slot state it
 needs and the state it leaves. A slot starts in START; a completed run
 leaves it in FINAL, and no op runs from ``done``. reopen() takes a slot
 from FINAL back to START for the next run, so one channel serves many.
-Deadline handling belongs to the harness, through a semaphore's watch hook.
+Deadline handling belongs to the harness, through a doorbell's watch hook.
 
-Each state an op may wait for has a counting semaphore, an OS pipe in
-which a byte is a token: ``empty`` starts with one, ``full`` with none.
-Every op follows one rule: it takes a token from its ``before`` state's
-semaphore, trades its value for the slot's content, enters its ``after``
-state, records itself, and gives a token to ``after``'s semaphore, if any.
-An op whose ``before`` state has no semaphore (swap_out, from ``held``)
-cannot wait: from any other state it raises ProtocolError. So a slot has
-at most one token, on the semaphore of its state, and an op gets its token
-once the slot is in the state it needs, without a condition variable. The
-inject channel is itself the producer's cell: its swap() runs swap_out
-while a swap_in holds the slot, and swap_in otherwise.
+The slot's state is the only fact that says whether an op may run; it is
+read and written under the GIL. Each state an op may wait for has a
+Doorbell: an OS pipe in which a byte means only "look again", and a mark
+for the one op that may sleep on it. Every op follows one rule:
+- an op whose slot is in its ``before`` state goes on with no system call;
+- any other take first marks itself on that state's doorbell, then reads
+  the state again, and only then sleeps on the pipe, reading the state
+  again after every byte, until the slot is in ``before``;
+- the op then trades its value for the slot's content, records itself,
+  publishes its ``after`` state and, last of all, rings ``after``'s
+  doorbell, only if an op is marked on it.
+Mark → re-check → sleep on one side and record → publish → ring on the
+other lose no wake-up: either the taker's re-check sees the new state, or
+the op sees the taker's mark (the eventcount rule). A ring that nobody
+needed leaves a byte that a later sleep reads and looks past. An op whose
+``before`` state has no doorbell (swap_out, from ``held``) cannot wait:
+from any other state it raises ProtocolError. The inject channel is itself
+the producer's cell: its swap() runs swap_out while a swap_in holds the
+slot, and swap_in otherwise.
 
-CPython releases the GIL inside the write that gives a token and the read
-that takes one, so the woken peer finds the GIL free and runs at once. A
-lock released under the GIL wakes a peer that cannot take it, sleeps
-again and is woken a second time: about 4.4 context switches per handshake
-against 2.0 here. The pipes are closed when the channel is freed, not by
-close() or by a run's end: a blocked call's frame holds its channel, so
-they outlive every call, and a reopened channel keeps its pipes.
+On one CPU a handshake so costs one sleep and one wake-up: the consumer's
+get sleeps, and the producer's put rings it. That is about one pipe read
+and one write per handshake, where a counted token per op cost two of
+each. CPython releases the GIL inside the write and the read, so the woken
+side finds the GIL free and runs at once. A doorbell's write end does not
+block: a full pipe already holds a wake-up. The pipes are closed when the
+doorbell is freed, not by close() or by a run's end: a blocked call's
+frame holds its channel, so they outlive every call, and a reopened
+channel keeps its pipes.
 
 An optional shared EventLog receives one record per *completed* operation:
 an op from the state a put leaves records the value it took, any other op
-the value it gave. An op sets its slot's state and appends its record
-while it still holds the slot, before it gives a token. The peer cannot
-complete its next operation before that, so the log order is the true
-completion order. An event's ``seq`` is its index in the log.
-The watchdog reads the log's length, its count of records, and each
-channel's waiting() ops.
-A take marks its op on its semaphore (each has one possible taker), and
-waiting() lists a marked op while the slot is not in the state the op
-needs, and never once the channel is closed.
+the value it gave. An op appends its record before it publishes its state,
+and the peer cannot complete its next operation before that, so the log
+order is the true completion order. An event's ``seq`` is its index in
+the log. The watchdog reads the log's length, its count of records, and
+each channel's waiting() ops: waiting() lists a marked op while the slot is
+not in the state the op needs, and never once the channel is closed.
 
-A semaphore's ``watch`` hook, when set, is called as watch(ready) by a
-marked take whose slot is not in the state it needs, before it reads.
-ready(seconds) waits up to seconds with ``select.poll`` on the pipe's read
-end (POSIX) and says whether a token is there. The hook returns once one
-is, or raises to abandon the take, which then takes nothing and is no
-longer marked. Any other take pays one compare and no extra system call.
-A channel's watch(agent, hook) sets the hook on the semaphores the agent's
-ops take from, by the table's agent column; the harness sets it for the
-producer, whose takes are probe.put and inject.swap_in.
+A doorbell's ``watch`` hook, when set, is called as watch(ready) by a
+marked take before each sleep. ready(seconds) waits up to seconds with
+``select.poll`` on the pipe's read end (POSIX) and says whether a byte is
+there. The hook returns once one is, or raises to abandon the take, which
+then takes nothing and is no longer marked. A channel's watch(agent, hook)
+sets the hook on the doorbells the agent's ops sleep on, by the table's
+agent column; the harness sets it for the producer, whose takes are
+probe.put and inject.swap_in.
 
-close() gives one token to each semaphore, which wakes every waiter on a
-channel; a woken call gives its token back, so the next taker wakes too,
-and it and every later call raise ChannelClosed. The harness closes both
-channels when a run does not end cleanly, so no agent stays blocked after
-it, and reopens them after a run that does.
+close() marks the channel closed and rings every doorbell, which wakes
+every sleeper; the woken take and every later call raise ChannelClosed.
+The harness closes both channels when a run does not end cleanly, so no
+agent stays blocked after it, and reopens them after a run that does.
 """
 
 from __future__ import annotations
@@ -65,6 +70,7 @@ from typing import NamedTuple
 
 
 _POLL_MAX_S = (2**31 - 1) // 1000   # poll() takes a C int of milliseconds
+_DRAIN = 64   # bytes one sleep reads at most: its ring, and any unneeded ones before it
 
 
 # a row of PROTOCOL: the agent that performs an op, the state it needs, the state it leaves
@@ -79,8 +85,7 @@ PROTOCOL = {
 }
 START = "empty"
 FINAL = {"probe": "empty", "inject": "done"}
-# reopen: FINAL -> START, refused from any other state; the one token goes to
-# START's semaphore, where FINAL has none (each FINAL is START or has none)
+# reopen: FINAL -> START, refused from any other state
 
 
 class ChannelClosed(Exception):
@@ -101,18 +106,18 @@ class ChannelEvent(NamedTuple):
 class EventLog:
     """Append-only log shared by any number of channels.
 
-    record() needs no lock: list.append is atomic, and the channels call it
-    while holding their slot, which orders the appends.
+    append((channel, op, value)) is the record list's own append, bound
+    once, so a channel's record is one call into C. It needs no lock:
+    list.append is atomic, and the channels call it while holding their
+    slot, which orders the appends.
     """
 
     def __init__(self):
         self._records = []
+        self.append = self._records.append
 
     def __len__(self) -> int:
         return len(self._records)
-
-    def record(self, channel: str, op: str, value: int):
-        self._records.append((channel, op, value))
 
     def events(self) -> list:
         return self.events_and_puts(None)[0]
@@ -128,23 +133,45 @@ class EventLog:
         return events, puts
 
 
-class _Tokens:
-    """A counting semaphore on an OS pipe: each byte in the pipe is a token."""
+class Doorbell:
+    """One sleeper's wake-up call, on an OS pipe.
+
+    A byte in the pipe says only "look again". What the sleeper waits for
+    is a state of a holder: any object with a ``state`` and a ``closed``
+    flag, which wait() reads again after every byte. Whoever sets that
+    state rings afterwards, and only if a sleeper is marked; whoever sets
+    ``closed`` rings whether or not one is.
+    """
 
     _read = None   # set once the pipe exists; until then __del__ closes nothing
-    watch = None   # called as watch(self.ready) by a take whose slot is not ready
+    watch = None   # called as watch(self.ready) before each sleep of wait()
 
-    def __init__(self, tokens: int):
+    def __init__(self):
         self._read, self._write = os.pipe()
-        self.waiter = None   # the op marked as taking a token
-        for _ in range(tokens):
-            self.give()
+        os.set_blocking(self._write, False)
+        self.waiter = None   # what is marked as sleeping here, or None
 
-    def give(self):
-        os.write(self._write, b"\0")
+    def ring(self):
+        try:
+            os.write(self._write, b"\0")
+        except BlockingIOError:   # the pipe is full: a wake-up is already pending
+            pass
+
+    def wait(self, waiter, holder, wanted: str):
+        """Return once holder.state is wanted or holder is closed: mark waiter,
+        read both again, and only then sleep, until a ring finds one so. The
+        mark is cleared on return, and when the watch hook raises."""
+        self.waiter = waiter
+        try:
+            while holder.state != wanted and not holder.closed:
+                if self.watch is not None:
+                    self.watch(self.ready)
+                os.read(self._read, _DRAIN)
+        finally:
+            self.waiter = None
 
     def ready(self, seconds: float) -> bool:
-        """Whether a token can be read within seconds, or within about 24
+        """Whether a byte can be read within seconds, or within about 24
         days if seconds is longer: the longest wait poll() takes."""
         # poll, as select refuses descriptors from FD_SETSIZE (1024) on
         poller = select.poll()
@@ -159,46 +186,39 @@ class _Tokens:
 
 
 class _Slot:
-    """The token-handoff slot both channels share: every op runs through _step."""
+    """The doorbell slot both channels share: every op runs through _step."""
 
     _name = ""    # the channel's key in PROTOCOL, and in its events
     _steps = {}   # PROTOCOL[_name]; each channel sets both
 
     def __init__(self, trace: EventLog | None = None):
-        # a semaphore per state an op can wait for; START's holds the one token
-        self._tokens = {"empty": _Tokens(1), "full": _Tokens(0)}
-        # op -> (row, semaphore taken, semaphore given, whether it records what it took)
+        # a doorbell per state an op can wait for
+        self._bells = {"empty": Doorbell(), "full": Doorbell()}
+        # op -> (row, doorbell it sleeps on, doorbell it rings, whether it records what it took)
         filled = self._steps["put"].after
-        self._ops = {op: (step, self._tokens.get(step.before), self._tokens.get(step.after),
+        self._ops = {op: (step, self._bells.get(step.before), self._bells.get(step.after),
                           step.before == filled) for op, step in self._steps.items()}
         self._slot = 0
-        self._closed = False
-        self._trace = trace
+        self.closed = False   # whether close() has run
+        self._record = None if trace is None else trace.append
         self.state = START   # the state the last completed op left
 
     def _step(self, op: str, value):
         """Perform op by the one rule for a PROTOCOL row; return what it took from the slot."""
-        step, tokens, given, took = self._ops[op]
-        if tokens is not None:
-            tokens.waiter = op
-            try:
-                if tokens.watch is not None and self.state != step.before:
-                    tokens.watch(tokens.ready)
-                os.read(tokens._read, 1)
-            finally:
-                tokens.waiter = None
-        if self._closed:
-            if tokens is not None:
-                tokens.give()     # so the next taker wakes too
+        step, bell, rung, took = self._ops[op]
+        before = step.before
+        if self.state != before and bell is not None:
+            bell.wait(op, self, before)
+        if self.closed:
             raise ChannelClosed(f"{self._name}.{op} on a closed channel")
-        if self.state != step.before:   # only an op that has no token to wait for
-            raise ProtocolError(f"{self._name}.{op} needs state {step.before}, not {self.state}")
+        if self.state != before:   # only an op that has no doorbell to sleep on
+            raise ProtocolError(f"{self._name}.{op} needs state {before}, not {self.state}")
         out, self._slot = self._slot, value
+        if self._record is not None:
+            self._record((self._name, op, out if took else value))
         self.state = step.after
-        if self._trace is not None:
-            self._trace.record(self._name, op, out if took else value)
-        if given is not None:
-            given.give()
+        if rung is not None and rung.waiter is not None:
+            rung.ring()
         return out
 
     def put(self, value: int):
@@ -207,34 +227,36 @@ class _Slot:
     def reopen(self, trace: EventLog | None = None):
         """Move the slot from FINAL back to START, emptied and recording to
         trace, for a new run; from any other state, or once closed, raise
-        and change nothing."""
+        and change nothing. By the one rule, it rings START's doorbell only
+        if a take is marked on it."""
         final = FINAL[self._name]
-        if self._closed:
+        if self.closed:
             raise ChannelClosed(f"{self._name}.reopen on a closed channel")
         if self.state != final:
             raise ProtocolError(f"{self._name}.reopen needs state {final}, not {self.state}")
-        if final not in self._tokens:
-            self._tokens[START].give()
-        self._slot, self.state, self._trace = 0, START, trace
+        self._slot, self._record = 0, None if trace is None else trace.append
+        self.state = START
+        if self._bells[START].waiter is not None:
+            self._bells[START].ring()
 
     def watch(self, agent: str, hook):
-        """Set hook, or clear it with None, on each semaphore an op of agent takes."""
-        for step, tokens, _, _ in self._ops.values():
-            if step.agent == agent and tokens is not None:
-                tokens.watch = hook
+        """Set hook, or clear it with None, on each doorbell an op of agent sleeps on."""
+        for step, bell, _, _ in self._ops.values():
+            if step.agent == agent and bell is not None:
+                bell.watch = hook
 
     def waiting(self) -> list:
-        """(channel, op) of each operation waiting for a token of this slot now."""
-        if self._closed:          # close() gives tokens but leaves the state as it was
+        """(channel, op) of each operation waiting for this slot's state now."""
+        if self.closed:          # close() rings but leaves the state as it was
             return []
         # each waiter is read once: its take may clear it meanwhile
-        return [(self._name, op) for tokens in self._tokens.values()
-                if (op := tokens.waiter) and self.state != self._steps[op].before]
+        return [(self._name, op) for bell in self._bells.values()
+                if (op := bell.waiter) and self.state != self._steps[op].before]
 
     def close(self):
-        self._closed = True
-        for tokens in self._tokens.values():
-            tokens.give()
+        self.closed = True
+        for bell in self._bells.values():
+            bell.ring()
 
 
 class ProbeChannel(_Slot):

@@ -298,7 +298,7 @@ TABLE_HEADER = f"{_COLUMNS}\n{'-' * len(_COLUMNS)}"
 
 def table_row(case: harness.SweepCase) -> str:
     """A sweep case's line in a sweep table, under TABLE_HEADER."""
-    detail = f"y = {_show(case.split_y)}" if case.ok else case.detail
+    detail = f"y = {harness.show_int(case.split_y)}" if case.ok else case.detail
     return (f"{case.base:<12} {case.step:<12} {case.delta:>5} {case.x0:>4} "
             f"{'yes' if case.ok else 'NO':<4} {detail}")
 
@@ -306,25 +306,6 @@ def table_row(case: harness.SweepCase) -> str:
 def table_summary(count: int, failures: int) -> str:
     """The one line that closes a sweep table of count cases."""
     return f"{count} cases, {failures} failures"
-
-
-# a y this large has more digits than str() converts by default (4300), and
-# converting it costs time quadratic in its length: the table shows its digit count
-_SHOWN_BELOW = 10 ** 4300
-
-
-def _show(y: int, width: int = 32) -> str:
-    """y in decimal clipped to width characters, or, past _SHOWN_BELOW, its digit count."""
-    magnitude = abs(y)
-    if magnitude >= _SHOWN_BELOW:
-        # 1 + (bits - 1) * log10(2), rounded down with a factor just under
-        # log10(2), is at most the digit count
-        digits = 1 + (magnitude.bit_length() - 1) * 3010299956 // 10**10
-        while magnitude >= 10 ** digits:
-            digits += 1
-        return f"{'-' if y < 0 else ''}<{digits} digits>"
-    text = str(y)
-    return text if len(text) <= width else text[: width - 3] + "..."
 
 
 @contextlib.contextmanager

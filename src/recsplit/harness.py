@@ -5,18 +5,24 @@ A split run runs the compiled producer (under the IR interpreter, with its
 probe port and inject cell bound to real channels) on the calling thread
 and the classical consumer on a consumer thread, and assembles a report.
 A _SplitRunner owns what one run leaves for the next: a consumer thread,
-a daemon thread that runs consumer bodies one at a time, handed over
-through two locks; one channel pair, reopened for each run with the run's
-own EventLog; and the current run's log and results. run_split makes one
-for its run, and a sweep makes one per (pair, delta) block and runs every
-case of the block on it. Leaving the runner closes the pair and stops the
-thread. An agent that fails records its error and closes both channels,
-which wakes a blocked peer with ChannelClosed, so a failed run ends at
-once with the first error. The calling thread is also the watchdog, in
-the two places it can wait: in a producer take that finds no token,
-through the semaphore's watch hook, which the runner sets when a pair
-opens and clears when it closes, and in waiting for the consumer body to
-return once the producer has ended. Both waits run one loop, which raises
+a daemon thread that runs consumer bodies one at a time; one channel pair,
+reopened for each run with the run's own EventLog; and the current run's
+log and results. run_split makes one for its run, and a sweep makes one
+per (pair, delta) block and runs every case of the block on it. Leaving
+the runner closes the pair and stops the thread. Every cross-thread wait
+in the package is a chan.Doorbell wait, by one rule: the waiter marks
+itself, reads the state it waits for again, and only then sleeps; whoever
+sets that state rings afterwards, only if the waiter is marked. The
+channels' takes wait so, and so do both sides of the consumer thread's
+hand-off: the thread waits for a body, and the runner for its return.
+
+An agent that fails records its error and closes both channels, which
+wakes a blocked peer with ChannelClosed, so a failed run ends at once with
+the first error. The calling thread is also the watchdog, in the two
+places it can wait, each through a doorbell's watch hook: in a producer
+take whose slot is not ready (the runner sets the hook when a pair opens
+and clears it when it closes), and in waiting for the consumer body to
+return once the producer has ended. Both run one loop, which raises
 DeadlockTimeout once it sees the run stalled: every live agent waits on a
 channel and no operation completed while it looked, so none can move
 again; the consumer is live while its thread runs this run's body. It
@@ -35,7 +41,10 @@ must follow by one checker, case_failures: each check has one name in
 CASE_CHECKS, and a sweep case and `recsplit run --mode split` both read
 their verdict from it. A case keeps that verdict, SweepCase.failed, which
 maps the name of each check that failed to its problems; whether it is ok,
-its error, its problems and its *_ok flags are all read from that map.
+its error, its problems and its *_ok flags are all read from that map. A
+y in a failure's text is shown by show_int: clipped to 32 characters, or,
+past the interpreter's int/str digit limit, as its digit count. When
+either y of a disagreement is not shown whole, their difference follows.
 """
 
 from __future__ import annotations
@@ -48,7 +57,7 @@ import time
 from itertools import islice
 from typing import NamedTuple
 
-from .chan import FINAL, PROTOCOL, START, EventLog, InjectChannel, ProbeChannel
+from .chan import FINAL, PROTOCOL, START, Doorbell, EventLog, InjectChannel, ProbeChannel
 from .consumer import ConsumerConfig, run_consumer
 from .producer import (
     INJECT_CELL,
@@ -74,6 +83,10 @@ DEFAULT_TIMEOUT = 5.0
 PRELOAD_RANGE = (-8, 8)   # inclusive bounds of random_preloads' values
 # how long a finished or failed run waits for its closed-out threads to exit
 JOIN_TIMEOUT = 1.0
+# an int this large is shown by its digit count: str() refuses it past 4300
+# digits by default, and takes time quadratic in its length
+_SHOWN_BELOW = 10 ** 4300
+_SHOWN_WIDTH = 32   # characters of an int shown in decimal, "..." included
 
 
 class HarnessError(Exception):
@@ -86,6 +99,29 @@ class DeadlockTimeout(HarnessError):
 
 class ResultMismatch(HarnessError):
     """The consumer's result disagrees with the recursive value."""
+
+
+def show_int(value: int) -> str:
+    """value in decimal clipped to _SHOWN_WIDTH characters, or, past _SHOWN_BELOW, its digit count."""
+    magnitude = abs(value)
+    if magnitude >= _SHOWN_BELOW:
+        # 1 + (bits - 1) * log10(2), rounded down with a factor just under
+        # log10(2), is at most the digit count
+        digits = 1 + (magnitude.bit_length() - 1) * 3010299956 // 10**10
+        while magnitude >= 10 ** digits:
+            digits += 1
+        return f"{'-' if value < 0 else ''}<{digits} digits>"
+    text = str(value)
+    return text if len(text) <= _SHOWN_WIDTH else text[: _SHOWN_WIDTH - 3] + "..."
+
+
+def _disagreement(template: str, first: int, second: int) -> str:
+    """template with first and second as show_int shows them; when either is
+    too long to show whole, first - second follows, as show_int shows it."""
+    text = template.format(show_int(first), show_int(second))
+    if any(abs(value) >= 10 ** (_SHOWN_WIDTH - (value < 0)) for value in (first, second)):
+        text += f", difference {show_int(first - second)}"
+    return text
 
 
 def check_timeout(timeout: float) -> float:
@@ -112,11 +148,11 @@ def run_split(
     """Run the producer on the calling thread and the consumer on a new one.
 
     The calling thread is also the watchdog: it watches while the producer
-    waits for a token and, once the producer has ended, while it waits for
-    the consumer. A run in which every live agent waits on a channel is
-    stalled, and raises DeadlockTimeout within timeout seconds. Asserts the
-    consumer's result against the recursive value and returns the full
-    report. The optional program argument substitutes the producer program:
+    waits for its slot's state and, once the producer has ended, while it
+    waits for the consumer. A run in which every live agent waits on a
+    channel is stalled, and raises DeadlockTimeout within timeout seconds.
+    Asserts the consumer's result against the recursive value and returns
+    the full report. The optional program argument substitutes the producer program:
     tests pass fault programs, and sweep passes one compiled producer to
     every input of a block; by default the scheme is compiled.
     """
@@ -127,54 +163,74 @@ def run_split(
 class _ConsumerThread:
     """One daemon thread, started at once, that runs consumer bodies one at a time.
 
-    Two locks, each held while it has nothing to say, carry the hand-off
-    without a file descriptor: the thread takes _go to get the next body and
-    gives _done once that body has returned. A body catches its own errors.
-    Only the owner gives _go, and only the thread takes it.
+    The hand-off is a holder of chan.Doorbell waits, as a channel is: its
+    state goes from "idle" to "handed" when the owner hands a body, and
+    back to "idle" when the body returns. The thread waits on _go for
+    "handed", the owner on _done for "idle", and each side rings the
+    other's doorbell after it sets the state, only if the other is marked.
+    stop() closes the holder, which wakes the thread to exit. A body
+    catches its own errors. Only the owner hands bodies and stops the
+    thread, and only the thread takes them.
     """
 
     def __init__(self):
-        self._go, self._done = threading.Lock(), threading.Lock()
-        self._go.acquire()
-        self._done.acquire()
+        self._go, self._done = Doorbell(), Doorbell()
         self._body = None
-        self._pending = False   # a body was handed and its return not yet seen
+        self.state = "idle"
+        self.closed = False   # stop() has run: the thread exits instead of taking a body
         self._thread = threading.Thread(target=self._serve, daemon=True)
         self._thread.start()
 
     def _serve(self):
         while True:
-            self._go.acquire()
-            body, self._body = self._body, None
-            if body is None:
+            self._go.wait("thread", self, "handed")
+            if self.closed:
                 return
+            body, self._body = self._body, None
             body()
             # dropped before the owner hears of the return: the body holds its run's channels
             del body
-            self._done.release()
+            self.state = "idle"
+            if self._done.waiter is not None:
+                self._done.ring()
 
     def run(self, body):
         """Hand body to the thread; the previous body must have returned."""
-        self._body, self._pending = body, True
-        self._go.release()
+        self._body = body
+        self.state = "handed"
+        if self._go.waiter is not None:
+            self._go.ring()
 
-    def wait(self, seconds: float) -> bool:
-        """Whether the body handed last has returned, waiting up to seconds for it."""
-        if self._pending and self._done.acquire(timeout=seconds):
-            self._pending = False
-        return not self._pending
+    @property
+    def busy(self) -> bool:
+        """Whether the body handed last has not yet returned."""
+        return self.state != "idle"
+
+    def wait(self, watch):
+        """Return once the body handed last has returned, calling watch(ready)
+        before each sleep; the hook may raise to stop waiting."""
+        self._done.watch = watch
+        try:
+            self._done.wait("owner", self, "idle")
+        finally:
+            self._done.watch = None   # the hook may point back at the runner
 
     def stop(self):
         """Let the thread exit once it has no body; join it if it has none now.
 
-        A body handed but not yet taken is withdrawn, and _go, still given
-        for it, then wakes the thread to exit.
+        A body handed but not yet taken is withdrawn: the thread exits
+        instead of taking it.
         """
-        self._body = None
-        if self._go.locked():
-            self._go.release()
-        if self.wait(0):
+        self.closed = True
+        self._go.ring()
+        if not self.busy:
             self._thread.join(JOIN_TIMEOUT)
+
+
+def _within_join_timeout(ready):
+    """A watch hook that gives up with TimeoutError once a wait of JOIN_TIMEOUT sees no ring."""
+    if not ready(JOIN_TIMEOUT):
+        raise TimeoutError(f"no ring within {JOIN_TIMEOUT} s")
 
 
 class _SplitRunner(contextlib.AbstractContextManager):
@@ -208,7 +264,7 @@ class _SplitRunner(contextlib.AbstractContextManager):
 
     def stall(self, count: int) -> str | None:
         """What each agent waits in, if every live agent waits and the log holds count records, else None."""
-        running = {"producer": "producer" not in self._results, "consumer": not self._consumer.wait(0)}
+        running = {"producer": "producer" not in self._results, "consumer": self._consumer.busy}
         live = {agent for agent, alive in running.items() if alive}
         blocked = {PROTOCOL[name][op].agent: f"{name}.{op}"
                    for channel in self._channels for name, op in channel.waiting()}
@@ -270,16 +326,18 @@ class _SplitRunner(contextlib.AbstractContextManager):
         self._consumer.run(consume)
         try:
             results["producer"] = run(program, Store(), sinks={PROBE_PORT: probe.put}, cells={INJECT_CELL: inject})
-            self.watch(self._consumer.wait)
+            self._consumer.wait(self.watch)
         except Exception as exc:
             errors.append(exc)
         finally:
             wall_time = time.perf_counter() - started
             # the producer runs on this thread: once the consumer has returned too, a
             # run that ends with no error and both channels in FINAL is clean
-            if errors or not self._consumer.wait(0) or {"probe": probe.state, "inject": inject.state} != FINAL:
+            if errors or self._consumer.busy or {"probe": probe.state, "inject": inject.state} != FINAL:
                 self._close()
-                if not self._consumer.wait(JOIN_TIMEOUT):
+                try:
+                    self._consumer.wait(_within_join_timeout)
+                except TimeoutError:
                     self._consumer.stop()
                     self._consumer = _ConsumerThread()
         if errors:
@@ -293,7 +351,7 @@ class _SplitRunner(contextlib.AbstractContextManager):
         y = results["consumer"]
         oracle_y = eval_recursive(scheme, x0)
         if y != oracle_y:
-            raise ResultMismatch(f"consumer produced {y}, recursion says {oracle_y}")
+            raise ResultMismatch(_disagreement("consumer produced {}, recursion says {}", y, oracle_y))
         events, emissions = trace.events_and_puts("probe")
         residuals = residuals_from_store(results["producer"], x0, scheme.pred.delta, inject.slot)
         return RunReport(
@@ -497,7 +555,7 @@ def case_failures(scheme: RecursionScheme, x0: int, report: RunReport) -> tuple[
     failed = {}
     sequential_y = run_sequential(scheme, x0)[0]
     if sequential_y != report.y:
-        failed["sequential"] = [f"sequential y {sequential_y} != recursive {report.y}"]
+        failed["sequential"] = [_disagreement("sequential y {} != recursive {}", sequential_y, report.y)]
     plan = expected_emissions(scheme, x0)
     expected = [plan.iterations, plan.base_arg, *plan.h_args]
     if report.emissions != expected:

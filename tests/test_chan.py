@@ -7,6 +7,7 @@ import time
 
 import pytest
 
+from recsplit import chan
 from recsplit.chan import (
     FINAL,
     PROTOCOL,
@@ -41,7 +42,7 @@ def settle():
 
 
 def waiting_soon(channel):
-    # a spawned call shows as waiting once it has marked itself on a semaphore with no token
+    # a spawned call shows as waiting once it has marked itself on a doorbell and its state is not ready
     deadline = time.monotonic() + JOIN_TIMEOUT
     while not channel.waiting() and time.monotonic() < deadline:
         time.sleep(0.001)
@@ -227,7 +228,7 @@ def test_inject_swap_out_out_of_order_is_refused():
     assert inject.state == START
     assert trace.events() == []
     inject.put(1)
-    # the refused swap_out gave no token: a second put waits until close
+    # the refused swap_out left the slot full: a second put waits until close
     thread, result = spawn(inject.put, 2)
     assert waiting_soon(inject) == [("inject", "put")]
     settle()
@@ -270,10 +271,11 @@ def test_inject_calls_after_close_raise():
 def test_waiting_skips_a_get_whose_token_was_given():
     probe = ProbeChannel()
     probe.put(1)
-    # a get that has marked itself but not yet read the token put gave it,
-    # or has read it but not yet cleared its mark, does not wait
-    probe._tokens["full"].waiter = "get"
+    # a get that has marked itself and then found the slot full on its
+    # re-check, or was rung but has not yet cleared its mark, does not wait
+    probe._bells["full"].waiter = "get"
     assert probe.waiting() == []
+    probe._bells["full"].waiter = None   # as that get clears it on its way out
     assert probe.get() == 1
     assert probe.waiting() == []
 
@@ -300,11 +302,11 @@ def test_watch_hook_runs_only_for_a_take_without_a_token():
 
     def watch(ready):
         seen.append(ready(0.01))    # no get yet: times out
-        seen.append(probe.get())    # gives the token the put waits for
-        seen.append(ready(threading.TIMEOUT_MAX))   # the token is there: at once
+        seen.append(probe.get())    # empties the slot, and rings the marked put
+        seen.append(ready(threading.TIMEOUT_MAX))   # the ring is there: at once
 
     probe.watch("producer", watch)
-    probe.put(1)                    # the slot starts empty: a token is there
+    probe.put(1)                    # the slot starts empty: no hook, no wait
     assert seen == []
     thread, _ = spawn(probe.put, 2)
     thread.join(JOIN_TIMEOUT)
@@ -318,6 +320,104 @@ def test_watch_hook_runs_only_for_a_take_without_a_token():
     thread.join(JOIN_TIMEOUT)
     assert result["value"] == 3
     assert seen == [False, 1, True]
+
+
+# --- doorbells --------------------------------------------------------------------
+
+def count_pipe_calls(monkeypatch):
+    """Patch chan's os so that each os.read and os.write it makes is counted."""
+    calls = {"read": 0, "write": 0}
+    real = chan.os
+
+    class Counting:
+        def __getattr__(self, name):
+            return getattr(real, name)
+
+        def read(self, fd, size):
+            calls["read"] += 1
+            return real.read(fd, size)
+
+        def write(self, fd, data):
+            calls["write"] += 1
+            return real.write(fd, data)
+
+    monkeypatch.setattr(chan, "os", Counting())
+    return calls
+
+
+def pending(channel):
+    """{state: bytes in its doorbell's pipe}, counted without reading one."""
+    counts = {}
+    for state, bell in channel._bells.items():
+        count = array.array("i", [0])
+        fcntl.ioctl(bell._read, termios.FIONREAD, count)
+        counts[state] = count[0]
+    return counts
+
+
+def test_an_op_whose_state_is_ready_makes_no_system_call(monkeypatch):
+    calls = count_pipe_calls(monkeypatch)
+    trace = EventLog()
+    probe, inject = ProbeChannel(trace), InjectChannel(trace)
+    for value in range(100):
+        probe.put(value)
+        assert probe.get() == value
+    inject.put(3)
+    assert inject.swap_in(0) == 3
+    assert inject.swap_out(5) == 0
+    for channel in (probe, inject):
+        channel.reopen()
+    inject.put(4)
+    assert inject.swap(0) == 4
+    assert inject.swap(6) == 0
+    assert calls == {"read": 0, "write": 0}
+    assert len(trace) == 2 * 100 + 3
+
+
+def test_a_spurious_byte_lets_no_get_through():
+    probe = ProbeChannel()
+    probe._bells["full"].ring()     # a byte with no put behind it
+    thread, result = spawn(probe.get)
+    assert waiting_soon(probe) == [("probe", "get")]
+    settle()
+    assert thread.is_alive()        # it read the byte, found the slot empty, and sleeps again
+    assert probe.waiting() == [("probe", "get")]
+    assert pending(probe) == {"empty": 0, "full": 0}
+    probe.put(4)
+    thread.join(JOIN_TIMEOUT)
+    assert not thread.is_alive()
+    assert result["value"] == 4
+    assert probe.waiting() == []
+
+
+def test_a_watch_hook_that_runs_the_peer_never_loses_the_wake_up():
+    # each hook runs once its take is marked, so the peer's op it runs sees
+    # the mark and rings: the ring is there at once, every time
+    probe, inject = ProbeChannel(), InjectChannel()
+    seen = []
+
+    def run_get(ready):
+        seen.append(probe.get())
+        seen.append(ready(JOIN_TIMEOUT))
+
+    def run_put(ready):
+        inject.put(len(seen))
+        seen.append(ready(JOIN_TIMEOUT))
+
+    probe.watch("producer", run_get)
+    inject.watch("producer", run_put)
+    rounds = 200
+    probe.put(0)
+    for value in range(1, rounds):
+        probe.put(value)            # the slot is full: its hook runs the get
+        inject.swap_in(0)           # nothing is put yet: its hook runs the put
+        inject.swap_out(0)
+        inject.reopen()
+    assert probe.get() == rounds - 1
+    gets = [seen[index] for index in range(0, len(seen), 3)]
+    assert gets == list(range(rounds - 1))
+    assert [seen[index] for index in range(len(seen)) if index % 3] == [True] * 2 * (rounds - 1)
+    assert probe.waiting() == inject.waiting() == []
 
 
 # --- protocol table --------------------------------------------------------------
@@ -361,10 +461,10 @@ def test_protocol_table_is_what_the_channel_does(name, make):
                 call(channel, earlier)
             assert channel.state == state
             if step.before == state:
-                call(channel, op)          # its token is there: no hook, no wait
+                call(channel, op)          # its state is there: no hook, no wait
                 assert channel.state == step.after
             else:
-                # swap_out is the one op that cannot wait: held has no semaphore
+                # swap_out is the one op that cannot wait: held has no doorbell
                 with pytest.raises(ProtocolError if op == "swap_out" else Watched):
                     call(channel, op)
                 assert channel.state == state
@@ -372,16 +472,6 @@ def test_protocol_table_is_what_the_channel_does(name, make):
 
 
 # --- reopen ----------------------------------------------------------------------
-
-def tokens(channel):
-    """{state: tokens in its semaphore's pipe}, counted without taking one."""
-    counts = {}
-    for state, semaphore in channel._tokens.items():
-        count = array.array("i", [0])
-        fcntl.ioctl(semaphore._read, termios.FIONREAD, count)
-        counts[state] = count[0]
-    return counts
-
 
 def test_reopen_runs_a_pair_again_on_a_new_log():
     first = EventLog()
@@ -400,7 +490,7 @@ def test_reopen_runs_a_pair_again_on_a_new_log():
         ("put", 3), ("swap_in", 3), ("swap_out", 5)]
     assert [e.value for e in events if e.channel == "probe"] == [4, 4, 5, 5, 6, 6]
     assert inject.slot == 5
-    # the one token is on START's semaphore: put finds it, swap_in waits for a put
+    # both slots are in START: put finds its state, swap_in waits for a put
     for channel in (probe, inject):
         channel.reopen()
         channel.watch("producer", raise_watched)
@@ -414,28 +504,48 @@ def test_reopen_runs_a_pair_again_on_a_new_log():
     assert second.events() == events
 
 
+def test_reopen_wakes_a_put_that_waits_on_a_done_slot():
+    inject = InjectChannel()
+    inject.put(1)
+    inject.swap_in(0)
+    inject.swap_out(2)
+    thread, result = spawn(inject.put, 3)
+    assert waiting_soon(inject) == [("inject", "put")]
+    trace = EventLog()
+    inject.reopen(trace)           # publishes START, and rings the marked put
+    thread.join(JOIN_TIMEOUT)
+    assert not thread.is_alive()
+    assert "error" not in result
+    assert inject.state == "full"
+    assert [(e.op, e.value) for e in trace.events()] == [("put", 3)]
+
+
 @pytest.mark.parametrize("name, make", [("probe", ProbeChannel), ("inject", InjectChannel)])
-def test_reopen_runs_only_from_final_and_not_once_closed(name, make):
+def test_reopen_runs_only_from_final_and_not_once_closed(name, make, monkeypatch):
+    # a reopen with no take marked, or a refused one, writes no byte and
+    # reads none, and a refused reopen changes nothing
+    calls = count_pipe_calls(monkeypatch)
+
+    def seen(channel):
+        return channel.state, channel._slot, pending(channel), channel.waiting(), dict(calls)
+
     for state, path in reachable(PROTOCOL[name]).items():
         channel = make()
         for op in path:
             call(channel, op)
-        before = tokens(channel)
+        before = seen(channel)
         if state == FINAL[name]:
             channel.reopen(EventLog())
-            assert channel.state == START
-            assert tokens(channel) == {sem: int(sem == START) for sem in before}
+            assert seen(channel) == (START, 0, *before[2:])
         else:
             with pytest.raises(ProtocolError, match=f"{name}.reopen needs state {FINAL[name]}"):
                 channel.reopen(EventLog())
-            assert channel.state == state
-            assert tokens(channel) == before
+            assert seen(channel) == before
         channel.close()
-        before, state = tokens(channel), channel.state
+        before = seen(channel)
         with pytest.raises(ChannelClosed):
             channel.reopen(EventLog())
-        assert channel.state == state
-        assert tokens(channel) == before
+        assert seen(channel) == before
 
 
 # --- event log -------------------------------------------------------------------
@@ -551,5 +661,5 @@ def test_event_log_orders_concurrent_channels():
         ]
         assert swapped[index] == [index * handshakes, -1]
         assert inject.slot == index * handshakes + 1
-    # every waiter cleared its own lock's record
+    # every waiter cleared its own mark
     assert all(probe.waiting() == inject.waiting() == [] for probe, inject in channels)
