@@ -11,32 +11,35 @@ Deadline handling belongs to the harness, through a doorbell's watch hook.
 The slot's state is the only fact that says whether an op may run; it is
 read and written under the GIL. Each state an op may wait for has a
 Doorbell: an OS pipe in which a byte means only "look again", and a mark
-for the one op that may sleep on it. Every op follows one rule:
-- an op whose slot is in its ``before`` state goes on with no system call;
-- any other take first marks itself on that state's doorbell, then reads
-  the state again, and only then sleeps on the pipe, reading the state
-  again after every byte, until the slot is in ``before``;
-- the op then trades its value for the slot's content, records itself,
-  publishes its ``after`` state and, last of all, rings ``after``'s
-  doorbell, only if an op is marked on it.
-Mark → re-check → sleep on one side and record → publish → ring on the
-other lose no wake-up: either the taker's re-check sees the new state, or
-the op sees the taker's mark (the eventcount rule). A ring that nobody
-needed leaves a byte that a later sleep reads and looks past. An op whose
-``before`` state has no doorbell (swap_out, from ``held``) cannot wait:
-from any other state it raises ProtocolError. The inject channel is itself
-the producer's cell: its swap() runs swap_out while a swap_in holds the
-slot, and swap_in otherwise.
+for the one op that may sleep on it. Every cross-thread wait in the
+package runs by one rule, in three steps, each written once, here:
+- Doorbell.wait: the sleeper marks itself on the doorbell of the state it
+  wants, reads the state again, and only then sleeps on the pipe, reading
+  the state again after every byte;
+- publish: whoever changes the state, after any record of the change,
+  sets it, then rings that state's doorbell only if a sleeper is marked;
+- shut: whoever closes the holder sets ``closed``, then rings every doorbell.
+Mark → re-check → sleep on one side and set → ring on the other lose no
+wake-up: either the sleeper's re-check sees the new state, or the setter
+sees the mark (the eventcount rule). A ring that nobody needed leaves a
+byte that a later sleep reads and looks past.
+
+An op whose slot is in its ``before`` state goes on with no system call;
+any other take waits on that state's doorbell. The op then trades its
+value for the slot's content, records itself and publishes its ``after``
+state. An op whose ``before`` state has no doorbell (swap_out, from
+``held``) cannot wait: from any other state it raises ProtocolError. The
+inject channel is itself the producer's cell: its swap() runs swap_out
+while a swap_in holds the slot, and swap_in otherwise.
 
 On one CPU a handshake so costs one sleep and one wake-up: the consumer's
 get sleeps, and the producer's put rings it. That is about one pipe read
-and one write per handshake, where a counted token per op cost two of
-each. CPython releases the GIL inside the write and the read, so the woken
-side finds the GIL free and runs at once. A doorbell's write end does not
-block: a full pipe already holds a wake-up. The pipes are closed when the
-doorbell is freed, not by close() or by a run's end: a blocked call's
-frame holds its channel, so they outlive every call, and a reopened
-channel keeps its pipes.
+and one write per handshake. CPython releases the GIL inside the write and
+the read, so the woken side finds the GIL free and runs at once. A
+doorbell's write end does not block: a full pipe already holds a wake-up.
+The pipes are closed when the doorbell is freed, not by close() or by a
+run's end: a blocked call's frame holds its channel, so they outlive every
+call, and a reopened channel keeps its pipes.
 
 An optional shared EventLog receives one record per *completed* operation:
 an op from the state a put leaves records the value it took, any other op
@@ -56,8 +59,8 @@ sets the hook on the doorbells the agent's ops sleep on, by the table's
 agent column; the harness sets it for the producer, whose takes are
 probe.put and inject.swap_in.
 
-close() marks the channel closed and rings every doorbell, which wakes
-every sleeper; the woken take and every later call raise ChannelClosed.
+close() shuts the channel, which wakes every sleeper; the woken take and
+every later call raise ChannelClosed.
 The harness closes both channels when a run does not end cleanly, so no
 agent stays blocked after it, and reopens them after a run that does.
 """
@@ -138,9 +141,8 @@ class Doorbell:
 
     A byte in the pipe says only "look again". What the sleeper waits for
     is a state of a holder: any object with a ``state`` and a ``closed``
-    flag, which wait() reads again after every byte. Whoever sets that
-    state rings afterwards, and only if a sleeper is marked; whoever sets
-    ``closed`` rings whether or not one is.
+    flag, which wait() reads again after every byte. publish() sets the
+    state and shut() sets ``closed``, and they ring.
     """
 
     _read = None   # set once the pipe exists; until then __del__ closes nothing
@@ -185,6 +187,21 @@ class Doorbell:
             close(self._write)
 
 
+def publish(holder, state: str, bell: Doorbell | None):
+    """Set holder.state to state, then ring bell, that state's doorbell or
+    None, only if a sleeper is marked on it."""
+    holder.state = state
+    if bell is not None and bell.waiter is not None:
+        bell.ring()
+
+
+def shut(holder, bells):
+    """Set holder.closed, then ring each of bells, marked or not."""
+    holder.closed = True
+    for bell in bells:
+        bell.ring()
+
+
 class _Slot:
     """The doorbell slot both channels share: every op runs through _step."""
 
@@ -216,9 +233,7 @@ class _Slot:
         out, self._slot = self._slot, value
         if self._record is not None:
             self._record((self._name, op, out if took else value))
-        self.state = step.after
-        if rung is not None and rung.waiter is not None:
-            rung.ring()
+        publish(self, step.after, rung)
         return out
 
     def put(self, value: int):
@@ -227,17 +242,15 @@ class _Slot:
     def reopen(self, trace: EventLog | None = None):
         """Move the slot from FINAL back to START, emptied and recording to
         trace, for a new run; from any other state, or once closed, raise
-        and change nothing. By the one rule, it rings START's doorbell only
-        if a take is marked on it."""
+        and change nothing. It publishes START, which wakes a take marked on
+        its doorbell."""
         final = FINAL[self._name]
         if self.closed:
             raise ChannelClosed(f"{self._name}.reopen on a closed channel")
         if self.state != final:
             raise ProtocolError(f"{self._name}.reopen needs state {final}, not {self.state}")
         self._slot, self._record = 0, None if trace is None else trace.append
-        self.state = START
-        if self._bells[START].waiter is not None:
-            self._bells[START].ring()
+        publish(self, START, self._bells[START])
 
     def watch(self, agent: str, hook):
         """Set hook, or clear it with None, on each doorbell an op of agent sleeps on."""
@@ -254,9 +267,7 @@ class _Slot:
                 if (op := bell.waiter) and self.state != self._steps[op].before]
 
     def close(self):
-        self.closed = True
-        for bell in self._bells.values():
-            bell.ring()
+        shut(self, self._bells.values())
 
 
 class ProbeChannel(_Slot):

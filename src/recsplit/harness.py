@@ -10,11 +10,10 @@ reopened for each run with the run's own EventLog; and the current run's
 log and results. run_split makes one for its run, and a sweep makes one
 per (pair, delta) block and runs every case of the block on it. Leaving
 the runner closes the pair and stops the thread. Every cross-thread wait
-in the package is a chan.Doorbell wait, by one rule: the waiter marks
-itself, reads the state it waits for again, and only then sleeps; whoever
-sets that state rings afterwards, only if the waiter is marked. The
-channels' takes wait so, and so do both sides of the consumer thread's
-hand-off: the thread waits for a body, and the runner for its return.
+in the package is a chan.Doorbell wait, woken by chan.publish or chan.shut,
+by the one rule the chan module states. The channels' takes wait so, and
+so do both sides of the consumer thread's hand-off: the thread waits for a
+body, and the runner for its return.
 
 An agent that fails records its error and closes both channels, which
 wakes a blocked peer with ChannelClosed, so a failed run ends at once with
@@ -57,7 +56,7 @@ import time
 from itertools import islice
 from typing import NamedTuple
 
-from .chan import FINAL, PROTOCOL, START, Doorbell, EventLog, InjectChannel, ProbeChannel
+from .chan import FINAL, PROTOCOL, START, Doorbell, EventLog, InjectChannel, ProbeChannel, publish, shut
 from .consumer import ConsumerConfig, run_consumer
 from .producer import (
     INJECT_CELL,
@@ -165,11 +164,10 @@ class _ConsumerThread:
 
     The hand-off is a holder of chan.Doorbell waits, as a channel is: its
     state goes from "idle" to "handed" when the owner hands a body, and
-    back to "idle" when the body returns. The thread waits on _go for
-    "handed", the owner on _done for "idle", and each side rings the
-    other's doorbell after it sets the state, only if the other is marked.
-    stop() closes the holder, which wakes the thread to exit. A body
-    catches its own errors. Only the owner hands bodies and stops the
+    back to "idle" when the body returns, each time by chan.publish. The
+    thread waits on _go for "handed", the owner on _done for "idle".
+    stop() closes the holder by chan.shut, which wakes the thread to exit.
+    A body catches its own errors. Only the owner hands bodies and stops the
     thread, and only the thread takes them.
     """
 
@@ -190,16 +188,12 @@ class _ConsumerThread:
             body()
             # dropped before the owner hears of the return: the body holds its run's channels
             del body
-            self.state = "idle"
-            if self._done.waiter is not None:
-                self._done.ring()
+            publish(self, "idle", self._done)
 
     def run(self, body):
         """Hand body to the thread; the previous body must have returned."""
         self._body = body
-        self.state = "handed"
-        if self._go.waiter is not None:
-            self._go.ring()
+        publish(self, "handed", self._go)
 
     @property
     def busy(self) -> bool:
@@ -221,8 +215,7 @@ class _ConsumerThread:
         A body handed but not yet taken is withdrawn: the thread exits
         instead of taking it.
         """
-        self.closed = True
-        self._go.ring()
+        shut(self, (self._go,))
         if not self.busy:
             self._thread.join(JOIN_TIMEOUT)
 

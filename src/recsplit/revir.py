@@ -205,13 +205,14 @@ class IfSign(Instruction):
         return IfSign(self.reg, *(invert_block(branch) for branch in (self.pos, self.zero, self.neg)))
 
     def _run(self, store, sinks, cells):
-        before = _sign(store[self.reg])
+        before = store[self.reg]
         branch = self.pos if before > 0 else self.zero if before == 0 else self.neg
         for inst in branch:
             inst._run(store, sinks, cells)
-        after = _sign(store[self.reg])
-        if after != before:
-            raise BranchSignViolation(f"branch changed sign of {self.reg!r} ({before} -> {after})")
+        after = store[self.reg]
+        if not (after > 0 if before > 0 else after == 0 if before == 0 else after < 0):
+            signs = [(value > 0) - (value < 0) for value in (before, after)]
+            raise BranchSignViolation(f"branch changed sign of {self.reg!r} ({signs[0]} -> {signs[1]})")
 
     def _dump(self, indent):
         lines = [f"{indent}ifsign {self.reg} {{"]
@@ -385,18 +386,19 @@ class RecordingSink(Record):
 
 def run(
     program: RevProgram,
-    store: Store | None = None,
+    store: Mapping[RegisterId, int] | None = None,
     sinks: Mapping[str, Callable[[int], None]] | None = None,
     cells=None,
 ) -> Store:
     """Execute program and return the final store.
 
-    The input store is copied, not modified. Every declared port needs a sink
+    The input store, a Store or any mapping of registers to values, is
+    copied into a Store, not modified. Every declared port needs a sink
     callable and every declared cell an object with swap(value) -> value;
     channel-backed sinks and cells may block, which is their caller's
     contract, not the interpreter's.
     """
-    work = store.copy() if store is not None else Store()
+    work = Store(store or ())
     sinks = dict(sinks or {})
     cells = dict(cells or {})
     missing = program.ports - sinks.keys()
@@ -408,10 +410,6 @@ def run(
     for inst in program.body:
         inst._run(work, sinks, cells)
     return work
-
-
-def _sign(value: int) -> int:
-    return (value > 0) - (value < 0)
 
 
 # --- textual dump -------------------------------------------------------------

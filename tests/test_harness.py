@@ -787,6 +787,35 @@ def test_stop_withdraws_a_body_the_thread_has_not_taken(monkeypatch):
     assert ran == []
 
 
+def test_the_hand_off_never_loses_a_wake_up():
+    # each round hands a body to a thread already marked on its doorbell, and
+    # the body returns while the owner is marked: both publishes must ring,
+    # or the round waits for a ring that never comes
+    consumer = harness._ConsumerThread()
+    released = threading.Event()
+    seen = []
+
+    def hook(ready):
+        released.set()
+        seen.append(ready(5.0))
+        if not seen[-1]:
+            raise TimeoutError("no ring within 5 s")
+
+    rounds = 500
+    for _ in range(rounds):
+        deadline = time.monotonic() + 5.0
+        while consumer._go.waiter is None:
+            assert time.monotonic() < deadline, "the thread never waited for a body"
+            time.sleep(0.0001)
+        released.clear()
+        consumer.run(lambda: released.wait(5.0))
+        consumer.wait(hook)
+    consumer.stop()
+    consumer._thread.join(5.0)
+    assert not consumer._thread.is_alive()
+    assert seen == [True] * rounds
+
+
 def test_closed_sweep_stops_its_consumer_thread():
     before = threading.active_count()
     cases = sweep_cases(range(10), [-1], [("x", "x+y")])

@@ -479,6 +479,14 @@ def test_ifsign_sign_flip_aborts():
         run(program, Store({"a": 3}))
 
 
+@pytest.mark.parametrize("start, amount, signs", [(5, -10, "1 -> -1"), (0, 3, "0 -> 1"), (-4, 4, "-1 -> 0")])
+def test_a_sign_violation_names_the_signs_not_the_values(start, amount, signs):
+    branch = (AddConst("a", amount),)
+    program = RevProgram((IfSign("a", pos=branch, zero=branch, neg=branch),))
+    with pytest.raises(BranchSignViolation, match=rf"^branch changed sign of 'a' \({signs}\)$"):
+        run(program, Store({"a": start}))
+
+
 def test_ifsign_allows_value_change_with_same_sign():
     program = RevProgram((IfSign("a", pos=(AddConst("a", 7),)),))
     assert run(program, Store({"a": 3}))["a"] == 10
@@ -558,6 +566,15 @@ def test_store_copy_is_independent():
     assert store["a"] == 1
     assert type(other) is Store
     assert type(run(RevProgram((AddConst("a", 5),)), store)) is Store
+
+
+def test_run_takes_a_plain_mapping_as_its_store():
+    program = RevProgram((AddConst("a", 1), AddConst("b", 2)))
+    registers = {"a": 1}
+    final = run(program, registers)
+    assert final == run(program, Store(registers))
+    assert registers == {"a": 1}
+    assert type(final) is Store
 
 
 # --- dump --------------------------------------------------------------------------------
