@@ -13,16 +13,24 @@ read and written under the GIL. Each state an op may wait for has a
 Doorbell: an OS pipe in which a byte means only "look again", and a mark
 for the one op that may sleep on it. Every cross-thread wait in the
 package runs by one rule, in three steps, each written once, here:
-- Doorbell.wait: the sleeper marks itself on the doorbell of the state it
-  wants, reads the state again, and only then sleeps on the pipe, reading
-  the state again after every byte;
+- Doorbell.wait: a waiter held to one CPU first yields it to its peer, up
+  to YIELDS times, and returns as soon as it reads the state it wants or
+  ``closed``; then the sleeper marks itself on the doorbell of the state
+  it wants, reads the state again, and only then sleeps on the pipe,
+  reading the state again after every byte;
 - publish: whoever changes the state, after any record of the change,
   sets it, then rings that state's doorbell only if a sleeper is marked;
 - shut: whoever closes the holder sets ``closed``, then rings every doorbell.
 Mark → re-check → sleep on one side and set → ring on the other lose no
 wake-up: either the sleeper's re-check sees the new state, or the setter
 sees the mark (the eventcount rule). A ring that nobody needed leaves a
-byte that a later sleep reads and looks past.
+byte that a later sleep reads and looks past. A yielding waiter is not
+marked: nobody rings it, and the watchdog sees it as running. Whether a
+doorbell's waits yield is decided once, when it is made: only if the
+making thread may run on one CPU only (os.sched_getaffinity), and never
+where os.sched_yield or os.sched_getaffinity is missing. A thread inherits
+the mask of the thread that starts it, so the harness's consumer thread
+runs where the doorbells it waits on were made.
 
 An op whose slot is in its ``before`` state goes on with no system call;
 any other take waits on that state's doorbell. The op then trades its
@@ -32,11 +40,16 @@ state. An op whose ``before`` state has no doorbell (swap_out, from
 inject channel is itself the producer's cell: its swap() runs swap_out
 while a swap_in holds the slot, and swap_in otherwise.
 
-On one CPU a handshake so costs one sleep and one wake-up: the consumer's
-get sleeps, and the producer's put rings it. That is about one pipe read
-and one write per handshake. CPython releases the GIL inside the write and
-the read, so the woken side finds the GIL free and runs at once. A
-doorbell's write end does not block: a full pipe already holds a wake-up.
+On one CPU the peer is the only other thread that can run, so a yield
+hands it the CPU, and its op is done when the waiter looks again. Pinned
+at δ = -1 and x0 = 2000, a split run makes 2.0 yields and 0–0.0003 pipe
+reads per handshake on both default pairs; its only writes are the five
+rings of closing its channels and its consumer thread. Unpinned, the peer
+may run on the other CPU, and a take does not yield: it makes about two
+pipe reads and two writes per handshake.
+CPython releases the GIL inside the yield, the write and the read, so the
+side that runs next finds it free. A doorbell's write end does not block:
+a full pipe already holds a wake-up.
 The pipes are closed when the doorbell is freed, not by close() or by a
 run's end: a blocked call's frame holds its channel, so they outlive every
 call, and a reopened channel keeps its pipes.
@@ -74,6 +87,7 @@ from typing import NamedTuple
 
 _POLL_MAX_S = (2**31 - 1) // 1000   # poll() takes a C int of milliseconds
 _DRAIN = 64   # bytes one sleep reads at most: its ring, and any unneeded ones before it
+YIELDS = 2    # yields of a wait on one CPU: the fewest that left the sweep's largest runs no sleep
 
 
 # a row of PROTOCOL: the agent that performs an op, the state it needs, the state it leaves
@@ -152,6 +166,9 @@ class Doorbell:
         self._read, self._write = os.pipe()
         os.set_blocking(self._write, False)
         self.waiter = None   # what is marked as sleeping here, or None
+        one_cpu = (hasattr(os, "sched_yield") and hasattr(os, "sched_getaffinity")
+                   and len(os.sched_getaffinity(0)) == 1)
+        self._yields = YIELDS if one_cpu else 0   # yields of each wait before it marks itself
 
     def ring(self):
         try:
@@ -160,9 +177,16 @@ class Doorbell:
             pass
 
     def wait(self, waiter, holder, wanted: str):
-        """Return once holder.state is wanted or holder is closed: mark waiter,
-        read both again, and only then sleep, until a ring finds one so. The
+        """Return once holder.state is wanted or holder is closed: read both,
+        and yield the CPU, up to _yields times; then mark waiter, read both
+        again, and only then sleep, until a ring finds one so. The
         mark is cleared on return, and when the watch hook raises."""
+        yields = self._yields
+        while yields:
+            if holder.state == wanted or holder.closed:
+                return
+            os.sched_yield()
+            yields -= 1
         self.waiter = waiter
         try:
             while holder.state != wanted and not holder.closed:

@@ -1,5 +1,7 @@
 import array
+import contextlib
 import fcntl
+import os
 import sys
 import termios
 import threading
@@ -18,6 +20,8 @@ from recsplit.chan import (
     ProbeChannel,
     ProtocolError,
 )
+from recsplit.cli import DEFAULT_PAIRS
+from recsplit.harness import run_split
 from recsplit.scheme import expected_emissions, make_scheme
 
 JOIN_TIMEOUT = 5.0
@@ -325,8 +329,8 @@ def test_watch_hook_runs_only_for_a_take_without_a_token():
 # --- doorbells --------------------------------------------------------------------
 
 def count_pipe_calls(monkeypatch):
-    """Patch chan's os so that each os.read and os.write it makes is counted."""
-    calls = {"read": 0, "write": 0}
+    """Patch chan's os so that each os.read, os.write and os.sched_yield it makes is counted."""
+    calls = {"read": 0, "write": 0, "sched_yield": 0}
     real = chan.os
 
     class Counting:
@@ -341,8 +345,45 @@ def count_pipe_calls(monkeypatch):
             calls["write"] += 1
             return real.write(fd, data)
 
+        def sched_yield(self):
+            calls["sched_yield"] += 1
+            return real.sched_yield()
+
     monkeypatch.setattr(chan, "os", Counting())
     return calls
+
+
+def yields_per_wait(monkeypatch):
+    """After count_pipe_calls: patch chan so that each Doorbell.wait's yields
+    are counted on their own; return the list of their counts."""
+    counts, thread = [], threading.local()
+    counting_yield, real_wait = chan.os.sched_yield, chan.Doorbell.wait
+
+    def sched_yield():
+        thread.yields += 1
+        return counting_yield()
+
+    def wait(self, *args):
+        thread.yields = 0
+        try:
+            return real_wait(self, *args)
+        finally:
+            counts.append(thread.yields)
+
+    monkeypatch.setattr(chan.os, "sched_yield", sched_yield)
+    monkeypatch.setattr(chan.Doorbell, "wait", wait)
+    return counts
+
+
+@contextlib.contextmanager
+def pinned():
+    """Hold the calling thread, and the threads it starts meanwhile, to one of its CPUs."""
+    allowed = os.sched_getaffinity(0)
+    os.sched_setaffinity(0, {min(allowed)})
+    try:
+        yield
+    finally:
+        os.sched_setaffinity(0, allowed)
 
 
 def pending(channel):
@@ -370,7 +411,7 @@ def test_an_op_whose_state_is_ready_makes_no_system_call(monkeypatch):
     inject.put(4)
     assert inject.swap(0) == 4
     assert inject.swap(6) == 0
-    assert calls == {"read": 0, "write": 0}
+    assert calls == {"read": 0, "write": 0, "sched_yield": 0}
     assert len(trace) == 2 * 100 + 3
 
 
@@ -418,6 +459,30 @@ def test_a_watch_hook_that_runs_the_peer_never_loses_the_wake_up():
     assert gets == list(range(rounds - 1))
     assert [seen[index] for index in range(len(seen)) if index % 3] == [True] * 2 * (rounds - 1)
     assert probe.waiting() == inject.waiting() == []
+
+
+@pytest.mark.parametrize("base, step", DEFAULT_PAIRS)
+def test_a_pinned_split_run_yields_instead_of_sleeping(monkeypatch, base, step):
+    # on one CPU a take gives the CPU to its peer, whose op is then done when
+    # it looks again: no sleep, so no pipe call but close()'s rings
+    calls = count_pipe_calls(monkeypatch)
+    waits = yields_per_wait(monkeypatch)
+    with pinned():
+        report = run_split(make_scheme(-1, base, step), 2000)
+    handshakes = len(report.emissions)
+    assert handshakes == 2002
+    assert (calls["read"] + calls["write"]) / handshakes < 0.01
+    assert 0 < calls["sched_yield"] == sum(waits)
+    assert max(waits) <= chan.YIELDS
+
+
+@pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="needs a thread allowed two CPUs")
+def test_doorbells_made_on_two_cpus_never_yield(monkeypatch):
+    # the peer may run on the other CPU: a take sleeps, as it did before yields
+    calls = count_pipe_calls(monkeypatch)
+    for base, step in DEFAULT_PAIRS:
+        assert len(run_split(make_scheme(-1, base, step), 200).emissions) == 202
+    assert calls["sched_yield"] == 0
 
 
 # --- protocol table --------------------------------------------------------------

@@ -50,6 +50,7 @@ from recsplit.scheme import NegativeInputError, eval_recursive, make_scheme, pre
 
 import faults
 from oracles import protocol_problems_by_sequence, recursion_by_definition
+from test_chan import pinned
 
 
 # --- split runs -----------------------------------------------------------------
@@ -319,6 +320,19 @@ def test_deadlock_at_the_default_timeout_is_reported_at_once(program):
     with pytest.raises(DeadlockTimeout, match="^deadlock: "):
         run_split(make_scheme(-1, "x", "x+y"), 3, program=program())
     assert time.perf_counter() - started < 0.5
+
+
+@pytest.mark.parametrize("program, blocked", [
+    (_silent_producer, "producer finished; consumer blocked in probe.get"),
+    (_chatty_producer, "producer blocked in probe.put; consumer finished"),
+])
+def test_a_pinned_deadlock_is_reported_at_once(program, blocked):
+    # on one CPU a take yields before it marks itself: the watchdog still
+    # sees every live agent marked within a few milliseconds
+    started = time.perf_counter()
+    with pinned(), pytest.raises(DeadlockTimeout, match=f"^deadlock: {blocked}$"):
+        run_split(make_scheme(-1, "x", "x+y"), 3, timeout=1.0, program=program())
+    assert time.perf_counter() - started < 0.25
 
 
 def test_consumer_computing_past_the_timeout_is_not_a_stall(monkeypatch):
