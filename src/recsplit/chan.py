@@ -1,81 +1,26 @@
 """Single-slot blocking rendezvous channels.
 
 Each channel holds at most one value and is shared by exactly two agents.
-PROTOCOL is their protocol, written down once, and the channels run from
-it: per channel and op, the agent that performs the op, the slot state it
-needs and the state it leaves. A slot starts in START; a completed run
-leaves it in FINAL, and no op runs from ``done``. reopen() takes a slot
-from FINAL back to START for the next run, so one channel serves many.
-Deadline handling belongs to the harness, through a doorbell's watch hook.
+Both channels run from one table, PROTOCOL, by one rule, _Slot._step. The
+slot's state is the only fact that says whether an op may run; it is read
+and written under the GIL. Deadlines belong to the harness, through a
+doorbell's watch hook.
 
-The slot's state is the only fact that says whether an op may run; it is
-read and written under the GIL. Each state an op may wait for has a
-Doorbell: an OS pipe in which a byte means only "look again", and a mark
-for the one op that may sleep on it. Every cross-thread wait in the
-package runs by one rule, in three steps, each written once, here:
-- Doorbell.wait: a waiter held to one CPU first yields it to its peer, up
-  to YIELDS times, and returns as soon as it reads the state it wants or
-  ``closed``; then the sleeper marks itself on the doorbell of the state
-  it wants, reads the state again, and only then sleeps on the pipe,
-  reading the state again after every byte;
-- publish: whoever changes the state, after any record of the change,
-  sets it, then rings that state's doorbell only if a sleeper is marked;
-- shut: whoever closes the holder sets ``closed``, then rings every doorbell.
-Mark → re-check → sleep on one side and set → ring on the other lose no
-wake-up: either the sleeper's re-check sees the new state, or the setter
-sees the mark (the eventcount rule). A ring that nobody needed leaves a
-byte that a later sleep reads and looks past. A yielding waiter is not
-marked: nobody rings it, and the watchdog sees it as running. Whether a
-doorbell's waits yield is decided once, when it is made: only if the
-making thread may run on one CPU only (os.sched_getaffinity), and never
-where os.sched_yield or os.sched_getaffinity is missing. A thread inherits
-the mask of the thread that starts it, so the harness's consumer thread
-runs where the doorbells it waits on were made.
+Every cross-thread wait in the package is a Doorbell.wait, woken only by
+publish or shut. Mark → re-check → sleep on one side and set → ring on the
+other lose no wake-up: either the sleeper's re-check sees the new state, or
+the setter sees the mark (the eventcount rule). A ring that nobody needed
+leaves a byte that a later sleep reads and looks past.
 
-An op whose slot is in its ``before`` state goes on with no system call;
-any other take waits on that state's doorbell. The op then trades its
-value for the slot's content, records itself and publishes its ``after``
-state. An op whose ``before`` state has no doorbell (swap_out, from
-``held``) cannot wait: from any other state it raises ProtocolError. The
-inject channel is itself the producer's cell: its swap() runs swap_out
-while a swap_in holds the slot, and swap_in otherwise.
-
-On one CPU the peer is the only other thread that can run, so a yield
-hands it the CPU, and its op is done when the waiter looks again. Pinned
-at δ = -1 and x0 = 2000, a split run makes 2.0 yields and 0–0.0003 pipe
-reads per handshake on both default pairs; its only writes are the five
-rings of closing its channels and its consumer thread. Unpinned, the peer
-may run on the other CPU, and a take does not yield: it makes about two
-pipe reads and two writes per handshake.
-CPython releases the GIL inside the yield, the write and the read, so the
-side that runs next finds it free. A doorbell's write end does not block:
-a full pipe already holds a wake-up.
-The pipes are closed when the doorbell is freed, not by close() or by a
-run's end: a blocked call's frame holds its channel, so they outlive every
-call, and a reopened channel keeps its pipes.
-
-An optional shared EventLog receives one record per *completed* operation:
-an op from the state a put leaves records the value it took, any other op
-the value it gave. An op appends its record before it publishes its state,
-and the peer cannot complete its next operation before that, so the log
-order is the true completion order. An event's ``seq`` is its index in
-the log. The watchdog reads the log's length, its count of records, and
-each channel's waiting() ops: waiting() lists a marked op while the slot is
-not in the state the op needs, and never once the channel is closed.
-
-A doorbell's ``watch`` hook, when set, is called as watch(ready) by a
-marked take before each sleep. ready(seconds) waits up to seconds with
-``select.poll`` on the pipe's read end (POSIX) and says whether a byte is
-there. The hook returns once one is, or raises to abandon the take, which
-then takes nothing and is no longer marked. A channel's watch(agent, hook)
-sets the hook on the doorbells the agent's ops sleep on, by the table's
-agent column; the harness sets it for the producer, whose takes are
-probe.put and inject.swap_in.
-
-close() shuts the channel, which wakes every sleeper; the woken take and
-every later call raise ChannelClosed.
-The harness closes both channels when a run does not end cleanly, so no
-agent stays blocked after it, and reopens them after a run that does.
+A wait yields before it marks itself only on one CPU, where the peer is the
+only other thread that can run: a yield hands it the CPU, and its op is
+done when the waiter looks again. CPython releases the GIL inside the
+yield, the write and the read, so the side that runs next finds it free. A
+yielding waiter is not marked: nobody rings it, and the watchdog sees it as
+running. The yield count is fixed when a doorbell is made, from the making
+thread's CPU mask, because a thread inherits the mask of the thread that
+starts it: the harness's consumer thread runs where the doorbells it waits
+on were made.
 """
 
 from __future__ import annotations
@@ -123,10 +68,13 @@ class ChannelEvent(NamedTuple):
 class EventLog:
     """Append-only log shared by any number of channels.
 
-    append((channel, op, value)) is the record list's own append, bound
-    once, so a channel's record is one call into C. It needs no lock:
-    list.append is atomic, and the channels call it while holding their
-    slot, which orders the appends.
+    A channel appends one (channel, op, value) per completed op: an op from
+    the state a put leaves records the value it took, any other op the value
+    it gave. An op appends before it publishes its state, and the peer
+    cannot complete its next op before that, so the log order is the true
+    completion order, and an event's seq is its index in the log. append is
+    the record list's own append, bound once, so a record is one call into
+    C; it needs no lock, as list.append is atomic.
     """
 
     def __init__(self):
@@ -160,7 +108,9 @@ class Doorbell:
     """
 
     _read = None   # set once the pipe exists; until then __del__ closes nothing
-    watch = None   # called as watch(self.ready) before each sleep of wait()
+    # called as watch(self.ready) before each sleep of wait(); it returns once
+    # a byte is ready, or raises to abandon the wait
+    watch = None
 
     def __init__(self):
         self._read, self._write = os.pipe()
@@ -205,7 +155,10 @@ class Doorbell:
         return bool(poller.poll(min(seconds, _POLL_MAX_S) * 1000))
 
     def __del__(self, close=os.close):
-        # close is bound here, as the os global may be gone at interpreter shutdown
+        # the pipes close here, not when the holder closes: a blocked call's frame
+        # holds its channel, so they outlive every call, and a reopened channel
+        # keeps them; close is bound here, as the os global may be gone at
+        # interpreter shutdown
         if self._read is not None:
             close(self._read)
             close(self._write)
@@ -245,7 +198,14 @@ class _Slot:
         self.state = START   # the state the last completed op left
 
     def _step(self, op: str, value):
-        """Perform op by the one rule for a PROTOCOL row; return what it took from the slot."""
+        """Perform op by the one rule for a PROTOCOL row; return what it took from the slot.
+
+        An op whose slot is in its before state goes on with no system call;
+        any other take waits on that state's doorbell. An op whose before
+        state has no doorbell (swap_out, from held) cannot wait, and raises
+        ProtocolError instead. On a closed channel the woken take and every
+        later call raise ChannelClosed.
+        """
         step, bell, rung, took = self._ops[op]
         before = step.before
         if self.state != before and bell is not None:

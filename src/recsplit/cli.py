@@ -3,7 +3,7 @@
 Subcommands: run a scheme in any of the three modes, dump the compiled
 producer IR, run the reversibility + equivalence check suite, or sweep
 user-specified ranges. Exit codes: 0 success, 1 check failure, 2 usage
-error, 3 deadlock/timeout, 141 standard output closed by its reader.
+error, 3 deadlock, 141 standard output closed by its reader.
 """
 
 from __future__ import annotations

@@ -2,9 +2,9 @@
 
 The consumer owns base and step. It reads the iteration count, applies base
 to the next probed value, and then folds step over one probed value per
-iteration, through the Python functions the expression nodes compile to
-once and keep. It performs exactly one inject put and iterations + 2 probe
-gets, whatever the values are.
+iteration, through the expression nodes' compiled functions. It performs
+exactly one inject put and iterations + 2 probe gets, whatever the values
+are.
 """
 
 from __future__ import annotations

@@ -3,47 +3,14 @@ equivalence / reversibility / protocol check suites.
 
 A split run runs the compiled producer (under the IR interpreter, with its
 probe port and inject cell bound to real channels) on the calling thread
-and the classical consumer on a consumer thread, and assembles a report.
-A _SplitRunner owns what one run leaves for the next: a consumer thread,
-a daemon thread that runs consumer bodies one at a time; one channel pair,
-reopened for each run with the run's own EventLog; and the current run's
-log and results. run_split makes one for its run, and a sweep makes one
-per (pair, delta) block and runs every case of the block on it. Leaving
-the runner closes the pair and stops the thread. Every cross-thread wait
-in the package is a chan.Doorbell wait, woken by chan.publish or chan.shut,
-by the one rule the chan module states. The channels' takes wait so, and
-so do both sides of the consumer thread's hand-off: the thread waits for a
-body, and the runner for its return.
-
-An agent that fails records its error and closes both channels, which
-wakes a blocked peer with ChannelClosed, so a failed run ends at once with
-the first error. The calling thread is also the watchdog, in the two
-places it can wait, each through a doorbell's watch hook: in a producer
-take whose slot is not ready (the runner sets the hook when a pair opens
-and clears it when it closes), and in waiting for the consumer body to
-return once the producer has ended. Both run one loop, which raises
-DeadlockTimeout once it sees the run stalled: every live agent waits on a
-channel and no operation completed while it looked, so none can move
-again; the consumer is live while its thread runs this run's body. It
-looks after waits of 1 ms that double up to the timeout, which so bounds
-how long a deadlock goes unreported; a computing agent does not wait, so
-a slow run that still moves never stalls. The error says, from the
-channels, which operation each agent waits in. What a run leaves for
-the next is decided by one rule, in _SplitRunner.split, and an interrupt
-ends a run by it too: on the main thread it lands in the producer or in
-one of the waits, and only a consumer that is still computing outlives
-the run, until its next channel operation raises ChannelClosed; its
-thread is never handed another body.
-
-A finished split run is checked against the other runs and the plan it
-must follow by one checker, case_failures: each check has one name in
-CASE_CHECKS, and a sweep case and `recsplit run --mode split` both read
-their verdict from it. A case keeps that verdict, SweepCase.failed, which
-maps the name of each check that failed to its problems; whether it is ok,
-its error, its problems and its *_ok flags are all read from that map. A
-y in a failure's text is shown by show_int: clipped to 32 characters, or,
-past the interpreter's int/str digit limit, as its digit count. When
-either y of a disagreement is not shown whole, their difference follows.
+and the classical consumer on a consumer thread. Each rule of a split run
+is stated once, where its code is:
+- what a runner owns and keeps between runs: _SplitRunner;
+- when a run is stalled, and how soon that is reported: _SplitRunner.watch;
+- how a run ends, and what it leaves for the next: _SplitRunner.split;
+- a case's verdict: SweepCase, and the checks behind it, case_failures;
+- how a y is shown in bounded text: show_int;
+- the wake-up rule of every cross-thread wait: the chan module.
 """
 
 from __future__ import annotations
@@ -144,16 +111,14 @@ def run_split(
     timeout: float = DEFAULT_TIMEOUT,
     program: RevProgram | None = None,
 ) -> RunReport:
-    """Run the producer on the calling thread and the consumer on a new one.
+    """Run the producer on the calling thread and the consumer on a consumer
+    thread, on a _SplitRunner of its own, and return the full report; raise
+    ResultMismatch if the consumer's y is not the recursive value.
 
-    The calling thread is also the watchdog: it watches while the producer
-    waits for its slot's state and, once the producer has ended, while it
-    waits for the consumer. A run in which every live agent waits on a
-    channel is stalled, and raises DeadlockTimeout within timeout seconds.
-    Asserts the consumer's result against the recursive value and returns
-    the full report. The optional program argument substitutes the producer program:
-    tests pass fault programs, and sweep passes one compiled producer to
-    every input of a block; by default the scheme is compiled.
+    The calling thread is also the watchdog (see _SplitRunner.watch). The
+    optional program substitutes the producer program: tests pass fault
+    programs, and a sweep passes one compiled producer to every input of a
+    block; by default the scheme is compiled.
     """
     with _SplitRunner(timeout) as runner:
         return runner.split(scheme, x0, program)
@@ -162,12 +127,8 @@ def run_split(
 class _ConsumerThread:
     """One daemon thread, started at once, that runs consumer bodies one at a time.
 
-    The hand-off is a holder of chan.Doorbell waits, as a channel is: its
-    state goes from "idle" to "handed" when the owner hands a body, and
-    back to "idle" when the body returns, each time by chan.publish. The
-    thread waits on _go for "handed", the owner on _done for "idle".
-    stop() closes the holder by chan.shut, which wakes the thread to exit.
-    A body catches its own errors. Only the owner hands bodies and stops the
+    The hand-off is a holder of chan.Doorbell waits, as a channel is. A body
+    catches its own errors. Only the owner hands bodies and stops the
     thread, and only the thread takes them.
     """
 
@@ -229,10 +190,14 @@ def _within_join_timeout(ready):
 class _SplitRunner(contextlib.AbstractContextManager):
     """Split runs, one at a time, on one consumer thread over one channel pair.
 
-    Leaving the runner closes the pair and stops the thread. The first run
-    opens the pair, and each later run reopens it with its own log. The
-    producer's watch hook is set when a pair opens and cleared when it
-    closes: watch() and stall() read the current run's log and results.
+    A runner owns what one run leaves for the next: its consumer thread; one
+    channel pair, which the first run opens and each later run reopens with
+    its own EventLog; and the current run's log and results, which watch()
+    and stall() read. The producer's watch hook is set when a pair opens and
+    cleared when it closes, not on every run. run_split makes a runner for
+    its one run, and sweep_cases one per (pair, delta) block, so a case pays
+    no thread start and opens no pipe. Leaving the runner closes the pair
+    and stops the thread, so neither outlives it.
     """
 
     def __init__(self, timeout: float):
@@ -256,7 +221,12 @@ class _SplitRunner(contextlib.AbstractContextManager):
         self._channels = ()
 
     def stall(self, count: int) -> str | None:
-        """What each agent waits in, if every live agent waits and the log holds count records, else None."""
+        """What each agent waits in, if every live agent waits and the log holds count records, else None.
+
+        The consumer is live while its thread runs this run's body. A run whose
+        live agents all wait, with no op completed while the watchdog looked,
+        can never move again over single-slot channels: it is deadlocked.
+        """
         running = {"producer": "producer" not in self._results, "consumer": self._consumer.busy}
         live = {agent for agent, alive in running.items() if alive}
         blocked = {PROTOCOL[name][op].agent: f"{name}.{op}"
@@ -269,7 +239,18 @@ class _SplitRunner(contextlib.AbstractContextManager):
 
     def watch(self, ready):
         """Return once ready(seconds) is true; raise DeadlockTimeout once stall() sees
-        the run stalled, which it is asked after each wait: 1 ms, doubling up to the timeout."""
+        the run stalled, which it is asked after each wait: 1 ms, doubling up to the timeout.
+
+        The calling thread is the watchdog in the two places it can wait: in a
+        producer take whose slot is not ready (the channels' hook), and in
+        waiting for the consumer body once the producer has ended. A ring ends
+        a wait at once, and a deadlock goes unreported for one wait at most,
+        never longer than the timeout. The timeout bounds neither the run nor
+        the gap between two ops: a computing agent does not wait, so a run that
+        is slow but still moves never stalls. Nor can it compute forever: an IR
+        loop reads its count once and its body may not write it, so every
+        producer program ends, and the consumer folds over a finite count.
+        """
         wait = min(0.001, self._timeout)
         while not ready(wait):
             blocked = self.stall(len(self._trace))
@@ -282,10 +263,13 @@ class _SplitRunner(contextlib.AbstractContextManager):
 
         A run that ends cleanly, with no error, both agents returned and both
         channels in FINAL, leaves the pair for the next run to reopen. Any
-        other end closes the pair and waits up to JOIN_TIMEOUT for the
-        consumer body. A body still running then keeps its thread, which is
-        stopped, to exit at its next channel operation; the next run gets a
-        fresh thread.
+        other end closes the pair, which wakes a blocked agent with
+        ChannelClosed, and waits up to JOIN_TIMEOUT for the consumer body. A
+        body still running then keeps its thread, which is stopped, to exit
+        at its next channel operation; the next run gets a fresh thread. An
+        agent that fails closes both channels, so a failed run ends at once
+        with the first error. An interrupt on the main thread lands in the
+        producer or in one of the waits, and ends the run by this rule too.
         """
         check_input(x0)
         if program is None:
@@ -494,13 +478,15 @@ def _passed(check: str) -> property:
 
 
 class SweepCase(Record):
-    """One sweep case: its inputs, what its runs gave, and failed, which maps
-    the name of each check of CASE_CHECKS that failed to its problems, in
-    CASE_CHECKS order.
+    """One sweep case: its inputs, what its runs gave, and its verdict, failed,
+    which maps the name of each check of CASE_CHECKS that failed to its
+    problems, in CASE_CHECKS order.
 
     ok, error, problems, detail and the *_ok flags are all read from failed,
     so they cannot disagree. A check passed only if it ran: a case whose split
-    run raised has failed == {"split": [error]}, and every flag False.
+    run raised has failed == {"split": [error]}, and every flag False. A
+    sweep case and `recsplit run --mode split` both take failed from
+    case_failures.
     """
 
     __slots__ = _fields = ("base", "step", "delta", "x0", "split_y", "sequential_y", "handshakes",
@@ -539,11 +525,10 @@ class SweepCase(Record):
 def case_failures(scheme: RecursionScheme, x0: int, report: RunReport) -> tuple[dict, int]:
     """Check a finished split run of scheme at x0: (failed, the sequential run's y).
 
-    failed maps the name of each check of CASE_CHECKS after "split" that
-    failed to its problems, in CASE_CHECKS order: agreement with the
-    one-piece classical run; the emission plan; the residuals; the channel
-    protocol; and iterations + 2 handshakes. report.y is the recursive
-    value, which run_split has checked.
+    failed is SweepCase.failed for the checks after "split": agreement with
+    the one-piece classical run; the emission plan; the residuals; the
+    channel protocol; and iterations + 2 handshakes. report.y is the
+    recursive value, which run_split has checked.
     """
     failed = {}
     sequential_y = run_sequential(scheme, x0)[0]
@@ -587,21 +572,13 @@ def sweep(x_values, deltas, pairs, timeout: float = DEFAULT_TIMEOUT) -> CaseRepo
 
 def sweep_cases(x_values, deltas, pairs, timeout: float = DEFAULT_TIMEOUT):
     """Cross product of (base, step) text pairs, displacements and inputs, in
-    that order: yield each SweepCase as it ends.
+    that order: yield each SweepCase as it ends, its failures recorded in it
+    and never raised.
 
-    Each (pair, delta) block builds its scheme and producer when it starts
-    and walks x_values again, as each pair walks deltas again: both must be
-    ranges or sequences, not one-pass iterators. Each block also runs its
-    cases on one _SplitRunner, so on one consumer thread and one channel
-    pair, reopened for each case; the runner checks timeout as the block
-    starts, and closes its pair and stops its thread when the block ends,
-    raises, or is closed early.
-
-    Each case runs the checks of CASE_CHECKS, in order: the split run, which
-    raises if its y is not the recursive value, then case_failures. A split
-    run that raises is the "split" check's one problem, and no other check
-    runs. Each failed check's problems go into the case's failed map under
-    its name, never raised.
+    Each (pair, delta) block builds its scheme and producer when it starts,
+    runs its cases on one _SplitRunner, which checks timeout then, and walks
+    x_values again, as each pair walks deltas again: both must be ranges or
+    sequences, not one-pass iterators.
     """
     if iter(x_values) is x_values or iter(deltas) is deltas:
         raise TypeError("x_values and deltas must be ranges or sequences, not iterators")

@@ -1,20 +1,4 @@
-"""The one record base for the package's nodes, configs and check reports.
-
-A run's residuals are no record: they are a plain dict of its final
-registers (producer.residuals_from_store).
-
-A record class names its constructor's fields, in order, in _fields, and
-its own __init__ stores them with _set. A record is read-only: assignment
-and deletion raise AttributeError. Records compare and hash field by field
-within one class only, pickle and copy through their constructor, and show
-their fields in a dataclass-style repr; a record holding a list is not
-hashable. A class that keeps a fact derived from its fields adds a
-"__dict__" slot and makes the fact a functools.cached_property, which
-equality, hash, copies and pickles all ignore.
-
-These stand in for dataclasses, whose import loads inspect and whose every
-class runs exec once per generated method: together most of a cold start.
-"""
+"""Record, the one record base for the package's nodes, configs and check reports."""
 
 from __future__ import annotations
 
@@ -24,7 +8,18 @@ from operator import attrgetter
 class Record:
     """Read-only fields in _fields; equality, hash and repr by field.
 
-    Subclasses declare __slots__."""
+    A record class declares __slots__ and names its constructor's fields, in
+    order, in _fields, and its own __init__ stores them with _set.
+    Assignment and deletion raise AttributeError. Records compare and hash
+    field by field within one class only, pickle and copy through their
+    constructor, and show their fields in a dataclass-style repr; a record
+    holding a list is not hashable. A class that keeps a fact derived from
+    its fields adds a "__dict__" slot and makes the fact a
+    functools.cached_property, which equality, hash, copies and pickles all
+    ignore. Records stand in for dataclasses, whose import loads inspect and
+    whose every class runs exec once per generated method: together most of
+    a cold start.
+    """
 
     __slots__ = ("__weakref__",)
     _fields = ()

@@ -3,38 +3,13 @@
 Programs are finite sequences of instructions, every one of which has a
 syntactic inverse, so a whole program is inverted by inverting each
 instruction and reversing the order. The interpreter enforces the two
-disciplines that make that inversion a semantic inverse:
+disciplines that make that inversion a semantic inverse, For's and
+IfSign's. Emissions are observations, not state: an Emit inverts to
+itself, so inverse runs are checked against a discarding sink.
 
-* a loop body must not write its own count register (the count is read once
-  at loop entry; negative counts run the inverted body);
-* a sign selection must leave the sign of its discriminator unchanged - the
-  value may move while the branch runs, as long as the sign is restored.
-
-Emissions are observations, not state: an emit sends a copy of a register
-to a port and inverts to itself, so inverse runs are checked against a
-discarding sink. Cell swaps exchange a register with named external state
-and are their own inverse.
-
-The module holds no state. Instructions and programs are read-only records
-(record.Record): two nodes are equal only when they are of one kind with
-equal fields. A fact derived from a node lives on the node: a For
-records at construction whether its body writes its count, and a For's
-inverted body or a RevProgram's inverse is built on first use and kept
-(functools.cached_property).
-
-The register file, Store, is a dict in which a register never written
-reads as 0; only its non-zero registers count when stores are compared.
-
-Each instruction class holds its kind's rules, next to its fields: the
-names it references and can write (_names), its inverse (_inverse, itself
-unless the kind overrides it), its effect on a store (_run) and its text
-(_dump). The walks over a block only loop over its instructions. One walk,
-_names, finds the registers a block references and can write and its ports
-and cells; every name check reads it, and it alone rejects a
-non-instruction with TypeError. RevProgram(body) walks its body once:
-a name set left out declares exactly the names of that kind the body uses,
-and a name set given must cover them. Every program, an inverse too, is
-built by that one constructor.
+The module holds no state. Instructions and programs are records (see
+record.Record), and a fact derived from a node is kept on the node. Each
+instruction kind's rules live on its class (see Instruction).
 """
 
 from __future__ import annotations
@@ -68,7 +43,8 @@ class UndeclaredNameError(RevirError):
 class Instruction(Record):
     """One instruction. Each kind states its own rules here: the names it
     adds to the sets (_names), its syntactic inverse (_inverse), its effect
-    on a store (_run) and its lines of text (_dump)."""
+    on a store (_run) and its lines of text (_dump). The walks over a block
+    only loop over its instructions."""
 
     __slots__ = ()
 
@@ -150,8 +126,9 @@ class SubFrom(Instruction):
 
 
 class For(Instruction):
-    """Run body count-register-value times; a negative count runs the
-    inverted body that many times. The body must not write the count."""
+    """Run body count-register-value times, the count read once at loop entry;
+    a negative count runs the inverted body that many times. The body must
+    not write the count."""
 
     _fields = ("count", "body")
     # writes_count is checked when the loop is reached, so building such a
@@ -189,7 +166,8 @@ class For(Instruction):
 
 
 class IfSign(Instruction):
-    """Dispatch on the sign of reg; the chosen branch must preserve it."""
+    """Dispatch on the sign of reg; the chosen branch may move reg, but must
+    leave its sign as it found it."""
 
     __slots__ = _fields = ("reg", "pos", "zero", "neg")
 
@@ -261,7 +239,8 @@ class SwapCell(Instruction):
 
 
 def _names(block, regs, written, ports, cells):
-    # fills the sets from block and every block nested in it
+    # fills the sets from block and every block nested in it: every name check
+    # reads this one walk, and it alone rejects a non-instruction
     for inst in block:
         if not isinstance(inst, Instruction):
             raise TypeError(f"not an instruction: {inst!r}")

@@ -2,14 +2,13 @@
 
 This module owns the object being compiled: a base expression b(x), a step
 expression h(x, y), and a predecessor that moves x by a fixed negative
-displacement. Every expression node compiles to a Python function of
-(x, y) on first use and keeps it (`function`), so the classical half
-evaluates b and h without walking the tree. One operator table, _BINARY,
-is the only statement of precedence: the parser climbs it and rendering
-parenthesises by it. The module also provides the two reference
-computations the rest of the toolkit is validated against: direct
-evaluation of the recursion and the closed-form prediction of the values
-the producer must emit.
+displacement. Every expression node compiles to a Python function (see
+_Node.function), so the classical half evaluates b and h without walking
+the tree. One operator table, _BINARY, is the only statement of
+precedence: the parser climbs it and rendering parenthesises by it. The
+module also provides the two reference computations the rest of the
+toolkit is validated against: direct evaluation of the recursion and the
+closed-form prediction of the values the producer must emit.
 
 All arithmetic is on Python integers, so results never wrap or truncate.
 """

@@ -681,6 +681,39 @@ def test_sweep_records_a_failed_split_run_on_a_huge_y(monkeypatch):
     assert harness._disagreement("{} != {}", -10 ** 31, 7) == f"{clipped} != 7, difference {clipped}"
 
 
+@pytest.mark.parametrize("value, shown", [
+    (10 ** 30, str(10 ** 30)),                    # 31 digits: whole
+    (10 ** 31, str(10 ** 31)),                    # 32 digits: whole
+    (10 ** 32, f"1{'0' * 28}..."),                # 33 digits: clipped to 32 characters
+    (-10 ** 30, str(-10 ** 30)),                  # 31 digits and a sign: whole
+    (-(10 ** 31 - 1), str(-(10 ** 31 - 1))),      # 31 digits and a sign: whole
+    (-10 ** 31, f"-1{'0' * 27}..."),              # 32 digits and a sign: clipped
+])
+def test_show_int_clips_to_32_characters(value, shown):
+    assert harness.show_int(value) == shown
+    assert len(shown) <= 32
+
+
+@pytest.mark.parametrize("k", range(4299, 4311))
+def test_show_int_counts_the_digits_past_the_str_limit(k):
+    values = [sign * (10 ** k + offset) for sign in (1, -1) for offset in (-1, 0, 1)]
+    shown = [harness.show_int(value) for value in values]   # under the interpreter's own limit
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        for value, text in zip(values, shown):
+            digits = str(abs(value))
+            sign = "-" if value < 0 else ""
+            if len(digits) > 4300:
+                assert text == f"{sign}<{len(digits)} digits>"
+            else:
+                assert text == f"{sign}{digits}"[:29] + "..."
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
+
+
 def test_sweep_names_emissions_off_the_plan(monkeypatch):
     faults.base_argument_off_plan(monkeypatch)
     case = _case_at_three()
