@@ -108,8 +108,8 @@ class Doorbell:
     """
 
     _read = None   # set once the pipe exists; until then __del__ closes nothing
-    # called as watch(self.ready) before each sleep of wait(); it returns once
-    # a byte is ready, or raises to abandon the wait
+    # called as watch(self.ready) before each sleep of wait(); the sleep goes
+    # on once it returns, and it may raise to abandon the wait
     watch = None
 
     def __init__(self):
@@ -140,8 +140,10 @@ class Doorbell:
         self.waiter = waiter
         try:
             while holder.state != wanted and not holder.closed:
-                if self.watch is not None:
-                    self.watch(self.ready)
+                # read once: another thread may clear the hook meanwhile
+                watch = self.watch
+                if watch is not None:
+                    watch(self.ready)
                 os.read(self._read, _DRAIN)
         finally:
             self.waiter = None
@@ -235,6 +237,10 @@ class _Slot:
             raise ProtocolError(f"{self._name}.reopen needs state {final}, not {self.state}")
         self._slot, self._record = 0, None if trace is None else trace.append
         publish(self, START, self._bells[START])
+
+    def bell(self, op: str) -> Doorbell | None:
+        """The doorbell op sleeps on, or None if op cannot wait."""
+        return self._ops[op][1]
 
     def watch(self, agent: str, hook):
         """Set hook, or clear it with None, on each doorbell an op of agent sleeps on."""

@@ -107,9 +107,7 @@ def _build_parser():
     for command_parser in (run_parser, check_parser, sweep_parser):
         command_parser.add_argument(
             "--timeout", type=_timeout, default=harness.DEFAULT_TIMEOUT, metavar="SECONDS",
-            help="a split run stalls once every live agent waits on a channel: a stall is reported as "
-            "soon as it is seen, within this many seconds, and a run that is slow but still moving "
-            "never stalls (default: %(default)s)",
+            help="cap on each timed wait of the deadlock watchdog's backstop (default: %(default)s)",
         )
     return parser
 

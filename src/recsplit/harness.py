@@ -6,7 +6,8 @@ probe port and inject cell bound to real channels) on the calling thread
 and the classical consumer on a consumer thread. Each rule of a split run
 is stated once, where its code is:
 - what a runner owns and keeps between runs: _SplitRunner;
-- when a run is stalled, and how soon that is reported: _SplitRunner.watch;
+- when a run is stalled: _SplitRunner.stall; which agent reports it, and
+  when: _SplitRunner.watch;
 - how a run ends, and what it leaves for the next: _SplitRunner.split;
 - a case's verdict: SweepCase, and the checks behind it, case_failures;
 - how a y is shown in bounded text: show_int;
@@ -16,6 +17,7 @@ is stated once, where its code is:
 from __future__ import annotations
 
 import contextlib
+import functools
 import json
 import random
 import threading
@@ -60,7 +62,8 @@ class HarnessError(Exception):
 
 
 class DeadlockTimeout(HarnessError):
-    """A split run deadlocked: every live agent waits on a channel, and none can move again."""
+    """A split run deadlocked: every live agent waits on a channel, and none can
+    move again. Which agent raises it, and when: _SplitRunner.watch."""
 
 
 class ResultMismatch(HarnessError):
@@ -181,6 +184,14 @@ class _ConsumerThread:
             self._thread.join(JOIN_TIMEOUT)
 
 
+def _marked(takes) -> bool:
+    """Whether an agent is marked on one of takes, its two takes as
+    _SplitRunner keeps them, in a state that does not hold. It allocates nothing."""
+    (bell, channel, needed), (other_bell, other_channel, other_needed) = takes
+    return (bell.waiter is not None and channel.state != needed
+            or other_bell.waiter is not None and other_channel.state != other_needed)
+
+
 def _within_join_timeout(ready):
     """A watch hook that gives up with TimeoutError once a wait of JOIN_TIMEOUT sees no ring."""
     if not ready(JOIN_TIMEOUT):
@@ -192,18 +203,19 @@ class _SplitRunner(contextlib.AbstractContextManager):
 
     A runner owns what one run leaves for the next: its consumer thread; one
     channel pair, which the first run opens and each later run reopens with
-    its own EventLog; and the current run's log and results, which watch()
-    and stall() read. The producer's watch hook is set when a pair opens and
-    cleared when it closes, not on every run. run_split makes a runner for
-    its one run, and sweep_cases one per (pair, delta) block, so a case pays
-    no thread start and opens no pipe. Leaving the runner closes the pair
-    and stops the thread, so neither outlives it.
+    its own EventLog, and each agent's takes on it; and the current run's
+    log and results, which the hooks and stall() read. Both agents' hooks
+    are set when a pair opens and cleared when it closes, not on every run.
+    run_split makes a runner for its one run, and sweep_cases one per (pair,
+    delta) block, so a case pays no thread start and opens no pipe. Leaving
+    the runner closes the pair and stops the thread, so neither outlives it.
     """
 
     def __init__(self, timeout: float):
         self._timeout = check_timeout(timeout)
         self._consumer = _ConsumerThread()
         self._channels = ()   # (probe, inject) left in FINAL by the last run, or none
+        self._takes = {}      # agent -> its two takes on the pair, each (doorbell, channel, state needed)
         self._trace = None    # the current run's EventLog
         self._results = {}    # what the current run's agents returned, by agent
 
@@ -215,19 +227,38 @@ class _SplitRunner(contextlib.AbstractContextManager):
         """Close the pair, waking any agent blocked on it, and let the next run open a fresh one."""
         for channel in self._channels:
             channel.close()
-            # the hook points back at the runner: left set, it would keep the
+            # the hooks point back at the runner: left set, they would keep the
             # pipes open until a cyclic GC
             channel.watch("producer", None)
-        self._channels = ()
+            channel.watch("consumer", None)
+        # the takes hold the pair too
+        self._channels, self._takes = (), {}
+
+    def _open(self, trace: EventLog):
+        """Open a fresh pair recording to trace, read each agent's takes on it
+        from PROTOCOL, and set both agents' hooks on it."""
+        channels = {"probe": ProbeChannel(trace), "inject": InjectChannel(trace)}
+        takes = {"producer": (), "consumer": ()}
+        for name, steps in PROTOCOL.items():
+            for op, step in steps.items():
+                bell = channels[name].bell(op)
+                if bell is not None:
+                    takes[step.agent] += ((bell, channels[name], step.before),)
+        self._channels, self._takes = tuple(channels.values()), takes
+        # bound to the producer's takes, so it reads nothing that _close drops
+        consumer_watch = functools.partial(self._consumer_watch, takes["producer"])
+        for channel in self._channels:
+            channel.watch("producer", self.watch)
+            channel.watch("consumer", consumer_watch)
 
     def stall(self, count: int) -> str | None:
         """What each agent waits in, if every live agent waits and the log holds count records, else None.
 
-        The consumer is live while its thread runs this run's body. A run whose
-        live agents all wait, with no op completed while the watchdog looked,
-        can never move again over single-slot channels: it is deadlocked.
+        An agent is live until it has returned its result. A run whose live
+        agents all wait, with no op completed since count was read, can never
+        move again over single-slot channels: it is deadlocked.
         """
-        running = {"producer": "producer" not in self._results, "consumer": self._consumer.busy}
+        running = {agent: agent not in self._results for agent in ("producer", "consumer")}
         live = {agent for agent, alive in running.items() if alive}
         blocked = {PROTOCOL[name][op].agent: f"{name}.{op}"
                    for channel in self._channels for name, op in channel.waiting()}
@@ -237,26 +268,50 @@ class _SplitRunner(contextlib.AbstractContextManager):
                              else f"{agent} finished" for agent in running)
         return None
 
-    def watch(self, ready):
-        """Return once ready(seconds) is true; raise DeadlockTimeout once stall() sees
-        the run stalled, which it is asked after each wait: 1 ms, doubling up to the timeout.
+    def _report_stall(self):
+        """Raise DeadlockTimeout if stall() sees the run stalled now."""
+        blocked = self.stall(len(self._trace))
+        if blocked:
+            raise DeadlockTimeout(f"deadlock: {blocked}")
 
-        The calling thread is the watchdog in the two places it can wait: in a
-        producer take whose slot is not ready (the channels' hook), and in
-        waiting for the consumer body once the producer has ended. A ring ends
-        a wait at once, and a deadlock goes unreported for one wait at most,
-        never longer than the timeout. The timeout bounds neither the run nor
-        the gap between two ops: a computing agent does not wait, so a run that
-        is slow but still moves never stalls. Nor can it compute forever: an IR
-        loop reads its count once and its body may not write it, so every
-        producer program ends, and the consumer folds over a finite count.
+    def watch(self, ready):
+        """Return once ready(seconds) is true; raise DeadlockTimeout once the run is stalled.
+
+        A deadlock is reported by the agent whose move completes it: before it
+        sleeps, or, the consumer, as it returns. Each agent marks itself, or
+        records its result, before it looks at its peer, so of two agents that
+        move at once the later sees the earlier. The look asks stall() only if
+        the peer has returned or is marked on a take whose state does not hold
+        (_marked). The calling thread, the watchdog, looks before its first
+        wait in the two places it can wait: in a producer take whose slot is
+        not ready (the channels' hook), and in waiting for the consumer body
+        once the producer has ended. The consumer looks in its own hook
+        (_consumer_watch), and when it returns.
+
+        A stall that no look reported, as when a record lands after stall()'s
+        count, is caught by the backstop: waits of 1 ms, doubling up to the
+        timeout, with stall() asked after each. A ring ends a wait at once.
+        The timeout bounds neither the run nor the gap between two ops: a
+        computing agent does not wait, so a run that is slow but still moves
+        never stalls. Nor can it compute forever: an IR loop reads its count
+        once and its body may not write it, so every producer program ends,
+        and the consumer folds over a finite count.
         """
+        if "consumer" in self._results or _marked(self._takes["consumer"]):
+            self._report_stall()
         wait = min(0.001, self._timeout)
         while not ready(wait):
-            blocked = self.stall(len(self._trace))
-            if blocked:
-                raise DeadlockTimeout(f"deadlock: {blocked}")
+            self._report_stall()
             wait = min(2 * wait, self._timeout)
+
+    def _consumer_watch(self, producer_takes, ready):
+        """The consumer's hook, on each doorbell it sleeps on: raise
+        DeadlockTimeout if its sleep completes a stall, found as watch()'s look
+        finds one, with the producer as the peer; return otherwise, and it sleeps
+        until a ring, with no timed wait. Its error ends the run as any failed
+        consumer's does (see split)."""
+        if "producer" in self._results or _marked(producer_takes):
+            self._report_stall()
 
     def split(self, scheme: RecursionScheme, x0: int, program: RevProgram | None = None) -> RunReport:
         """run_split's run, on this runner's thread and pair.
@@ -277,21 +332,23 @@ class _SplitRunner(contextlib.AbstractContextManager):
 
         trace = self._trace = EventLog()
         results = self._results = {}
-        # the pair reopened, or a fresh one with the producer's hooks set
-        if not self._channels:
-            self._channels = (ProbeChannel(trace), InjectChannel(trace))
-            for channel in self._channels:
-                channel.watch("producer", self.watch)
-        else:
+        # the pair reopened, or a fresh one with both agents' hooks set
+        if self._channels:
             for channel in self._channels:
                 channel.reopen(trace)
+        else:
+            self._open(trace)
         channels = probe, inject = self._channels
+        producer_takes = self._takes["producer"]
         # shared by both agents; the first one is the run's error
         errors = []
 
         def consume():
             try:
                 results["consumer"] = run_consumer(ConsumerConfig.from_scheme(scheme, x0), inject, probe)
+                # its return completes a stall if the producer waits for it (see watch)
+                if _marked(producer_takes):
+                    self._report_stall()
             except BaseException as exc:
                 # a failed consumer can never unblock the producer: closing wakes
                 # it, and its ChannelClosed lands after this error

@@ -1,3 +1,4 @@
+import contextlib
 import copy
 import functools
 import gc
@@ -34,7 +35,7 @@ from recsplit.harness import (
     sweep_cases,
     write_trace_jsonl,
 )
-from recsplit.producer import compile_phase_a, compile_producer, expected_residuals
+from recsplit.producer import PROBE_PORT, compile_phase_a, compile_producer, expected_residuals
 from recsplit.revir import (
     AddConst,
     BranchSignViolation,
@@ -315,7 +316,7 @@ def test_failed_run_leaves_no_thread(program, error):
 
 @pytest.mark.parametrize("program", [_silent_producer, _chatty_producer])
 def test_deadlock_at_the_default_timeout_is_reported_at_once(program):
-    # the watchdog looks after a millisecond, not after the 5 s timeout
+    # the agent whose sleep completes the deadlock reports it, long before the 5 s timeout
     started = time.perf_counter()
     with pytest.raises(DeadlockTimeout, match="^deadlock: "):
         run_split(make_scheme(-1, "x", "x+y"), 3, program=program())
@@ -391,6 +392,97 @@ def test_stall_waits_for_a_computing_agent():
         run_split(make_scheme(-1, "x", "x+y"), 3, timeout=_SPIN_TIMEOUT,
                   program=RevProgram((SwapCell("inject", "x"),) + _spin()))
     assert threading.active_count() == before
+
+
+# what each fault's stall reports: two fault producers, and a consumer that
+# gets before it puts the input
+_STALLS = {
+    "silent": "producer finished; consumer blocked in probe.get",
+    "chatty": "producer blocked in probe.put; consumer finished",
+    "mutual": "producer blocked in inject.swap_in; consumer blocked in probe.get",
+}
+
+
+def _until(holds):
+    """Return once holds() is true, polling; fail after 5 s."""
+    deadline = time.monotonic() + 5.0
+    while not holds():
+        assert time.monotonic() < deadline, "the peer never went to sleep"
+        time.sleep(0.0001)
+
+
+def _asleep(runner, agent):
+    """Whether agent sleeps until a ring: marked on a take whose state does not
+    hold, or, the producer, in the wait for the consumer body."""
+    probe, inject = runner._channels
+    takes = {"producer": ((probe, "put"), (inject, "swap_in")), "consumer": ((probe, "get"), (inject, "put"))}
+    return (agent == "producer" and runner._consumer._done.waiter is not None
+            or any(channel.bell(op).waiter is not None and channel.state != channel._steps[op].before
+                   for channel, op in takes[agent]))
+
+
+@pytest.mark.parametrize("on_one_cpu", [False, True], ids=["unpinned", "pinned"])
+@pytest.mark.parametrize("last", ["producer", "consumer"])
+@pytest.mark.parametrize("fault", list(_STALLS))
+def test_the_agent_that_completes_a_stall_reports_it(monkeypatch, fault, last, on_one_cpu):
+    # the agent held back moves last only once its peer sleeps until a ring,
+    # or, the chatty consumer, has returned; that last move completes the
+    # stall, and the agent reports it before it sleeps. Each timed wait is
+    # stretched to 2 s, so a busy host cannot run one out: a wait that runs
+    # out here saw no ring, and only a timed wait's stall() reported the run
+    runners, readies = [], []
+    enter, ready = harness._SplitRunner.__enter__, chan.Doorbell.ready
+    run_consumer, run = harness.run_consumer, harness.run
+
+    def logged(self, seconds):
+        readies.append(ready(self, max(seconds, 2.0)))
+        return readies[-1]
+
+    def hold(agent):
+        if agent == last:
+            runner = runners[-1]
+            if fault == "chatty" and last == "producer":
+                _until(lambda: "consumer" in runner._results)
+            else:
+                _until(lambda: _asleep(runner, "producer" if last == "consumer" else "consumer"))
+
+    def consumer(config, inject, probe):
+        # the silent and mutual consumers never pass their first get
+        if fault == "silent":
+            inject.put(config.x0)
+        if fault != "chatty":
+            hold("consumer")
+            probe.get()
+        y = run_consumer(config, inject, probe)
+        hold("consumer")
+        return y
+
+    def producer(program, store, sinks, cells):
+        put, puts = sinks[PROBE_PORT], []
+
+        def held_put(value):
+            # the chatty producer's fourth put finds the slot full
+            puts.append(value)
+            if len(puts) == 4:
+                hold("producer")
+            put(value)
+
+        if fault != "chatty":
+            hold("producer")
+        return run(program, store, sinks={**sinks, PROBE_PORT: held_put}, cells=cells)
+
+    monkeypatch.setattr(harness._SplitRunner, "__enter__", lambda self: runners.append(self) or enter(self))
+    monkeypatch.setattr(chan.Doorbell, "ready", logged)
+    monkeypatch.setattr(harness, "run_consumer", consumer)
+    monkeypatch.setattr(harness, "run", producer)
+    program = {"silent": _silent_producer(), "chatty": _chatty_producer(), "mutual": None}[fault]
+    with pinned() if on_one_cpu else contextlib.nullcontext(), pytest.raises(DeadlockTimeout) as caught:
+        run_split(make_scheme(-1, "x", "x+y"), 3, timeout=1.0, program=program)
+    assert str(caught.value) == f"deadlock: {_STALLS[fault]}"
+    assert False not in readies
+    # the consumer's report passes through its body, consume
+    reporter = "consumer" if "consume" in {entry.name for entry in caught.traceback} else "producer"
+    assert reporter == last
 
 
 @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
@@ -933,20 +1025,23 @@ def test_a_block_and_a_lone_run_each_open_one_pair(monkeypatch):
 
 
 def test_a_block_and_a_lone_run_each_set_the_hooks_once(monkeypatch):
-    # the producer's hooks are set when a pair opens and cleared when it closes
+    # both agents' hooks are set on both channels when a pair opens and
+    # cleared when it closes
     hooks = []
     watch = chan._Slot.watch
 
     def noting(self, agent, hook):
-        hooks.append(hook is not None)
+        hooks.append((self._name, agent, hook is not None))
         watch(self, agent, hook)
 
+    once = [(name, agent, is_set) for is_set in (True, False) for name in ("probe", "inject")
+            for agent in ("producer", "consumer")]
     monkeypatch.setattr(chan._Slot, "watch", noting)
     assert sweep(range(40), [-1], [("x", "x+y")]).all_ok
-    assert hooks == [True, True, False, False]
+    assert hooks == once
     hooks.clear()
     assert run_split(make_scheme(-1, "x", "x+y"), 3).y == 6
-    assert hooks == [True, True, False, False]
+    assert hooks == once
 
 
 def test_sweep_reopens_no_pair_left_outside_final(monkeypatch):
