@@ -478,10 +478,14 @@ def test_the_agent_that_completes_a_stall_reports_it(monkeypatch, fault, last, o
     program = {"silent": _silent_producer(), "chatty": _chatty_producer(), "mutual": None}[fault]
     with pinned() if on_one_cpu else contextlib.nullcontext(), pytest.raises(DeadlockTimeout) as caught:
         run_split(make_scheme(-1, "x", "x+y"), 3, timeout=1.0, program=program)
-    assert str(caught.value) == f"deadlock: {_STALLS[fault]}"
-    assert False not in readies
+    message = str(caught.value)
     # the consumer's report passes through its body, consume
     reporter = "consumer" if "consume" in {entry.name for entry in caught.traceback} else "producer"
+    # the traceback holds this frame, which holds it: dropped now, the run's
+    # pipes close at once, not at a cyclic GC during some later test
+    del caught
+    assert message == f"deadlock: {_STALLS[fault]}"
+    assert False not in readies
     assert reporter == last
 
 
