@@ -3,14 +3,15 @@
 Each channel holds at most one value and is shared by exactly two agents.
 Both channels run from one table, PROTOCOL, by one rule, _Slot._step. The
 slot's state is the only fact that says whether an op may run; it is read
-and written under the GIL. Deadlines belong to the harness, through a
-doorbell's watch hook.
+and written under the GIL. Deadlines belong to the harness, through the
+watch hook a wait is given.
 
-Every cross-thread wait in the package is a Doorbell.wait, woken only by
-publish or shut. Mark → re-check → sleep on one side and set → ring on the
-other lose no wake-up: either the sleeper's re-check sees the new state, or
-the setter sees the mark (the eventcount rule). A ring that nobody needed
-leaves a byte that a later sleep reads and looks past.
+Every cross-thread wait in the package is a Doorbell.wait, on the waiting
+thread's one doorbell, woken only by publish or shut. Mark → re-check →
+sleep on one side and set → ring on the other lose no wake-up: either the
+sleeper's re-check sees the new state, or the setter sees the mark (the
+eventcount rule). A ring that nobody needed leaves a byte that a later
+sleep reads and looks past.
 
 A wait yields before it marks itself only on one CPU, where the peer is the
 only other thread that can run: a yield hands it the CPU, and its op is
@@ -19,8 +20,8 @@ yield, the write and the read, so the side that runs next finds it free. A
 yielding waiter is not marked: nobody rings it, and the watchdog sees it as
 running. The yield count is fixed when a doorbell is made, from the making
 thread's CPU mask, because a thread inherits the mask of the thread that
-starts it: the harness's consumer thread runs where the doorbells it waits
-on were made.
+starts it: the harness makes the consumer thread's doorbell on the thread
+that then starts it.
 """
 
 from __future__ import annotations
@@ -99,23 +100,22 @@ class EventLog:
 
 
 class Doorbell:
-    """One sleeper's wake-up call, on an OS pipe.
+    """One thread's wake-up call, on an OS pipe, and its mark: where it waits.
 
-    A byte in the pipe says only "look again". What the sleeper waits for
-    is a state of a holder: any object with a ``state`` and a ``closed``
-    flag, which wait() reads again after every byte. publish() sets the
-    state and shut() sets ``closed``, and they ring.
+    A byte in the pipe says only "look again". What the thread waits for is
+    a state of a holder: any object with a ``state`` and a ``closed`` flag,
+    which wait() reads again after every byte. publish() sets the state and
+    shut() sets ``closed``, and they ring. Only its own thread waits on a
+    doorbell, in one wait at a time, so one doorbell serves every holder the
+    thread waits on.
     """
 
     _read = None   # set once the pipe exists; until then __del__ closes nothing
-    # called as watch(self.ready) before each sleep of wait(); the sleep goes
-    # on once it returns, and it may raise to abandon the wait
-    watch = None
 
     def __init__(self):
         self._read, self._write = os.pipe()
         os.set_blocking(self._write, False)
-        self.waiter = None   # what is marked as sleeping here, or None
+        self.waiter = None   # the mark of the wait here, ((holder, op), state wanted), or None
         one_cpu = (hasattr(os, "sched_yield") and hasattr(os, "sched_getaffinity")
                    and len(os.sched_getaffinity(0)) == 1)
         self._yields = YIELDS if one_cpu else 0   # yields of each wait before it marks itself
@@ -126,27 +126,38 @@ class Doorbell:
         except BlockingIOError:   # the pipe is full: a wake-up is already pending
             pass
 
-    def wait(self, waiter, holder, wanted: str):
+    def wait(self, op, holder, wanted: str, watch=None):
         """Return once holder.state is wanted or holder is closed: read both,
-        and yield the CPU, up to _yields times; then mark waiter, read both
-        again, and only then sleep, until a ring finds one so. The
-        mark is cleared on return, and when the watch hook raises."""
+        and yield the CPU, up to _yields times; then mark op's wait on
+        holder, read both again, and only then sleep, until a ring finds one
+        so. watch, if given, is called as watch(self.ready) before each
+        sleep, which goes on once it returns; it may raise to abandon the
+        wait. The mark is cleared on return, and when watch raises."""
         yields = self._yields
         while yields:
             if holder.state == wanted or holder.closed:
                 return
             os.sched_yield()
             yields -= 1
-        self.waiter = waiter
+        self.waiter = ((holder, op), wanted)
         try:
             while holder.state != wanted and not holder.closed:
-                # read once: another thread may clear the hook meanwhile
-                watch = self.watch
                 if watch is not None:
                     watch(self.ready)
                 os.read(self._read, _DRAIN)
         finally:
             self.waiter = None
+
+    def blocked(self):
+        """(holder, op) of the wait marked here if its holder is open and
+        not in the state it wants, else None: whether, and where, this
+        doorbell's thread waits now. It allocates nothing."""
+        mark = self.waiter   # read once: the waiter may clear it meanwhile
+        if mark is None:
+            return None
+        where, wanted = mark
+        holder = where[0]
+        return None if holder.closed or holder.state == wanted else where
 
     def ready(self, seconds: float) -> bool:
         """Whether a byte can be read within seconds, or within about 24
@@ -157,7 +168,7 @@ class Doorbell:
         return bool(poller.poll(min(seconds, _POLL_MAX_S) * 1000))
 
     def __del__(self, close=os.close):
-        # the pipes close here, not when the holder closes: a blocked call's frame
+        # the pipes close here, not when a holder closes: a blocked call's frame
         # holds its channel, so they outlive every call, and a reopened channel
         # keeps them; close is bound here, as the os global may be gone at
         # interpreter shutdown
@@ -168,10 +179,13 @@ class Doorbell:
 
 def publish(holder, state: str, bell: Doorbell | None):
     """Set holder.state to state, then ring bell, that state's doorbell or
-    None, only if a sleeper is marked on it."""
+    None, only if its thread is marked on holder: marked anywhere else, it
+    waits for another holder, which this state does not move."""
     holder.state = state
-    if bell is not None and bell.waiter is not None:
-        bell.ring()
+    if bell is not None:
+        mark = bell.waiter   # read once: its thread may clear it meanwhile
+        if mark is not None and mark[0][0] is holder:
+            bell.ring()
 
 
 def shut(holder, bells):
@@ -187,13 +201,19 @@ class _Slot:
     _name = ""    # the channel's key in PROTOCOL, and in its events
     _steps = {}   # PROTOCOL[_name]; each channel sets both
 
-    def __init__(self, trace: EventLog | None = None):
-        # a doorbell per state an op can wait for
-        self._bells = {"empty": Doorbell(), "full": Doorbell()}
-        # op -> (row, doorbell it sleeps on, doorbell it rings, whether it records what it took)
+    def __init__(self, trace: EventLog | None = None, bells: dict | None = None):
+        # bells: agent -> the doorbell of the thread it runs on; a lone channel makes one per agent
+        if bells is None:
+            bells = {"producer": Doorbell(), "consumer": Doorbell()}
         filled = self._steps["put"].after
+        # a state's doorbell is its waiting agent's; only START and the state a
+        # put leaves have one, so swap_out, from held, cannot wait
+        self._bells = {step.before: bells[step.agent] for step in self._steps.values()
+                       if step.before in (START, filled)}
+        # op -> (row, doorbell it sleeps on, doorbell it rings, whether it records what it took)
         self._ops = {op: (step, self._bells.get(step.before), self._bells.get(step.after),
                           step.before == filled) for op, step in self._steps.items()}
+        self._hooks = dict.fromkeys(bells)   # agent -> the watch hook of its waits here, or None
         self._slot = 0
         self.closed = False   # whether close() has run
         self._record = None if trace is None else trace.append
@@ -203,15 +223,15 @@ class _Slot:
         """Perform op by the one rule for a PROTOCOL row; return what it took from the slot.
 
         An op whose slot is in its before state goes on with no system call;
-        any other take waits on that state's doorbell. An op whose before
-        state has no doorbell (swap_out, from held) cannot wait, and raises
-        ProtocolError instead. On a closed channel the woken take and every
-        later call raise ChannelClosed.
+        any other take waits on that state's doorbell, with its agent's watch
+        hook. An op whose before state has no doorbell (swap_out, from held)
+        cannot wait, and raises ProtocolError instead. On a closed channel
+        the woken take and every later call raise ChannelClosed.
         """
         step, bell, rung, took = self._ops[op]
         before = step.before
         if self.state != before and bell is not None:
-            bell.wait(op, self, before)
+            bell.wait(op, self, before, self._hooks[step.agent])
         if self.closed:
             raise ChannelClosed(f"{self._name}.{op} on a closed channel")
         if self.state != before:   # only an op that has no doorbell to sleep on
@@ -238,23 +258,14 @@ class _Slot:
         self._slot, self._record = 0, None if trace is None else trace.append
         publish(self, START, self._bells[START])
 
-    def bell(self, op: str) -> Doorbell | None:
-        """The doorbell op sleeps on, or None if op cannot wait."""
-        return self._ops[op][1]
-
     def watch(self, agent: str, hook):
-        """Set hook, or clear it with None, on each doorbell an op of agent sleeps on."""
-        for step, bell, _, _ in self._ops.values():
-            if step.agent == agent and bell is not None:
-                bell.watch = hook
+        """Set hook, or clear it with None, as the watch hook of each wait of agent's ops here."""
+        self._hooks[agent] = hook
 
     def waiting(self) -> list:
         """(channel, op) of each operation waiting for this slot's state now."""
-        if self.closed:          # close() rings but leaves the state as it was
-            return []
-        # each waiter is read once: its take may clear it meanwhile
-        return [(self._name, op) for bell in self._bells.values()
-                if (op := bell.waiter) and self.state != self._steps[op].before]
+        return [(self._name, where[1]) for bell in self._bells.values()
+                if (where := bell.blocked()) is not None and where[0] is self]
 
     def close(self):
         shut(self, self._bells.values())

@@ -6,6 +6,8 @@ probe port and inject cell bound to real channels) on the calling thread
 and the classical consumer on a consumer thread. Each rule of a split run
 is stated once, where its code is:
 - what a runner owns and keeps between runs: _SplitRunner;
+- which agent waits where: chan.Doorbell.blocked, on each thread's one
+  doorbell;
 - when a run is stalled: _SplitRunner.stall; which agent reports it, and
   when: _SplitRunner.watch;
 - how a run ends, and what it leaves for the next: _SplitRunner.split;
@@ -17,7 +19,6 @@ is stated once, where its code is:
 from __future__ import annotations
 
 import contextlib
-import functools
 import json
 import random
 import threading
@@ -130,13 +131,14 @@ def run_split(
 class _ConsumerThread:
     """One daemon thread, started at once, that runs consumer bodies one at a time.
 
-    The hand-off is a holder of chan.Doorbell waits, as a channel is. A body
-    catches its own errors. Only the owner hands bodies and stops the
-    thread, and only the thread takes them.
+    The hand-off is a holder of chan.Doorbell waits, as a channel is: the
+    thread waits for a body on its own doorbell, bell, and the owner for the
+    body's return on the owner's. A body catches its own errors. Only the
+    owner hands bodies and stops the thread, and only the thread takes them.
     """
 
-    def __init__(self):
-        self._go, self._done = Doorbell(), Doorbell()
+    def __init__(self, owner: Doorbell):
+        self._owner, self.bell = owner, Doorbell()
         self._body = None
         self.state = "idle"
         self.closed = False   # stop() has run: the thread exits instead of taking a body
@@ -145,19 +147,19 @@ class _ConsumerThread:
 
     def _serve(self):
         while True:
-            self._go.wait("thread", self, "handed")
+            self.bell.wait("thread", self, "handed")
             if self.closed:
                 return
             body, self._body = self._body, None
             body()
             # dropped before the owner hears of the return: the body holds its run's channels
             del body
-            publish(self, "idle", self._done)
+            publish(self, "idle", self._owner)
 
     def run(self, body):
         """Hand body to the thread; the previous body must have returned."""
         self._body = body
-        publish(self, "handed", self._go)
+        publish(self, "handed", self.bell)
 
     @property
     def busy(self) -> bool:
@@ -167,11 +169,7 @@ class _ConsumerThread:
     def wait(self, watch):
         """Return once the body handed last has returned, calling watch(ready)
         before each sleep; the hook may raise to stop waiting."""
-        self._done.watch = watch
-        try:
-            self._done.wait("owner", self, "idle")
-        finally:
-            self._done.watch = None   # the hook may point back at the runner
+        self._owner.wait("owner", self, "idle", watch)
 
     def stop(self):
         """Let the thread exit once it has no body; join it if it has none now.
@@ -179,17 +177,9 @@ class _ConsumerThread:
         A body handed but not yet taken is withdrawn: the thread exits
         instead of taking it.
         """
-        shut(self, (self._go,))
+        shut(self, (self.bell,))
         if not self.busy:
             self._thread.join(JOIN_TIMEOUT)
-
-
-def _marked(takes) -> bool:
-    """Whether an agent is marked on one of takes, its two takes as
-    _SplitRunner keeps them, in a state that does not hold. It allocates nothing."""
-    (bell, channel, needed), (other_bell, other_channel, other_needed) = takes
-    return (bell.waiter is not None and channel.state != needed
-            or other_bell.waiter is not None and other_channel.state != other_needed)
 
 
 def _within_join_timeout(ready):
@@ -201,27 +191,29 @@ def _within_join_timeout(ready):
 class _SplitRunner(contextlib.AbstractContextManager):
     """Split runs, one at a time, on one consumer thread over one channel pair.
 
-    A runner owns what one run leaves for the next: its consumer thread; one
-    channel pair, which the first run opens and each later run reopens with
-    its own EventLog, and each agent's takes on it; and the current run's
-    log and results, which the hooks and stall() read. Both agents' hooks
-    are set when a pair opens and cleared when it closes, not on every run.
-    run_split makes a runner for its one run, and sweep_cases one per (pair,
-    delta) block, so a case pays no thread start and opens no pipe. Leaving
-    the runner closes the pair and stops the thread, so neither outlives it.
+    A runner owns what one run leaves for the next: the calling thread's
+    doorbell and its consumer thread, which has its own; one channel pair
+    on those two doorbells, which the first run opens and each later run
+    reopens with its own EventLog; and the current run's log and results,
+    which the hooks and stall() read. Both agents' hooks are set when a pair
+    opens and cleared when it closes, not on every run. run_split makes a
+    runner for its one run, and sweep_cases one per (pair, delta) block, so
+    a case pays no thread start and opens no pipe. Leaving the runner closes
+    the pair and stops the thread, so neither outlives it.
     """
 
     def __init__(self, timeout: float):
         self._timeout = check_timeout(timeout)
-        self._consumer = _ConsumerThread()
+        self._bell = Doorbell()   # the calling thread's: the producer's and the owner's
+        self._consumer = _ConsumerThread(self._bell)
         self._channels = ()   # (probe, inject) left in FINAL by the last run, or none
-        self._takes = {}      # agent -> its two takes on the pair, each (doorbell, channel, state needed)
         self._trace = None    # the current run's EventLog
         self._results = {}    # what the current run's agents returned, by agent
 
     def __exit__(self, *exc_info):
-        self._close()
+        # stopped first, an idle thread exits before the pair's close rings its doorbell
         self._consumer.stop()
+        self._close()
 
     def _close(self):
         """Close the pair, waking any agent blocked on it, and let the next run open a fresh one."""
@@ -231,87 +223,80 @@ class _SplitRunner(contextlib.AbstractContextManager):
             # pipes open until a cyclic GC
             channel.watch("producer", None)
             channel.watch("consumer", None)
-        # the takes hold the pair too
-        self._channels, self._takes = (), {}
+        self._channels = ()
 
     def _open(self, trace: EventLog):
-        """Open a fresh pair recording to trace, read each agent's takes on it
-        from PROTOCOL, and set both agents' hooks on it."""
-        channels = {"probe": ProbeChannel(trace), "inject": InjectChannel(trace)}
-        takes = {"producer": (), "consumer": ()}
-        for name, steps in PROTOCOL.items():
-            for op, step in steps.items():
-                bell = channels[name].bell(op)
-                if bell is not None:
-                    takes[step.agent] += ((bell, channels[name], step.before),)
-        self._channels, self._takes = tuple(channels.values()), takes
-        # bound to the producer's takes, so it reads nothing that _close drops
-        consumer_watch = functools.partial(self._consumer_watch, takes["producer"])
+        """Open a fresh pair recording to trace, on this thread's doorbell and
+        the consumer thread's, and set both agents' hooks on it."""
+        bells = {"producer": self._bell, "consumer": self._consumer.bell}
+        self._channels = ProbeChannel(trace, bells), InjectChannel(trace, bells)
         for channel in self._channels:
             channel.watch("producer", self.watch)
-            channel.watch("consumer", consumer_watch)
+            channel.watch("consumer", self._consumer_watch)
 
     def stall(self, count: int) -> str | None:
         """What each agent waits in, if every live agent waits and the log holds count records, else None.
 
-        An agent is live until it has returned its result. A run whose live
-        agents all wait, with no op completed since count was read, can never
-        move again over single-slot channels: it is deadlocked.
+        An agent is live until it has returned its result, and waits while
+        its thread's doorbell says it is blocked on this run's pair
+        (chan.Doorbell.blocked). A run whose live agents all wait, with no op
+        completed since count was read, can never move again over
+        single-slot channels: it is deadlocked.
         """
-        running = {agent: agent not in self._results for agent in ("producer", "consumer")}
-        live = {agent for agent, alive in running.items() if alive}
-        blocked = {PROTOCOL[name][op].agent: f"{name}.{op}"
-                   for channel in self._channels for name, op in channel.waiting()}
+        marks = {"producer": self._bell.blocked(), "consumer": self._consumer.bell.blocked()}
+        live = [agent for agent in marks if agent not in self._results]
         # a record since count was read may have woken an agent still marked waiting
-        if live and blocked.keys() >= live and len(self._trace) == count:
-            return "; ".join(f"{agent} blocked in {blocked[agent]}" if agent in live
-                             else f"{agent} finished" for agent in running)
+        if (live and all(marks[agent] and marks[agent][0] in self._channels for agent in live)
+                and len(self._trace) == count):
+            return "; ".join(f"{agent} blocked in {marks[agent][0]._name}.{marks[agent][1]}"
+                             if agent in live else f"{agent} finished" for agent in marks)
         return None
 
-    def _report_stall(self):
-        """Raise DeadlockTimeout if stall() sees the run stalled now."""
-        blocked = self.stall(len(self._trace))
-        if blocked:
-            raise DeadlockTimeout(f"deadlock: {blocked}")
+    def _look(self, peer: str):
+        """Raise DeadlockTimeout if stall() sees the run stalled, asking it
+        only if peer has returned while the looking agent has not, or peer
+        is blocked, which it reads without allocating."""
+        bell = self._bell if peer == "producer" else self._consumer.bell
+        if peer in self._results and len(self._results) == 1 or bell.blocked() is not None:
+            blocked = self.stall(len(self._trace))
+            if blocked:
+                raise DeadlockTimeout(f"deadlock: {blocked}")
 
     def watch(self, ready):
         """Return once ready(seconds) is true; raise DeadlockTimeout once the run is stalled.
 
         A deadlock is reported by the agent whose move completes it: before it
         sleeps, or, the consumer, as it returns. Each agent marks itself, or
-        records its result, before it looks at its peer, so of two agents that
-        move at once the later sees the earlier. The look asks stall() only if
-        the peer has returned or is marked on a take whose state does not hold
-        (_marked). The calling thread, the watchdog, looks before its first
-        wait in the two places it can wait: in a producer take whose slot is
-        not ready (the channels' hook), and in waiting for the consumer body
-        once the producer has ended. The consumer looks in its own hook
+        records its result, before it looks at its peer (_look), so of two
+        agents that move at once the later sees the earlier. The calling
+        thread, the watchdog, looks before its first wait in the two places
+        it can wait: in a producer take whose slot is not ready (the
+        channels' hook), and in waiting for the consumer body once the
+        producer has ended. The consumer looks in its own hook
         (_consumer_watch), and when it returns.
 
         A stall that no look reported, as when a record lands after stall()'s
         count, is caught by the backstop: waits of 1 ms, doubling up to the
-        timeout, with stall() asked after each. A ring ends a wait at once.
+        timeout, with a look after each. A ring ends a wait at once.
         The timeout bounds neither the run nor the gap between two ops: a
         computing agent does not wait, so a run that is slow but still moves
         never stalls. Nor can it compute forever: an IR loop reads its count
         once and its body may not write it, so every producer program ends,
         and the consumer folds over a finite count.
         """
-        if "consumer" in self._results or _marked(self._takes["consumer"]):
-            self._report_stall()
+        self._look("consumer")
         wait = min(0.001, self._timeout)
         while not ready(wait):
-            self._report_stall()
+            self._look("consumer")
             wait = min(2 * wait, self._timeout)
 
-    def _consumer_watch(self, producer_takes, ready):
-        """The consumer's hook, on each doorbell it sleeps on: raise
-        DeadlockTimeout if its sleep completes a stall, found as watch()'s look
-        finds one, with the producer as the peer; return otherwise, and it sleeps
-        until a ring, with no timed wait. Its error ends the run as any failed
-        consumer's does (see split)."""
-        if "producer" in self._results or _marked(producer_takes):
-            self._report_stall()
+    def _consumer_watch(self, ready):
+        """The consumer's hook, on each of its takes: raise DeadlockTimeout if
+        its sleep completes a stall, as watch()'s look finds one, with the
+        producer as the peer; return otherwise, and it sleeps until a ring,
+        with no timed wait. Its error ends the run as any failed consumer's
+        does (see split)."""
+        self._look("producer")
 
     def split(self, scheme: RecursionScheme, x0: int, program: RevProgram | None = None) -> RunReport:
         """run_split's run, on this runner's thread and pair.
@@ -339,7 +324,6 @@ class _SplitRunner(contextlib.AbstractContextManager):
         else:
             self._open(trace)
         channels = probe, inject = self._channels
-        producer_takes = self._takes["producer"]
         # shared by both agents; the first one is the run's error
         errors = []
 
@@ -347,14 +331,17 @@ class _SplitRunner(contextlib.AbstractContextManager):
             try:
                 results["consumer"] = run_consumer(ConsumerConfig.from_scheme(scheme, x0), inject, probe)
                 # its return completes a stall if the producer waits for it (see watch)
-                if _marked(producer_takes):
-                    self._report_stall()
+                self._look("producer")
             except BaseException as exc:
-                # a failed consumer can never unblock the producer: closing wakes
-                # it, and its ChannelClosed lands after this error
-                errors.append(exc)
-                for channel in channels:
-                    channel.close()
+                # recorded only while the pair is this run's: an outlived body's late
+                # error, kept, would hold this frame, which holds errors, a cycle that
+                # keeps the runner's doorbells open until a cyclic GC
+                if self._channels is channels:
+                    # a failed consumer can never unblock the producer: closing
+                    # wakes it, and its ChannelClosed lands after this error
+                    errors.append(exc)
+                    for channel in channels:
+                        channel.close()
 
         started = time.perf_counter()
         self._consumer.run(consume)
@@ -373,7 +360,7 @@ class _SplitRunner(contextlib.AbstractContextManager):
                     self._consumer.wait(_within_join_timeout)
                 except TimeoutError:
                     self._consumer.stop()
-                    self._consumer = _ConsumerThread()
+                    self._consumer = _ConsumerThread(self._bell)
         if errors:
             try:
                 raise errors[0]

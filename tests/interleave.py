@@ -360,15 +360,20 @@ def reopen_while_a_put_waits(schedule):
     return check
 
 
-def consumer_hand_off(schedule):
-    """The consumer thread's hand-off: run, _serve, wait and stop. The
-    thread is the first agent, as _ConsumerThread starts it at once."""
+def consumer_thread(schedule, owner):
+    """A _ConsumerThread whose thread is the schedule's first agent, as it
+    starts the thread at once; owner is the owner's doorbell."""
     real = harness.threading
     harness.threading = types.SimpleNamespace(Thread=schedule.thread)
     try:
-        consumer = harness._ConsumerThread()
+        return harness._ConsumerThread(owner)
     finally:
         harness.threading = real
+
+
+def consumer_hand_off(schedule):
+    """The consumer thread's hand-off: run, _serve, wait and stop."""
+    consumer = consumer_thread(schedule, chan.Doorbell())
     ran = []
 
     def owner():
@@ -381,6 +386,32 @@ def consumer_hand_off(schedule):
     def check():
         assert ran == ["body"], ran
         assert all(agent.state == "done" for agent in schedule.agents)
+    return check
+
+
+def one_doorbell_two_holders(schedule):
+    """The owner sleeps on an inject take while the consumer thread's body
+    puts and returns: the owner's one doorbell serves the take and the
+    hand-off, and the return publishes idle while the owner may be marked
+    on the take."""
+    owner = chan.Doorbell()
+    consumer = consumer_thread(schedule, owner)
+    inject = InjectChannel(None, {"producer": owner, "consumer": consumer.bell})
+
+    def run_owner():
+        consumer.run(lambda: inject.put(3))
+        taken = inject.swap_in(0)
+        consumer.wait(lambda ready: None)
+        consumer.stop()
+        return taken
+
+    agent = schedule.spawn("owner", run_owner)
+
+    def check():
+        assert agent.result == 3, agent.result
+        assert (inject.state, inject.slot) == ("held", 0)
+        assert all(agent.state == "done" for agent in schedule.agents)
+        assert inject.waiting() == [] and owner.waiter is None is consumer.bell.waiter
     return check
 
 
@@ -407,7 +438,7 @@ def publish_ringing_first(holder, state, bell):
     holder.state = state
 
 
-def wait_marking_after_its_check(self, waiter, holder, wanted):
+def wait_marking_after_its_check(self, op, holder, wanted, watch=None):
     yields = self._yields
     while yields:
         if holder.state == wanted or holder.closed:
@@ -416,7 +447,7 @@ def wait_marking_after_its_check(self, waiter, holder, wanted):
         yields -= 1
     try:
         while holder.state != wanted and not holder.closed:
-            self.waiter = waiter
+            self.waiter = ((holder, op), wanted)
             chan.os.read(self._read, chan._DRAIN)
     finally:
         self.waiter = None
@@ -435,8 +466,12 @@ MUTANTS = {
 def explorer(monkeypatch):
     # __del__ binds the real os.close: a fake descriptor would reach it
     monkeypatch.setattr(chan.Doorbell, "__del__", lambda self: None)
-    monkeypatch.setattr(chan, "os", chan.os)   # each schedule sets its own fake
+    real_os = chan.os
+    monkeypatch.setattr(chan, "os", real_os)   # each schedule sets its own fake
     yield explore
+    # chan.os holds the last schedule, whose consumer thread's scenario keeps
+    # its doorbells in a cycle: released, they go in the collection below
+    chan.os = real_os
     gc.collect()   # the doorbells of fake pipes go while __del__ is still stubbed
 
 
@@ -450,6 +485,7 @@ SCENARIOS = {
     close_while_a_take_sleeps: (),
     reopen_while_a_put_waits: (),
     consumer_hand_off: HAND_OFF_CODE,
+    one_doorbell_two_holders: HAND_OFF_CODE,
 }
 
 
@@ -471,4 +507,16 @@ def test_each_wake_up_mutant_shows_as_a_lost_wake_up(explorer, monkeypatch, name
     # each, before it can be preempted between its check and its mark
     count, failure, _ = explorer(probe_exchange, k=chan.YIELDS + 1, one_cpu=one_cpu,
                                  traced={mutant.__code__})
+    assert failure is not None and failure.startswith("lost wake-up"), failure
+
+
+@CPUS
+@pytest.mark.parametrize("name", MUTANTS)
+def test_each_wake_up_mutant_shows_on_a_shared_doorbell(explorer, monkeypatch, name, one_cpu):
+    owner, attribute, mutant = MUTANTS[name]
+    monkeypatch.setattr(owner, attribute, mutant)
+    if owner is chan:   # the hand-off calls publish as harness imported it
+        monkeypatch.setattr(harness, attribute, mutant)
+    count, failure, _ = explorer(one_doorbell_two_holders, k=chan.YIELDS + 1, one_cpu=one_cpu,
+                                 traced=HAND_OFF_CODE | {mutant.__code__})
     assert failure is not None and failure.startswith("lost wake-up"), failure

@@ -6,10 +6,11 @@ import sys
 import termios
 import threading
 import time
+import types
 
 import pytest
 
-from recsplit import chan
+from recsplit import chan, harness
 from recsplit.chan import (
     FINAL,
     PROTOCOL,
@@ -22,6 +23,7 @@ from recsplit.chan import (
 )
 from recsplit.cli import DEFAULT_PAIRS
 from recsplit.harness import run_split
+from recsplit.revir import RevProgram
 from recsplit.scheme import expected_emissions, make_scheme
 
 JOIN_TIMEOUT = 5.0
@@ -277,7 +279,7 @@ def test_waiting_skips_a_get_whose_token_was_given():
     probe.put(1)
     # a get that has marked itself and then found the slot full on its
     # re-check, or was rung but has not yet cleared its mark, does not wait
-    probe._bells["full"].waiter = "get"
+    probe._bells["full"].waiter = ((probe, "get"), "full")
     assert probe.waiting() == []
     probe._bells["full"].waiter = None   # as that get clears it on its way out
     assert probe.get() == 1
@@ -413,6 +415,73 @@ def test_an_op_whose_state_is_ready_makes_no_system_call(monkeypatch):
     assert inject.swap(6) == 0
     assert calls == {"read": 0, "write": 0, "sched_yield": 0}
     assert len(trace) == 2 * 100 + 3
+
+
+def test_blocked_says_where_a_doorbell_waits_while_its_state_does_not_hold():
+    bell, probe = chan.Doorbell(), ProbeChannel()
+    assert bell.blocked() is None                  # unmarked
+    bell.waiter = ((probe, "get"), "full")
+    assert bell.blocked() == (probe, "get")
+    assert bell.blocked() is bell.waiter[0]        # the mark's own pair: no new tuple
+    probe.put(1)
+    assert bell.blocked() is None                  # the state it wants holds
+    assert probe.get() == 1
+    assert bell.blocked() == (probe, "get")
+    probe.close()
+    assert bell.blocked() is None                  # its holder is closed
+    # a real take's mark, on the doorbell of the agent whose op it is
+    probe = ProbeChannel()
+    thread, result = spawn(probe.get)
+    assert waiting_soon(probe) == [("probe", "get")]
+    assert probe._bells["full"].blocked() == (probe, "get")
+    assert probe._bells["empty"].blocked() is None
+    probe.put(2)
+    thread.join(JOIN_TIMEOUT)
+    assert result["value"] == 2
+    assert probe._bells["full"].blocked() is None
+
+
+def test_a_publish_rings_no_thread_marked_on_another_holder(monkeypatch):
+    # one doorbell serves both holders its thread waits on: a state set on
+    # one moves nothing the thread waits for on the other
+    bell = chan.Doorbell()
+    first, second = (types.SimpleNamespace(state="idle", closed=False) for _ in range(2))
+    calls = count_pipe_calls(monkeypatch)
+    thread, _ = spawn(bell.wait, "take", first, "ready")
+    deadline = time.monotonic() + JOIN_TIMEOUT
+    while bell.blocked() is None:
+        assert time.monotonic() < deadline, "the wait never marked itself"
+        time.sleep(0.001)
+    chan.publish(second, "ready", bell)
+    settle()
+    assert thread.is_alive()
+    assert calls["write"] == 0
+    assert bell.blocked() == (first, "take")
+    chan.publish(first, "ready", bell)
+    thread.join(JOIN_TIMEOUT)
+    assert not thread.is_alive()
+    assert calls["write"] == 1
+
+
+@pytest.mark.parametrize("split", [
+    lambda runner, scheme: runner.split(scheme, 3),
+    lambda runner, scheme: [runner.split(scheme, x0) for x0 in range(40)],
+], ids=["lone-run", "sweep-block"])
+def test_a_split_runner_opens_one_doorbell_per_thread(monkeypatch, split):
+    # the calling thread's and the consumer thread's: the pair and the
+    # hand-off share them, and so does the fresh pair a stall leaves for the
+    # next run
+    pipes = []
+    real_pipe = chan.os.pipe
+    monkeypatch.setattr(chan.os, "pipe", lambda: pipes.append(None) or real_pipe())
+    scheme = make_scheme(-1, "x", "x+y")
+    with harness._SplitRunner(1.0) as runner:
+        split(runner, scheme)
+        # the empty producer ends at once; the consumer waits in probe.get
+        with pytest.raises(harness.DeadlockTimeout, match="producer finished; consumer blocked in probe.get"):
+            runner.split(scheme, 3, RevProgram(()))
+        assert runner.split(scheme, 3).y == 6
+    assert len(pipes) == 2
 
 
 def test_a_spurious_byte_lets_no_get_through():

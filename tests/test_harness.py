@@ -412,13 +412,9 @@ def _until(holds):
 
 
 def _asleep(runner, agent):
-    """Whether agent sleeps until a ring: marked on a take whose state does not
-    hold, or, the producer, in the wait for the consumer body."""
-    probe, inject = runner._channels
-    takes = {"producer": ((probe, "put"), (inject, "swap_in")), "consumer": ((probe, "get"), (inject, "put"))}
-    return (agent == "producer" and runner._consumer._done.waiter is not None
-            or any(channel.bell(op).waiter is not None and channel.state != channel._steps[op].before
-                   for channel, op in takes[agent]))
+    """Whether agent sleeps until a ring, as its thread's doorbell says: in a
+    take, or, the producer, in the wait for the consumer body."""
+    return (runner._bell if agent == "producer" else runner._consumer.bell).blocked() is not None
 
 
 @pytest.mark.parametrize("on_one_cpu", [False, True], ids=["unpinned", "pinned"])
@@ -919,7 +915,7 @@ def test_failed_thread_start_raises_its_own_error(monkeypatch, split):
 def test_stop_withdraws_a_body_the_thread_has_not_taken(monkeypatch):
     # the thread starts only after stop: it finds no body and exits
     monkeypatch.setattr(threading.Thread, "start", lambda self: None)
-    consumer = harness._ConsumerThread()
+    consumer = harness._ConsumerThread(chan.Doorbell())
     monkeypatch.undo()
     ran = []
     consumer.run(lambda: ran.append(True))
@@ -934,7 +930,7 @@ def test_the_hand_off_never_loses_a_wake_up():
     # each round hands a body to a thread already marked on its doorbell, and
     # the body returns while the owner is marked: both publishes must ring,
     # or the round waits for a ring that never comes
-    consumer = harness._ConsumerThread()
+    consumer = harness._ConsumerThread(chan.Doorbell())
     released = threading.Event()
     seen = []
 
@@ -947,7 +943,7 @@ def test_the_hand_off_never_loses_a_wake_up():
     rounds = 500
     for _ in range(rounds):
         deadline = time.monotonic() + 5.0
-        while consumer._go.waiter is None:
+        while consumer.bell.waiter is None:
             assert time.monotonic() < deadline, "the thread never waited for a body"
             time.sleep(0.0001)
         released.clear()
@@ -1018,14 +1014,14 @@ def _pipe_calls(monkeypatch, after=None):
 
 
 def test_a_block_and_a_lone_run_each_open_one_pair(monkeypatch):
-    # a pair is two channels of two pipes each, and the consumer thread's
-    # hand-off is two more
+    # one doorbell per thread: the calling thread's and the consumer thread's,
+    # which the pair and the hand-off share
     calls = _pipe_calls(monkeypatch)
     assert sweep(range(40), [-1], [("x", "x+y")]).all_ok
-    assert len(calls) == 6
+    assert len(calls) == 2
     calls.clear()
     assert run_split(make_scheme(-1, "x", "x+y"), 3).y == 6
-    assert len(calls) == 6
+    assert len(calls) == 2
 
 
 def test_a_block_and_a_lone_run_each_set_the_hooks_once(monkeypatch):
@@ -1127,9 +1123,10 @@ def test_runs_leave_no_cycle_that_holds_a_channel(monkeypatch, action):
     assert dead and all(dead)
 
 
-def test_consumer_outliving_its_run_gets_no_next_case(monkeypatch):
-    # the producer of x0 = 1 fails while its consumer still computes, past
-    # JOIN_TIMEOUT: the next case runs on a fresh thread, and passes
+def _outliving_sweep(monkeypatch):
+    """Sweep x0 in 0..2, where the producer of x0 = 1 fails while its
+    consumer still computes, past JOIN_TIMEOUT; return the cases and the
+    _recording_consumers list."""
     monkeypatch.setattr(harness, "JOIN_TIMEOUT", 0.05)
     ran = _recording_consumers(monkeypatch, lambda x0, probe: x0 == 1 and time.sleep(0.5))
     calls = []
@@ -1142,8 +1139,13 @@ def test_consumer_outliving_its_run_gets_no_next_case(monkeypatch):
         return real_run(*args, **kwargs)
 
     monkeypatch.setattr(harness, "run", run)
+    return sweep(range(3), [-1], [("x", "x+y")]).cases, ran
+
+
+def test_consumer_outliving_its_run_gets_no_next_case(monkeypatch):
+    # the next case runs on a fresh thread, and passes
     before = threading.active_count()
-    cases = sweep(range(3), [-1], [("x", "x+y")]).cases
+    cases, ran = _outliving_sweep(monkeypatch)
     assert [(case.x0, case.ok) for case in cases] == [(0, True), (1, False), (2, True)]
     assert cases[1].error == "RevirError: producer fault"
     first, outlived, fresh = [thread for _, thread, _ in ran]
@@ -1151,6 +1153,27 @@ def test_consumer_outliving_its_run_gets_no_next_case(monkeypatch):
     # the outlived body ends at its next channel operation, and its thread with it
     first.join(5.0)
     assert threading.active_count() == before
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+def test_an_outlived_body_leaves_no_pipe_open_without_a_gc(monkeypatch):
+    # the outlived body's late ChannelClosed is not its run's error: kept, it
+    # would hold the body's frame in a cycle that keeps the doorbells open
+    def open_fds():
+        return len(os.listdir("/proc/self/fd"))
+
+    start = open_fds()
+    gc.disable()
+    try:
+        _, ran = _outliving_sweep(monkeypatch)
+        outlived = ran[1][1]
+        ran.clear()   # it holds each case's channels
+        outlived.join(5.0)
+        assert not outlived.is_alive()
+        end = open_fds()
+    finally:
+        gc.enable()
+    assert end == start
 
 
 def test_sweep_cases_walk_a_huge_range_lazily():
