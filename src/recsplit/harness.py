@@ -50,8 +50,6 @@ from .scheme import NegativeInputError, RecursionScheme, check_input, eval_recur
 
 DEFAULT_TIMEOUT = 5.0
 PRELOAD_RANGE = (-8, 8)   # inclusive bounds of random_preloads' values
-# how long a finished or failed run waits for its closed-out threads to exit
-JOIN_TIMEOUT = 1.0
 # an int this large is shown by its digit count: str() refuses it past 4300
 # digits by default, and takes time quadratic in its length
 _SHOWN_BELOW = 10 ** 4300
@@ -166,26 +164,20 @@ class _ConsumerThread:
         """Whether the body handed last has not yet returned."""
         return self.state != "idle"
 
-    def wait(self, watch):
-        """Return once the body handed last has returned, calling watch(ready)
-        before each sleep; the hook may raise to stop waiting."""
+    def wait(self, watch=None):
+        """Return once the body handed last has returned, calling watch(ready),
+        if given, before each sleep; the hook may raise to stop waiting."""
         self._owner.wait("owner", self, "idle", watch)
 
     def stop(self):
-        """Let the thread exit once it has no body; join it if it has none now.
+        """Let the thread exit, and join it if it has no body now.
 
         A body handed but not yet taken is withdrawn: the thread exits
         instead of taking it.
         """
         shut(self, (self.bell,))
         if not self.busy:
-            self._thread.join(JOIN_TIMEOUT)
-
-
-def _within_join_timeout(ready):
-    """A watch hook that gives up with TimeoutError once a wait of JOIN_TIMEOUT sees no ring."""
-    if not ready(JOIN_TIMEOUT):
-        raise TimeoutError(f"no ring within {JOIN_TIMEOUT} s")
+            self._thread.join()
 
 
 class _SplitRunner(contextlib.AbstractContextManager):
@@ -304,12 +296,13 @@ class _SplitRunner(contextlib.AbstractContextManager):
         A run that ends cleanly, with no error, both agents returned and both
         channels in FINAL, leaves the pair for the next run to reopen. Any
         other end closes the pair, which wakes a blocked agent with
-        ChannelClosed, and waits up to JOIN_TIMEOUT for the consumer body. A
-        body still running then keeps its thread, which is stopped, to exit
-        at its next channel operation; the next run gets a fresh thread. An
-        agent that fails closes both channels, so a failed run ends at once
-        with the first error. An interrupt on the main thread lands in the
-        producer or in one of the waits, and ends the run by this rule too.
+        ChannelClosed, and waits with no bound for the consumer body, which
+        ends at its next channel operation or with its finite fold. split
+        returns or raises only once the consumer body has returned; no run
+        outlives its call. An agent that fails closes both channels, so a
+        failed run raises the first error as its peer returns. An interrupt
+        on the main thread lands in the producer or in a wait, and ends the
+        run by this rule too, unless it lands in the wait after the close.
         """
         check_input(x0)
         if program is None:
@@ -333,41 +326,34 @@ class _SplitRunner(contextlib.AbstractContextManager):
                 # its return completes a stall if the producer waits for it (see watch)
                 self._look("producer")
             except BaseException as exc:
-                # recorded only while the pair is this run's: an outlived body's late
-                # error, kept, would hold this frame, which holds errors, a cycle that
-                # keeps the runner's doorbells open until a cyclic GC
-                if self._channels is channels:
-                    # a failed consumer can never unblock the producer: closing
-                    # wakes it, and its ChannelClosed lands after this error
-                    errors.append(exc)
-                    for channel in channels:
-                        channel.close()
+                # a failed consumer can never unblock the producer: closing
+                # wakes it, and its ChannelClosed lands after this error
+                errors.append(exc)
+                for channel in channels:
+                    channel.close()
 
         started = time.perf_counter()
         self._consumer.run(consume)
         try:
-            results["producer"] = run(program, Store(), sinks={PROBE_PORT: probe.put}, cells={INJECT_CELL: inject})
-            self._consumer.wait(self.watch)
-        except Exception as exc:
-            errors.append(exc)
-        finally:
-            wall_time = time.perf_counter() - started
-            # the producer runs on this thread: once the consumer has returned too, a
-            # run that ends with no error and both channels in FINAL is clean
-            if errors or self._consumer.busy or {"probe": probe.state, "inject": inject.state} != FINAL:
-                self._close()
-                try:
-                    self._consumer.wait(_within_join_timeout)
-                except TimeoutError:
-                    self._consumer.stop()
-                    self._consumer = _ConsumerThread(self._bell)
-        if errors:
             try:
-                raise errors[0]
+                results["producer"] = run(program, Store(), sinks={PROBE_PORT: probe.put}, cells={INJECT_CELL: inject})
+                self._consumer.wait(self.watch)
+            except Exception as exc:
+                errors.append(exc)
             finally:
-                # the errors' tracebacks hold frames that hold this list: clearing it
-                # frees the channels' pipes now rather than at the next cyclic GC
-                errors.clear()
+                wall_time = time.perf_counter() - started
+                # the producer runs on this thread: once the consumer has returned too, a
+                # run that ends with no error and both channels in FINAL is clean
+                if errors or self._consumer.busy or {"probe": probe.state, "inject": inject.state} != FINAL:
+                    self._close()
+                    self._consumer.wait()
+            if errors:
+                raise errors[0]
+        finally:
+            # the errors' tracebacks hold frames that hold this list, and the body's
+            # late ChannelClosed lands in it under an interrupt too: clearing it frees
+            # the channels' pipes now rather than at the next cyclic GC
+            errors.clear()
 
         y = results["consumer"]
         oracle_y = eval_recursive(scheme, x0)

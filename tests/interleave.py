@@ -26,6 +26,7 @@ gives chan.YIELDS, two give 0. Each scenario runs both ways.
 """
 
 import collections
+import contextlib
 import dis
 import functools
 import gc
@@ -37,6 +38,8 @@ import pytest
 
 from recsplit import chan, harness
 from recsplit.chan import ChannelClosed, EventLog, InjectChannel, ProbeChannel
+from recsplit.revir import AddConst, IfSign, RevirError, RevProgram
+from recsplit.scheme import make_scheme
 
 K = 2
 CHAN_FILE = chan.__file__
@@ -177,7 +180,7 @@ class Schedule:
     def thread(self, target, daemon):
         """Stands in for threading.Thread: an agent that start() leaves to the schedule."""
         agent = self.spawn(target.__name__, target)
-        return types.SimpleNamespace(start=lambda: None, join=lambda timeout: self.join(agent))
+        return types.SimpleNamespace(start=lambda: None, join=lambda timeout=None: self.join(agent))
 
     def run(self, workers):
         workers.start(self)
@@ -360,15 +363,22 @@ def reopen_while_a_put_waits(schedule):
     return check
 
 
-def consumer_thread(schedule, owner):
-    """A _ConsumerThread whose thread is the schedule's first agent, as it
-    starts the thread at once; owner is the owner's doorbell."""
+@contextlib.contextmanager
+def scheduled_threads(schedule):
+    """Within the block, a thread harness makes is an agent of schedule: a
+    _ConsumerThread's, which it starts at once, is the schedule's first."""
     real = harness.threading
-    harness.threading = types.SimpleNamespace(Thread=schedule.thread)
+    harness.threading = types.SimpleNamespace(Thread=schedule.thread, TIMEOUT_MAX=real.TIMEOUT_MAX)
     try:
-        return harness._ConsumerThread(owner)
+        yield
     finally:
         harness.threading = real
+
+
+def consumer_thread(schedule, owner):
+    """A _ConsumerThread on schedule; owner is the owner's doorbell."""
+    with scheduled_threads(schedule):
+        return harness._ConsumerThread(owner)
 
 
 def consumer_hand_off(schedule):
@@ -415,15 +425,46 @@ def one_doorbell_two_holders(schedule):
     return check
 
 
+def failed_run_ends_after_its_body(schedule):
+    """A runner's split whose producer raises RevirError before its first
+    channel op, while the consumer body may be anywhere in its first take:
+    split raises only once the body has returned, and leaving the runner
+    ends the consumer thread."""
+    with scheduled_threads(schedule):
+        runner = harness._SplitRunner(1.0)
+    # x turns positive, then the branch makes it negative
+    program = RevProgram((AddConst("x", 1), IfSign("x", pos=(AddConst("x", -2),))))
+
+    def run_owner():
+        try:
+            runner.split(make_scheme(-1, "x", "x+y"), 1, program)
+        except RevirError as exc:
+            # the body returns before the thread publishes idle
+            return type(exc).__name__, runner._consumer.busy
+        finally:
+            runner.__exit__(None, None, None)
+
+    agent = schedule.spawn("owner", run_owner)
+
+    def check():
+        assert agent.result == ("BranchSignViolation", False), agent.result
+        assert all(agent.state == "done" for agent in schedule.agents)
+    return check
+
+
 HAND_OFF_CODE = frozenset(member.__code__ for member in (
     harness._ConsumerThread._serve, harness._ConsumerThread.run,
     harness._ConsumerThread.wait, harness._ConsumerThread.stop))
+SPLIT_CODE = harness._SplitRunner.split.__code__
+# split, its consume body and the hand-off
+END_OF_RUN_CODE = HAND_OFF_CODE | {SPLIT_CODE} | {
+    const for const in SPLIT_CODE.co_consts if getattr(const, "co_name", None) == "consume"}
 
 with open(CHAN_FILE, encoding="utf-8") as source:
     CHAN_CODE = compile(source.read(), CHAN_FILE, "exec")
 # what another thread may change: os, and each attribute stored outside an
-# __init__ in chan.py or in the hand-off
-SHARED = frozenset({"os"}).union(_stored(CHAN_CODE), *map(_stored, HAND_OFF_CODE))
+# __init__ in chan.py or in the end of a run
+SHARED = frozenset({"os"}).union(_stored(CHAN_CODE), *map(_stored, END_OF_RUN_CODE))
 
 
 # --- mutants of the wake-up rule ------------------------------------------------
@@ -460,6 +501,12 @@ MUTANTS = {
 }
 
 
+def wait_skipping_the_end_of_run(self, watch=None):
+    # split's wait after it closes the pair is the one with no hook
+    if watch is not None:
+        self._owner.wait("owner", self, "idle", watch)
+
+
 # --- tests ------------------------------------------------------------------------
 
 @pytest.fixture
@@ -486,6 +533,7 @@ SCENARIOS = {
     reopen_while_a_put_waits: (),
     consumer_hand_off: HAND_OFF_CODE,
     one_doorbell_two_holders: HAND_OFF_CODE,
+    failed_run_ends_after_its_body: END_OF_RUN_CODE,
 }
 
 
@@ -520,3 +568,11 @@ def test_each_wake_up_mutant_shows_on_a_shared_doorbell(explorer, monkeypatch, n
     count, failure, _ = explorer(one_doorbell_two_holders, k=chan.YIELDS + 1, one_cpu=one_cpu,
                                  traced=HAND_OFF_CODE | {mutant.__code__})
     assert failure is not None and failure.startswith("lost wake-up"), failure
+
+
+@CPUS
+def test_a_run_that_skips_the_end_of_run_wait_raises_before_its_body_returns(explorer, monkeypatch, one_cpu):
+    monkeypatch.setattr(harness._ConsumerThread, "wait", wait_skipping_the_end_of_run)
+    count, failure, _ = explorer(failed_run_ends_after_its_body, one_cpu=one_cpu,
+                                 traced=END_OF_RUN_CODE | {wait_skipping_the_end_of_run.__code__})
+    assert failure is not None and failure.startswith("wrong outcome"), failure

@@ -485,15 +485,16 @@ def test_the_agent_that_completes_a_stall_reports_it(monkeypatch, fault, last, o
     assert reporter == last
 
 
+def _open_fds():
+    return len(os.listdir("/proc/self/fd"))
+
+
 @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
 def test_runs_close_their_pipes_without_a_gc():
     # each run's two channels hold 8 pipe fds; a stalled run must free them
     # once its error is handled, not at some later cyclic collection
-    def open_fds():
-        return len(os.listdir("/proc/self/fd"))
-
     scheme = make_scheme(-1, "x", "x+y")
-    start = peak = open_fds()
+    start = peak = _open_fds()
     # stalls in the consumer's wait and in the producer's own
     stalling = (_silent_producer, _chatty_producer)
     for index in range(300):
@@ -502,9 +503,9 @@ def test_runs_close_their_pipes_without_a_gc():
                 run_split(scheme, 3, timeout=0.002, program=stalling[index // 2 % 2]())
         else:
             run_split(scheme, 3)
-        peak = max(peak, open_fds())
+        peak = max(peak, _open_fds())
     assert peak - start <= 8
-    assert open_fds() == start
+    assert _open_fds() == start
 
 
 def test_producer_waits_on_descriptors_past_select_limit():
@@ -1074,17 +1075,14 @@ def test_sweep_reopens_no_pair_left_outside_final(monkeypatch):
 def test_sweep_holds_one_pair_of_pipes_at_a_time(monkeypatch):
     # each block's runner holds one pair, 8 fds, and its consumer thread's two
     # doorbells, 4 more; leaving the block frees them
-    def open_fds():
-        return len(os.listdir("/proc/self/fd"))
-
-    start = open_fds()
+    start = _open_fds()
     peaks = [start]
-    _pipe_calls(monkeypatch, lambda: peaks.append(open_fds()))
+    _pipe_calls(monkeypatch, lambda: peaks.append(_open_fds()))
     for case in sweep_cases(range(5), [-1, -2, -3], [("x", "x+y")]):
         assert case.ok
-        peaks.append(open_fds())
+        peaks.append(_open_fds())
     assert max(peaks) - start <= 12
-    assert open_fds() == start
+    assert _open_fds() == start
 
 
 def _stalled_run():
@@ -1123,12 +1121,19 @@ def test_runs_leave_no_cycle_that_holds_a_channel(monkeypatch, action):
     assert dead and all(dead)
 
 
-def _outliving_sweep(monkeypatch):
-    """Sweep x0 in 0..2, where the producer of x0 = 1 fails while its
-    consumer still computes, past JOIN_TIMEOUT; return the cases and the
-    _recording_consumers list."""
-    monkeypatch.setattr(harness, "JOIN_TIMEOUT", 0.05)
+def _failing_while_its_consumer_computes(monkeypatch):
+    """Patch a sweep of x0 in 0..2 so the producer of x0 = 1 fails at once
+    while its consumer computes for 0.5 s; return the _recording_consumers
+    list, and the x0 of each consumer body as it returns."""
     ran = _recording_consumers(monkeypatch, lambda x0, probe: x0 == 1 and time.sleep(0.5))
+    recording, returned = harness.run_consumer, []
+
+    def consumer(config, inject, probe):
+        try:
+            return recording(config, inject, probe)
+        finally:
+            returned.append(config.x0)
+
     calls = []
     real_run = harness.run
 
@@ -1138,41 +1143,77 @@ def _outliving_sweep(monkeypatch):
             raise harness.RevirError("producer fault")
         return real_run(*args, **kwargs)
 
+    monkeypatch.setattr(harness, "run_consumer", consumer)
     monkeypatch.setattr(harness, "run", run)
-    return sweep(range(3), [-1], [("x", "x+y")]).cases, ran
+    return ran, returned
 
 
-def test_consumer_outliving_its_run_gets_no_next_case(monkeypatch):
-    # the next case runs on a fresh thread, and passes
+def test_a_failed_run_raises_once_its_body_has_returned(monkeypatch):
+    # the failed case ends only after its body, and the next case runs on
+    # the same thread, and passes
     before = threading.active_count()
-    cases, ran = _outliving_sweep(monkeypatch)
-    assert [(case.x0, case.ok) for case in cases] == [(0, True), (1, False), (2, True)]
-    assert cases[1].error == "RevirError: producer fault"
-    first, outlived, fresh = [thread for _, thread, _ in ran]
-    assert outlived is first and fresh is not first
-    # the outlived body ends at its next channel operation, and its thread with it
-    first.join(5.0)
+    ran, returned = _failing_while_its_consumer_computes(monkeypatch)
+    cases = [(case.x0, case.ok, case.error, list(returned))
+             for case in sweep_cases(range(3), [-1], [("x", "x+y")])]
+    assert cases == [(0, True, None, [0]),
+                     (1, False, "RevirError: producer fault", [0, 1]),
+                     (2, True, None, [0, 1, 2])]
+    assert len({thread for _, thread, _ in ran}) == 1
     assert threading.active_count() == before
 
 
 @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
-def test_an_outlived_body_leaves_no_pipe_open_without_a_gc(monkeypatch):
-    # the outlived body's late ChannelClosed is not its run's error: kept, it
-    # would hold the body's frame in a cycle that keeps the doorbells open
-    def open_fds():
-        return len(os.listdir("/proc/self/fd"))
-
-    start = open_fds()
+def test_a_failed_run_leaves_no_pipe_open_without_a_gc(monkeypatch):
+    # the body's late ChannelClosed lands in the run's errors: kept, it would
+    # hold the body's frame in a cycle that keeps the doorbells open
+    start = _open_fds()
     gc.disable()
     try:
-        _, ran = _outliving_sweep(monkeypatch)
-        outlived = ran[1][1]
+        ran, _ = _failing_while_its_consumer_computes(monkeypatch)
+        cases = sweep(range(3), [-1], [("x", "x+y")]).cases
         ran.clear()   # it holds each case's channels
-        outlived.join(5.0)
-        assert not outlived.is_alive()
-        end = open_fds()
+        end = _open_fds()
     finally:
         gc.enable()
+    assert [(case.x0, case.ok) for case in cases] == [(0, True), (1, False), (2, True)]
+    assert end == start
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+def test_an_interrupt_ends_the_run_once_its_body_has_returned(monkeypatch):
+    # the interrupt lands in the producer while the consumer body sleeps: it
+    # is raised once the body has returned, with no thread left and, with the
+    # cyclic collector off, no pipe open
+    sleeping, returned = threading.Event(), []
+    run_consumer = harness.run_consumer
+
+    def consumer(config, inject, probe):
+        try:
+            sleeping.set()
+            time.sleep(0.3)
+            return run_consumer(config, inject, probe)
+        finally:
+            returned.append(config.x0)
+
+    def run(*args, **kwargs):
+        assert sleeping.wait(5.0)
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(harness, "run_consumer", consumer)
+    monkeypatch.setattr(harness, "run", run)
+    before, start = threading.active_count(), _open_fds()
+    raised = None
+    gc.disable()
+    try:
+        try:
+            run_split(make_scheme(-1, "x", "x+y"), 3)
+        except KeyboardInterrupt:   # not pytest.raises: its traceback would hold the run's channels
+            raised = list(returned)
+        end = _open_fds()
+    finally:
+        gc.enable()
+    assert raised == [3]
+    assert threading.active_count() == before
     assert end == start
 
 
